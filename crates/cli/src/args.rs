@@ -48,15 +48,6 @@ commands:
                       --sync-every <items>  (default 10000)
                counts (--n, --sync-every) accept magnitudes: 250k, 1m,
                2.5e6, 1g
-  serve        run a standalone SWOR coordinator as a TCP server: accept
-               --k framed site connections, then print sample + metrics
-               flags: --addr (default 127.0.0.1:0, prints bound address)
-                      --k --s --seed --queue
-  feed         drive one site of a `dwrs serve` coordinator over TCP;
-               run k feeds with identical --n/--workload/--seed/--partition
-               and distinct --site to reproduce `run --engine tcp`
-               flags: --connect <addr> --site <i>
-                      --n --k --s --workload --seed --partition --batch
   daemon       run the long-lived multi-stream sampling service: hosts
                many named streams (each with its own k, s, and query),
                accepts attach/detach/reconnect mid-run, and answers live

@@ -21,7 +21,7 @@ use dwrs_runtime::{
     Workload,
 };
 use dwrs_sim::SiteNode;
-use dwrs_sim::{assign_sites, build_swor, swor_coordinator, swor_site, Metrics, Partition};
+use dwrs_sim::{assign_sites, build_swor, swor_site, Partition};
 use dwrs_stats::QuantileSketch;
 use dwrs_telemetry::{event_name, render_json, render_prometheus, HISTOGRAM_EPS};
 use dwrs_workloads as workloads;
@@ -33,8 +33,6 @@ pub fn dispatch<W: Write>(p: &Parsed, out: &mut W) -> Result<(), ArgError> {
     match p.command.as_str() {
         "sample" => cmd_sample(p, out),
         "run" => cmd_run(p, out),
-        "serve" => cmd_serve(p, out),
-        "feed" => cmd_feed(p, out),
         "daemon" => cmd_daemon(p, out),
         "attach" => cmd_attach(p, out),
         "query" => cmd_query(p, out),
@@ -128,7 +126,7 @@ fn cmd_sample<W: Write>(p: &Parsed, out: &mut W) -> Result<(), ArgError> {
 }
 
 /// Builds the [`Scenario`] shared by the engine commands (`run` and the
-/// distributed `feed` half, which must reconstruct the identical global
+/// daemon's `attach` sites, which must reconstruct the identical global
 /// stream) from the common flags. Engine/topology default to
 /// threads/flat; `cmd_run` overrides them from its own flags.
 fn make_scenario(p: &Parsed) -> Result<Scenario, ArgError> {
@@ -154,25 +152,6 @@ fn runtime_config(p: &Parsed) -> Result<RuntimeConfig, ArgError> {
         .with_batch_max(p.u64_or("batch", 64)?.max(1) as usize)
         .with_queue_capacity(p.u64_or("queue", 128)?.max(1) as usize)
         .with_down_poll_every(p.u64_or("down-poll-every", 32)?.max(1) as u32))
-}
-
-/// Prints the sample/metrics block shared by `run`, `serve`, and `sample`.
-fn report_run<W: Write>(out: &mut W, sample: &[dwrs_core::Keyed], metrics: &Metrics, head: usize) {
-    writeln!(out, "sample size: {}", sample.len()).ok();
-    writeln!(out, "sample head (id, weight, key):").ok();
-    for kd in sample.iter().take(head) {
-        writeln!(
-            out,
-            "  {:>12}  {:>14.4}  {:.6e}",
-            kd.item.id, kd.item.weight, kd.key
-        )
-        .ok();
-    }
-    writeln!(out, "messages: total {}", metrics.total()).ok();
-    for (kind, count) in &metrics.by_kind {
-        writeln!(out, "  {kind:<16} {count}").ok();
-    }
-    writeln!(out, "bytes on the wire: {}", metrics.total_bytes()).ok();
 }
 
 /// `run`: every engine×topology combination routes through one
@@ -427,104 +406,21 @@ fn print_report<W: Write>(
         )
         .ok();
     }
-    report_run(out, &report.sample, m, 8);
-}
-
-fn cmd_serve<W: Write>(p: &Parsed, out: &mut W) -> Result<(), ArgError> {
-    let addr = p.str_or("addr", "127.0.0.1:0");
-    let k = p.u64_or("k", 8)? as usize;
-    let s = p.u64_or("s", 64)? as usize;
-    let seed = p.u64_or("seed", 42)?;
-    if k == 0 {
-        return Err(ArgError("--k must be at least 1".into()));
+    writeln!(out, "sample size: {}", report.sample.len()).ok();
+    writeln!(out, "sample head (id, weight, key):").ok();
+    for kd in report.sample.iter().take(8) {
+        writeln!(
+            out,
+            "  {:>12}  {:>14.4}  {:.6e}",
+            kd.item.id, kd.item.weight, kd.key
+        )
+        .ok();
     }
-    let rcfg = runtime_config(p)?;
-    let listener = std::net::TcpListener::bind(&addr)
-        .map_err(|e| ArgError(format!("cannot bind '{addr}': {e}")))?;
-    let bound = listener.local_addr().map_err(|e| ArgError(e.to_string()))?;
-    writeln!(out, "listening on {bound} (k = {k}, s = {s})").ok();
-    writeln!(
-        out,
-        "note: serve runs one fixed-k stream and exits at Eof; for a persistent \
-         multi-stream service with live queries, use `dwrs daemon`"
-    )
-    .ok();
-    out.flush().ok();
-    let coordinator = swor_coordinator(SworConfig::new(s, k), seed);
-    let (coordinator, metrics, items) =
-        dwrs_runtime::tcp::serve_coordinator(&listener, k, coordinator, &rcfg)
-            .map_err(|e| ArgError(format!("serve failed: {e}")))?;
-    let sample = coordinator.sample();
-    // The same snapshot JSON the daemon's live queries emit, so scripts
-    // can consume serve and daemon output interchangeably.
-    let snapshot = LiveSnapshot {
-        kind: LiveQueryKind::CurrentSample,
-        items,
-        epoch: coordinator.epoch(),
-        u: coordinator.u(),
-        estimate: sample.iter().map(|kd| kd.item.weight).sum(),
-        ell: 1,
-        sites_attached: 0,
-        sites_eof: k as u32,
-        up_msgs: metrics.up_total,
-        down_msgs: metrics.down_total,
-        up_bytes: metrics.up_bytes,
-        down_bytes: metrics.down_bytes,
-        broadcast_events: metrics.broadcast_events,
-        sample: sample.clone(),
-    };
-    writeln!(out, "{}", snapshot.to_json("serve")).ok();
-    report_run(out, &sample, &metrics, 8);
-    Ok(())
-}
-
-fn cmd_feed<W: Write>(p: &Parsed, out: &mut W) -> Result<(), ArgError> {
-    let connect = p
-        .flags
-        .get("connect")
-        .cloned()
-        .ok_or_else(|| ArgError("feed needs --connect <addr>".into()))?;
-    let site_id = p
-        .flags
-        .get("site")
-        .ok_or_else(|| ArgError("feed needs --site <i>".into()))?
-        .parse::<usize>()
-        .map_err(|_| ArgError("--site expects an integer".into()))?;
-    let sc = make_scenario(p)?;
-    if site_id >= sc.k {
-        return Err(ArgError(format!(
-            "--site {site_id} out of range for k = {}",
-            sc.k
-        )));
+    writeln!(out, "messages: total {}", m.total()).ok();
+    for (kind, count) in &m.by_kind {
+        writeln!(out, "  {kind:<16} {count}").ok();
     }
-    // Same refusal as `run`'s streaming mode: a feed process streams its
-    // share of the source on the fly and must not silently materialize
-    // the O(n) rank permutation (nor silently switch distributions).
-    if let Workload::ZipfRanked { alpha } = sc.workload {
-        return Err(ArgError(format!(
-            "workload 'zipf:{alpha}' is the exact rank permutation and cannot stream \
-             through feed; use 'zipf_iid:{alpha}' for the streaming i.i.d.-rank \
-             distribution"
-        )));
-    }
-    // This feed's share of the deterministic global stream, filtered out
-    // of the scenario's streaming source on the fly — every feed process
-    // reconstructs the identical stream from the shared flags, nothing is
-    // materialized.
-    let mut partitioner = sc.partitioner();
-    let source = sc.source().map_err(|e| ArgError(e.to_string()))?;
-    let my_items = source.filter(move |_| partitioner.next_site() == site_id);
-    let site = swor_site(&SworConfig::new(sc.s, sc.k), sc.seed, site_id);
-    let (site, metrics) =
-        dwrs_runtime::tcp::run_site(connect.as_str(), site_id, site, my_items, &sc.runtime)
-            .map_err(|e| ArgError(format!("feed failed: {e}")))?;
-    writeln!(
-        out,
-        "site {site_id}: fed {} items, sent {} messages ({} bytes)",
-        site.stats.observed, metrics.up_total, metrics.up_bytes
-    )
-    .ok();
-    Ok(())
+    writeln!(out, "bytes on the wire: {}", m.total_bytes()).ok();
 }
 
 /// `daemon`: the long-lived multi-stream sampling service. Blocks until a
@@ -605,9 +501,9 @@ fn install_signal_shutdown(daemon: std::sync::Arc<Daemon>) {
 
 /// `attach`: drive one site slot of a daemon stream. Creates the stream
 /// first (idempotent — an existing stream keeps its configuration), then
-/// streams this site's share of the deterministic workload, exactly as
-/// `feed` does for the one-shot server. `--eof false` detaches instead of
-/// finishing, leaving the slot resumable by a later attach.
+/// streams this site's share of the deterministic workload, filtered on
+/// the fly out of the scenario's seeded source. `--eof false` detaches
+/// instead of finishing, leaving the slot resumable by a later attach.
 fn cmd_attach<W: Write>(p: &Parsed, out: &mut W) -> Result<(), ArgError> {
     let connect = p
         .flags
@@ -639,8 +535,9 @@ fn cmd_attach<W: Write>(p: &Parsed, out: &mut W) -> Result<(), ArgError> {
         "false" => false,
         v => return Err(ArgError(format!("--eof expects true|false, got '{v}'"))),
     };
-    // Same streaming refusal as `feed`: the exact rank permutation cannot
-    // stream.
+    // Same refusal as `run`'s streaming mode: an attach process streams
+    // its share of the source on the fly and must not silently
+    // materialize the O(n) rank permutation (nor switch distributions).
     if let Workload::ZipfRanked { alpha } = sc.workload {
         return Err(ArgError(format!(
             "workload 'zipf:{alpha}' is the exact rank permutation and cannot stream \
@@ -663,8 +560,9 @@ fn cmd_attach<W: Write>(p: &Parsed, out: &mut W) -> Result<(), ArgError> {
         return Err(ArgError(format!("create refused: {msg}")));
     }
     drop(ctrl);
-    // This site's share of the deterministic global stream, filtered on
-    // the fly — identical to `feed`'s partitioning.
+    // This site's share of the deterministic global stream, filtered out
+    // of the scenario's streaming source on the fly — every attach process
+    // reconstructs the identical stream from the shared flags.
     let mut partitioner = sc.partitioner();
     let source = sc.source().map_err(|e| ArgError(e.to_string()))?;
     let my_items = source.filter(move |_| partitioner.next_site() == site_id);
@@ -991,8 +889,8 @@ fn print_top<W: Write>(out: &mut W, report: &MetricsReport, prev: Option<&Metric
     }
 }
 
-/// Prints one live snapshot — `--format json` emits the same
-/// [`LiveSnapshot::to_json`] line as `serve`'s final report.
+/// Prints one live snapshot — `--format json` emits the
+/// [`LiveSnapshot::to_json`] line.
 fn print_snapshot<W: Write>(out: &mut W, stream: &str, snap: &LiveSnapshot, format: &str) {
     if format == "json" {
         writeln!(out, "{}", snap.to_json(stream)).ok();
@@ -1439,7 +1337,7 @@ mod tests {
         assert!(out.contains("--format"), "{out}");
     }
 
-    /// `Write` sink shared across threads, so a test can watch `serve`'s
+    /// `Write` sink shared across threads, so a test can watch `daemon`'s
     /// output for the bound address while the command is still running.
     #[derive(Clone, Default)]
     struct SharedBuf(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
@@ -1455,75 +1353,6 @@ mod tests {
     impl SharedBuf {
         fn contents(&self) -> String {
             String::from_utf8(self.0.lock().unwrap().clone()).expect("utf8")
-        }
-    }
-
-    #[test]
-    fn serve_and_feed_reproduce_tcp_engine() {
-        let k = 2;
-        let common = "--n 8000 --k 2 --s 8 --seed 9 --workload zipf_iid:1.3";
-        // Start the coordinator server on an ephemeral port.
-        let serve_out = SharedBuf::default();
-        let server = {
-            let mut w = serve_out.clone();
-            std::thread::spawn(move || {
-                let argv: Vec<String> = "serve --addr 127.0.0.1:0 --k 2 --s 8 --seed 9"
-                    .split_whitespace()
-                    .map(String::from)
-                    .collect();
-                crate::run(&argv, &mut w)
-            })
-        };
-        // Wait for the bound address to appear.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        let addr = loop {
-            let text = serve_out.contents();
-            if let Some(line) = text.lines().find(|l| l.starts_with("listening on ")) {
-                break line["listening on ".len()..]
-                    .split_whitespace()
-                    .next()
-                    .unwrap()
-                    .to_string();
-            }
-            assert!(
-                !server.is_finished(),
-                "serve exited before listening: {text}"
-            );
-            assert!(
-                std::time::Instant::now() < deadline,
-                "timed out waiting for serve to bind: {text}"
-            );
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        };
-        // Drive both sites.
-        let feeds: Vec<_> = (0..k)
-            .map(|i| {
-                let cmd = format!("feed --connect {addr} --site {i} {common}");
-                std::thread::spawn(move || run_cmd(&cmd))
-            })
-            .collect();
-        for f in feeds {
-            let (code, out) = f.join().unwrap();
-            assert_eq!(code, 0, "feed output: {out}");
-            assert!(out.contains("fed 4000 items"), "{out}");
-        }
-        assert_eq!(server.join().unwrap(), 0);
-        let text = serve_out.contents();
-        assert!(text.contains("sample size: 8"), "{text}");
-        assert!(text.contains("messages: total"), "{text}");
-        // The pointer to daemon mode, and the daemon-shaped snapshot JSON.
-        assert!(text.contains("use `dwrs daemon`"), "{text}");
-        let json = text
-            .lines()
-            .find(|l| l.starts_with('{'))
-            .expect("snapshot json line");
-        for field in [
-            "\"stream\":\"serve\"",
-            "\"kind\":\"current-sample\"",
-            "\"items\":8000",
-            "\"sample_size\":8",
-        ] {
-            assert!(json.contains(field), "missing {field} in {json}");
         }
     }
 
@@ -1716,22 +1545,6 @@ mod tests {
     }
 
     #[test]
-    fn feed_validates_flags() {
-        let (code, out) = run_cmd("feed --site 0");
-        assert_eq!(code, 2);
-        assert!(out.contains("--connect"), "{out}");
-        // Feed streams its source: the materializing zipf permutation is
-        // refused with the same guidance as `run`'s streaming mode.
-        let (code, out) =
-            run_cmd("feed --connect 127.0.0.1:1 --site 0 --k 2 --n 10 --workload zipf:1.1");
-        assert_eq!(code, 2);
-        assert!(out.contains("zipf_iid"), "{out}");
-        let (code, out) = run_cmd("feed --connect 127.0.0.1:1 --site 9 --k 2 --n 10");
-        assert_eq!(code, 2);
-        assert!(out.contains("out of range"), "{out}");
-    }
-
-    #[test]
     fn run_accepts_human_magnitudes() {
         let (code, out) = run_cmd("run --engine lockstep --n 20k --k 4 --s 8 --format json");
         assert_eq!(code, 0, "{out}");
@@ -1865,6 +1678,27 @@ mod tests {
         let (code, out) = run_cmd("frobnicate --n 1");
         assert_eq!(code, 2);
         assert!(out.contains("unknown command"));
+    }
+
+    #[test]
+    fn every_usage_command_dispatches() {
+        // The banner's command list and `dispatch` must not drift apart.
+        // Each command gets flags it rejects before doing any work (or
+        // lacks the --connect it requires), so nothing runs for real.
+        let commands: Vec<&str> = crate::args::USAGE
+            .lines()
+            .skip_while(|l| *l != "commands:")
+            .skip(1)
+            .take_while(|l| !l.is_empty())
+            .filter_map(|l| l.strip_prefix("  ").filter(|r| !r.starts_with(' ')))
+            .filter_map(|l| l.split_whitespace().next())
+            .collect();
+        assert!(commands.len() >= 10, "parsed {commands:?}");
+        for cmd in commands {
+            let (code, out) = run_cmd(&format!("{cmd} --n x --seed x --faults x"));
+            assert_eq!(code, 2, "{cmd}: {out}");
+            assert!(!out.contains("unknown command"), "{cmd}: {out}");
+        }
     }
 
     #[test]

@@ -265,8 +265,8 @@ pub struct LiveSnapshot {
 
 impl LiveSnapshot {
     /// Serializes the snapshot as a single-line JSON object. Shared by
-    /// `dwrs serve`, `dwrs query --format json`, and the daemon-smoke
-    /// artifacts so every path emits the identical shape.
+    /// `dwrs query --format json`, batch-run snapshots, and the
+    /// daemon-smoke artifacts so every path emits the identical shape.
     pub fn to_json(&self, stream: &str) -> String {
         let epoch = match self.epoch {
             Some(e) => e.to_string(),

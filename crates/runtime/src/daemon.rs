@@ -1,8 +1,8 @@
 //! The long-lived sampling daemon: a persistent, connection-accepting
 //! coordinator process hosting many concurrent **named streams**.
 //!
-//! The one-shot [`crate::tcp::serve_coordinator`] server runs exactly one
-//! stream for exactly `k` sites and exits at the final drain. The paper's
+//! The batch engines ([`crate::run_scenario`]) run exactly one stream for
+//! exactly `k` sites and exit at the final drain. The paper's
 //! model, however, is *continuous monitoring*: the coordinator must hold a
 //! valid weighted SWOR — and answer the application queries derived from
 //! it — **at every time step**, not only at the end. [`Daemon`] is that
@@ -15,7 +15,7 @@
 //! * **Attach / detach / reconnect**: sites join mid-run
 //!   ([`CtrlMsg::Attach`]), may disconnect (a clean socket close at a
 //!   frame boundary detaches the slot without faulting the stream — the
-//!   deliberate difference from the one-shot server, where a close before
+//!   deliberate difference from the tcp engine, where a close before
 //!   `Eof` is a fault), and may reattach later to resume. Reattached
 //!   links are **replayed** the coordinator's current broadcast state
 //!   (saturated levels, the epoch threshold) so a reconnecting site
@@ -34,7 +34,7 @@
 //! standard `[u32 LE length][payload]` framing; after a successful attach
 //! the same connection switches to the data-plane framing
 //! (`TAG_BATCH`/`TAG_EOF` upstream, `TAG_DOWN` downstream) shared with
-//! the one-shot TCP transport. See `docs/DAEMON.md` for the operator
+//! the tcp engine's transport. See `docs/DAEMON.md` for the operator
 //! guide and byte-level layouts.
 
 use std::collections::HashMap;
@@ -474,7 +474,7 @@ fn stream_processor(mut st: StreamState, rx: mpsc::Receiver<StreamCmd>) {
                 st.slots[site] = SlotState::Finished;
                 st.trace
                     .record(TraceKind::Eof, site as u64, st.slot_items[site]);
-                // Close this slot's down link now (the one-shot engine
+                // Close this slot's down link now (a batch engine
                 // closes all links at the end of the run; a daemon stream
                 // has no end, so the per-site drain loop must terminate
                 // here for the client's finish() to return).
@@ -1066,8 +1066,8 @@ fn handle_connection(shared: Arc<Shared>, addr: SocketAddr, stream: TcpStream) {
 /// After a successful attach, the connection is the slot's data link:
 /// decode `TAG_BATCH`/`TAG_EOF` frames into processor commands. A clean
 /// close at a frame boundary is a **detach** (the slot may reattach
-/// later) — deliberately unlike the one-shot server's reader, which
-/// treats it as a fault.
+/// later) — deliberately unlike the tcp engine's reader, which treats it
+/// as a fault.
 fn site_data_loop(reader: &mut FramedReader<TcpStream>, site: usize, cmd: &CmdSender) {
     loop {
         match reader.read_blob() {

@@ -44,21 +44,19 @@ use dwrs_core::ctrl::{LiveQueryKind, LiveSnapshot};
 use dwrs_core::framed::FrameCodec;
 use dwrs_core::swor::{CoordStats, SworConfig};
 use dwrs_core::{Item, Keyed};
-use dwrs_sim::{CoordinatorNode, FanInTree, Metrics, Partition, Partitioner, Runner, SiteNode};
+use dwrs_sim::{CoordinatorNode, Metrics, Partition, Partitioner, Runner, SiteNode};
 use dwrs_workloads::source::{
     lognormal_stream, pareto_stream, uniform_stream, unit_stream, zipf_stream, CsvSource,
     ItemSource,
 };
 
-use crate::adapters::EngineKind;
 use crate::config::RuntimeConfig;
 use crate::engine::{run_threads, RunOutput, RuntimeError};
 use crate::epoll::{run_epoll, run_tree_epoll, Feed, ItemFeed};
 use crate::query::{run_query_flat, run_query_tree, FlatOutcome, TreeOutcome};
 use crate::tcp::run_tcp;
 use crate::tree::{
-    finish_lockstep_tree, run_tree_nodes, GroupStats, LockstepTree, SampleSource, TreeOutput,
-    TreeTopology,
+    run_tree_nodes, GroupStats, LockstepTree, SampleSource, TreeOutput, TreeTopology,
 };
 
 pub use crate::query::{Query, QueryAnswer};
@@ -308,6 +306,49 @@ impl Workload {
 
 // ------------------------------------------------------------ scenario
 
+/// Which execution substrate to run a deployment on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum EngineKind {
+    /// The single-threaded lockstep simulator (`dwrs_sim::Runner`).
+    Lockstep,
+    /// OS threads over in-process bounded channels.
+    Threads,
+    /// OS threads over loopback TCP with framed wire encoding.
+    Tcp,
+    /// Event-driven loopback TCP: the same wire format as [`Tcp`], but
+    /// every connection multiplexed onto a few epoll event loops instead
+    /// of two threads per site ([`crate::epoll`]).
+    ///
+    /// [`Tcp`]: EngineKind::Tcp
+    Epoll,
+}
+
+impl std::str::FromStr for EngineKind {
+    type Err = String;
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "lockstep" => Ok(EngineKind::Lockstep),
+            "threads" => Ok(EngineKind::Threads),
+            "tcp" => Ok(EngineKind::Tcp),
+            "epoll" => Ok(EngineKind::Epoll),
+            other => Err(format!(
+                "unknown engine '{other}' (expected lockstep | threads | tcp | epoll)"
+            )),
+        }
+    }
+}
+
+impl std::fmt::Display for EngineKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            EngineKind::Lockstep => write!(f, "lockstep"),
+            EngineKind::Threads => write!(f, "threads"),
+            EngineKind::Tcp => write!(f, "tcp"),
+            EngineKind::Epoll => write!(f, "epoll"),
+        }
+    }
+}
+
 /// Coordinator topology of a deployment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Topology {
@@ -426,8 +467,8 @@ impl Scenario {
     }
 
     /// The seeded workload source this scenario reads (the derivation the
-    /// CLI's distributed `serve`/`feed` halves share, so every process of
-    /// a deployment reconstructs the identical global stream).
+    /// CLI's `attach` processes share, so every site process of a daemon
+    /// stream reconstructs the identical global stream).
     pub fn source(&self) -> std::io::Result<Box<dyn ItemSource>> {
         self.workload.source(self.n, self.seed ^ 0xA5)
     }
@@ -961,29 +1002,6 @@ fn check_invariants(
 
 // -------------------------------------------------------------- driver
 
-/// Drains pre-sharded streams round-robin — one item per shard per round —
-/// feeding each `(shard, item)` pair to `f`. The canonical interleaving
-/// the legacy vec-based lockstep adapters use (any interleaving is a valid
-/// adversarial arrival order in the paper's model).
-pub fn interleave_shards<I>(shards: Vec<I>, mut f: impl FnMut(usize, Item))
-where
-    I: IntoIterator<Item = Item>,
-{
-    let mut iters: Vec<I::IntoIter> = shards.into_iter().map(IntoIterator::into_iter).collect();
-    loop {
-        let mut any = false;
-        for (i, it) in iters.iter_mut().enumerate() {
-            if let Some(item) = it.next() {
-                f(i, item);
-                any = true;
-            }
-        }
-        if !any {
-            break;
-        }
-    }
-}
-
 /// Executes a [`Scenario`] on its engine and topology, streaming the
 /// workload at O(batch × queue) memory, and returns the uniform
 /// [`RunReport`]. This is the single entry point every engine×topology
@@ -1069,17 +1087,13 @@ where
 }
 
 /// Drives a fan-in tree of arbitrary protocol nodes on the scenario's
-/// engine. `swor_lockstep_cfg` selects the specialized [`FanInTree`] for
-/// the lockstep arm (SWOR-family queries, byte-compatible with historical
-/// runs); `None` uses the generic [`LockstepTree`] built from the same
+/// engine: the lockstep arm runs a [`LockstepTree`] built from the same
 /// factories the concurrent engines use.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn drive_tree<S, A>(
     sc: &Scenario,
     source: Box<dyn ItemSource>,
     groups: usize,
     sync_every: u64,
-    swor_lockstep_cfg: Option<&SworConfig>,
     mut mk_site: impl FnMut(usize, usize) -> S,
     mut mk_aggregator: impl FnMut(usize) -> A,
     s_eff: usize,
@@ -1098,34 +1112,22 @@ where
             // stream is site `i % k_per_group` of group `i / k_per_group`.
             let mut partitioner = sc.partitioner();
             let (mut items, mut weight) = (0u64, 0.0f64);
-            let out = if let Some(cfg) = swor_lockstep_cfg {
-                let mut tree = FanInTree::from_config(cfg.clone(), groups, sync_every, sc.seed);
-                for item in source {
-                    let site = partitioner.next_site();
-                    weight += item.weight;
-                    tree.observe(site / k_per_group, site % k_per_group, item);
-                    items += 1;
-                }
-                finish_lockstep_tree(tree)
-            } else {
-                let runners = (0..groups)
-                    .map(|gi| {
-                        Runner::new(
-                            mk_aggregator(gi),
-                            (0..k_per_group).map(|i| mk_site(gi, i)).collect(),
-                        )
-                    })
-                    .collect();
-                let mut tree = LockstepTree::new(s_eff, sync_every, runners);
-                for item in source {
-                    let site = partitioner.next_site();
-                    weight += item.weight;
-                    tree.observe(site / k_per_group, site % k_per_group, item);
-                    items += 1;
-                }
-                tree.finish()
-            };
-            Ok((items, weight, out, None))
+            let runners = (0..groups)
+                .map(|gi| {
+                    Runner::new(
+                        mk_aggregator(gi),
+                        (0..k_per_group).map(|i| mk_site(gi, i)).collect(),
+                    )
+                })
+                .collect();
+            let mut tree = LockstepTree::new(s_eff, sync_every, runners);
+            for item in source {
+                let site = partitioner.next_site();
+                weight += item.weight;
+                tree.observe(site / k_per_group, site % k_per_group, item);
+                items += 1;
+            }
+            Ok((items, weight, tree.finish(), None))
         }
         EngineKind::Threads | EngineKind::Tcp => {
             let (dispatcher, shards) = Dispatcher::new(sc.k);
@@ -1290,6 +1292,23 @@ mod tests {
             .iter()
             .map(|kd| (kd.item.id, kd.key.to_bits()))
             .collect()
+    }
+
+    #[test]
+    fn engine_kind_parses() {
+        assert_eq!(
+            "threads".parse::<EngineKind>().unwrap(),
+            EngineKind::Threads
+        );
+        assert_eq!("tcp".parse::<EngineKind>().unwrap(), EngineKind::Tcp);
+        assert_eq!("epoll".parse::<EngineKind>().unwrap(), EngineKind::Epoll);
+        assert_eq!(
+            "lockstep".parse::<EngineKind>().unwrap(),
+            EngineKind::Lockstep
+        );
+        assert!("async".parse::<EngineKind>().is_err());
+        assert_eq!(EngineKind::Tcp.to_string(), "tcp");
+        assert_eq!(EngineKind::Epoll.to_string(), "epoll");
     }
 
     #[test]
@@ -1657,13 +1676,5 @@ mod tests {
         let report = run_scenario(&sc).expect("run");
         assert_eq!(report.sample.len(), 10, "window-limited sample");
         assert!(report.invariants_ok(), "{:?}", report.violations);
-    }
-
-    #[test]
-    fn interleave_is_round_robin() {
-        let shards = vec![vec![Item::unit(0), Item::unit(2)], vec![Item::unit(1)]];
-        let mut seen = Vec::new();
-        interleave_shards(shards, |shard, item| seen.push((shard, item.id)));
-        assert_eq!(seen, vec![(0, 0), (1, 1), (0, 2)]);
     }
 }

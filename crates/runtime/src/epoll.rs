@@ -67,17 +67,19 @@ use dwrs_core::{Item, Keyed};
 use dwrs_sim::{CoordinatorNode, Metrics, NoDown, SiteNode};
 
 use crate::config::RuntimeConfig;
+use crate::driver::EngineKind;
 use crate::engine::{coordinator_loop, flush, RunOutput, RuntimeError};
 use crate::obs::{record_thread_metrics, FlushMeter, ReactorMeter};
 use crate::reactor::{
     current_nofile_limit, is_fd_exhausted, raise_nofile_limit, wake_pair, PollEvent, Poller,
     RecvBuf, SendBuf, WakeRx, Waker, WAKE_TOKEN,
 };
-use crate::tcp::{
-    accept_sites, connect_site, read_hello, TAG_BATCH, TAG_DOWN, TAG_EOF, TAG_FAULT, TAG_HELLO,
-};
+use crate::tcp::{accept_sites, read_hello, TAG_BATCH, TAG_DOWN, TAG_EOF, TAG_FAULT, TAG_HELLO};
 use crate::transport::{BatchSender, CoordEndpoint, DownSender, TransportError, UpFrame};
-use crate::tree::{aggregator_loop, root_loop, GroupStats, SampleSource, TreeOutput, TreeTopology};
+use crate::tree::{
+    aggregator_loop, check_sync_fits_frame, root_loop, tcp_connect, GroupStats, SampleSource,
+    TreeOutput, TreeTopology,
+};
 
 /// Event-loop threads in the site-side worker pool. Connection count is a
 /// memory problem, not a thread-count problem: k=1000 sites run on this
@@ -1247,7 +1249,7 @@ where
     let (reactor_res, coord_res, site_res) = thread::scope(|scope| {
         let reactor = scope.spawn(move || coord_reactor::<S::Up>(conns, vec![up_tx], wake_rx));
         let coord = scope.spawn(|| {
-            let (metrics, _items) = coordinator_loop(&mut coordinator, coord_ep, false)?;
+            let metrics = coordinator_loop(&mut coordinator, coord_ep)?;
             Ok::<_, RuntimeError>(metrics)
         });
         let site_res = run_site_pool(tasks, batch_max, down_poll);
@@ -1312,18 +1314,7 @@ where
     let (g, k) = (topo.groups, topo.k_per_group);
     assert!(g >= 1 && k >= 1, "need at least one site per group");
     assert_eq!(feeds.len(), g, "one feed block per group");
-    // Same fail-fast as the TCP tree: the root hop is framed, so a sync
-    // frame (9-byte batch header + 17-byte SyncMsg header + 24 bytes per
-    // entry) must fit MAX_FRAME_LEN.
-    let max_sync_payload = 9 + 17 + 24 * s;
-    let frame_cap = dwrs_core::framed::MAX_FRAME_LEN as usize;
-    if max_sync_payload > frame_cap {
-        let max_s = (frame_cap - 9 - 17) / 24;
-        return Err(RuntimeError::Transport(format!(
-            "sample size {s} needs {max_sync_payload}-byte sync frames, over the \
-             {frame_cap}-byte framed-transport cap; the epoll tree supports s <= {max_s}"
-        )));
-    }
+    check_sync_fits_frame(s, EngineKind::Epoll)?;
     let batch_max = cfg.batch_max.max(1);
     let down_poll = cfg.down_poll_every.max(1);
     let _ = raise_nofile_limit();
@@ -1382,11 +1373,11 @@ where
     let (root_listener, root_addr) = bind("root")?;
     let mut root_links = Vec::with_capacity(g);
     for gi in 0..g {
-        root_links.push(
-            connect_site::<SyncMsg, NoDown>(root_addr, gi).map_err(|e| {
-                RuntimeError::Transport(format!("connect group {gi} root link: {e}"))
-            })?,
-        );
+        root_links.push(tcp_connect(
+            root_addr,
+            gi,
+            &format!("group {gi} root link"),
+        )?);
     }
     let root_ep = accept_sites::<SyncMsg, NoDown>(&root_listener, g, cfg.queue_capacity)?;
 
@@ -1541,11 +1532,13 @@ mod tests {
         }
     }
 
-    #[allow(deprecated)]
+    /// Unit items `0..n`, item `i` on site `i % k`.
     fn feeds(n: u64, k: usize) -> Vec<Box<dyn ItemFeed>> {
-        crate::engine::split_stream(k, (0..n).map(|i| ((i % k as u64) as usize, Item::unit(i))))
-            .into_iter()
-            .map(|part| Box::new(VecFeed::new(part)) as Box<dyn ItemFeed>)
+        (0..k as u64)
+            .map(|site| {
+                let part = (site..n).step_by(k).map(Item::unit).collect();
+                Box::new(VecFeed::new(part)) as Box<dyn ItemFeed>
+            })
             .collect()
     }
 

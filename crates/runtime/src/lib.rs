@@ -4,9 +4,9 @@
 //! protocols: `k` sites and one coordinator run as real OS threads
 //! connected by a pluggable framed [`transport`] — in-process bounded
 //! channels ([`run_threads`]) or loopback TCP with the `swor::wire`
-//! encoding on real sockets ([`tcp::run_tcp`], plus standalone
-//! [`tcp::serve_coordinator`] / [`tcp::run_site`] halves for multi-process
-//! deployments).
+//! encoding on real sockets ([`tcp::run_tcp`], or [`run_epoll`] with
+//! every connection multiplexed onto a few event loops). Multi-process
+//! deployments attach their sites to a long-lived [`daemon`].
 //!
 //! Any [`dwrs_sim::SiteNode`] / [`dwrs_sim::CoordinatorNode`] pair runs
 //! unmodified; the lockstep simulator remains the specification substrate,
@@ -35,8 +35,9 @@
 //! Beyond the flat `k`-sites-one-coordinator deployment, the [`tree`]
 //! module runs the **hierarchical fan-in topology**: groups of sites
 //! against per-group aggregators, which periodically ship their mergeable
-//! keyed samples to a root merger over the same transports (see
-//! [`run_tree_swor`]).
+//! keyed samples to a root merger — single-threaded as the
+//! [`LockstepTree`] specification, or concurrently over the same
+//! transports (see [`run_tree_nodes`]).
 //!
 //! For continuous monitoring — the paper's actual setting — the
 //! [`daemon`] module runs the coordinator as a **long-lived process**
@@ -80,7 +81,6 @@
 
 #![deny(missing_docs)]
 
-pub mod adapters;
 pub mod config;
 pub mod daemon;
 pub mod driver;
@@ -93,14 +93,11 @@ pub mod tcp;
 pub mod transport;
 pub mod tree;
 
-pub use adapters::{run_swor, EngineKind};
 pub use config::RuntimeConfig;
 pub use daemon::{AttachClient, CtrlClient, Daemon, DaemonConfig, RetryPolicy};
 pub use driver::{
-    run_scenario, DispatcherStats, RunReport, Scenario, ShardSource, Topology, Workload,
+    run_scenario, DispatcherStats, EngineKind, RunReport, Scenario, ShardSource, Topology, Workload,
 };
-#[allow(deprecated)]
-pub use engine::split_stream;
 pub use engine::{run_threads, RunOutput, RuntimeError};
 pub use epoll::{run_epoll, run_tree_epoll, Feed, ItemFeed, VecFeed};
 pub use query::{Query, QueryAnswer};
@@ -109,8 +106,4 @@ pub use transport::{
     channel_wiring, BatchSender, CoordEndpoint, DownSender, SiteEndpoint, TransportError, UpFrame,
     Wiring,
 };
-#[allow(deprecated)]
-pub use tree::split_tree_stream;
-pub use tree::{
-    run_tree_nodes, run_tree_swor, GroupStats, LockstepTree, SampleSource, TreeOutput, TreeTopology,
-};
+pub use tree::{run_tree_nodes, GroupStats, LockstepTree, SampleSource, TreeOutput, TreeTopology};

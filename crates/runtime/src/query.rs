@@ -358,7 +358,6 @@ pub(crate) fn run_query_tree(
             source,
             groups,
             sync_every,
-            Some(&group_cfg),
             |gi, i| swor_site(&group_cfg, tree_group_seed(sc.seed, gi), i),
             |gi| swor_coordinator(group_cfg.clone(), tree_group_seed(sc.seed, gi)),
             s_eff,
@@ -370,7 +369,6 @@ pub(crate) fn run_query_tree(
                 source,
                 groups,
                 sync_every,
-                None,
                 |gi, i| {
                     L1Site::new(
                         &group_cfg,
@@ -387,7 +385,6 @@ pub(crate) fn run_query_tree(
             source,
             groups,
             sync_every,
-            None,
             |gi, i| {
                 WindowSite::new(
                     s_eff,

@@ -39,10 +39,10 @@ use std::thread;
 
 use dwrs_core::framed::{decode_seq, encode_seq, FrameCodec, FramedReader, FramedWriter};
 use dwrs_core::Item;
-use dwrs_sim::{CoordinatorNode, Metrics, SiteNode};
+use dwrs_sim::{CoordinatorNode, SiteNode};
 
 use crate::config::RuntimeConfig;
-use crate::engine::{coordinator_loop, site_loop, RunOutput, RuntimeError};
+use crate::engine::{RunOutput, RuntimeError};
 use crate::transport::{
     BatchSender, CoordEndpoint, DownSender, SiteEndpoint, TransportError, UpFrame,
 };
@@ -140,22 +140,13 @@ where
 {
     let stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
-    let mut writer = FramedWriter::new(stream.try_clone()?);
     let mut hello = vec![TAG_HELLO];
     hello.extend_from_slice(&(site_id as u32).to_le_bytes());
-    writer.write_blob(&hello)?;
-
+    FramedWriter::new(&stream).write_blob(&hello)?;
+    let up = tcp_batch_sender(stream.try_clone()?);
     let (down_tx, down_rx) = mpsc::channel::<D>();
-    let read_half = stream;
-    thread::spawn(move || down_reader(read_half, down_tx));
-    Ok(SiteEndpoint::new(
-        site_id,
-        Box::new(TcpBatchSender {
-            writer,
-            _marker: std::marker::PhantomData,
-        }),
-        down_rx,
-    ))
+    thread::spawn(move || down_reader(stream, down_tx));
+    Ok(SiteEndpoint::new(site_id, up, down_rx))
 }
 
 /// Site-side reader: decodes `DOWN` frames into the in-process channel
@@ -185,33 +176,6 @@ pub(crate) fn down_reader<D: FrameCodec>(stream: TcpStream, tx: mpsc::Sender<D>)
             return;
         }
     }
-}
-
-/// Runs one site endpoint to completion against a remote coordinator:
-/// connect, stream `items` through the protocol with batching, `EOF`,
-/// drain. Returns the final site state and its upstream [`Metrics`].
-pub fn run_site<S, I>(
-    addr: impl ToSocketAddrs,
-    site_id: usize,
-    mut site: S,
-    items: I,
-    cfg: &RuntimeConfig,
-) -> Result<(S, Metrics), RuntimeError>
-where
-    S: SiteNode,
-    S::Up: FrameCodec + Send + 'static,
-    S::Down: FrameCodec + Send + 'static,
-    I: IntoIterator<Item = Item>,
-{
-    let endpoint = connect_site(addr, site_id).map_err(TransportError::Io)?;
-    let metrics = site_loop(
-        &mut site,
-        endpoint,
-        items,
-        cfg.batch_max.max(1),
-        cfg.down_poll_every,
-    )?;
-    Ok((site, metrics))
 }
 
 // ---------------------------------------------------- coordinator side
@@ -335,11 +299,9 @@ where
                 "duplicate HELLO for site {site}"
             )));
         }
-        let writer = FramedWriter::new(stream.try_clone().map_err(TransportError::Io)?);
-        downs[site] = Some(Box::new(TcpDownSender {
-            writer,
-            _marker: std::marker::PhantomData,
-        }));
+        downs[site] = Some(tcp_down_sender(
+            stream.try_clone().map_err(TransportError::Io)?,
+        ));
         let tx = up_tx.clone();
         thread::spawn(move || up_reader::<U>(stream, site, tx));
     }
@@ -375,34 +337,6 @@ pub(crate) fn read_hello(stream: &TcpStream) -> Result<usize, RuntimeError> {
         )));
     }
     Ok(u32::from_le_bytes(payload[1..5].try_into().expect("4 bytes")) as usize)
-}
-
-/// Runs a coordinator as a TCP server: accept `k` sites, drive the
-/// protocol until every site reports `EOF`, half-close, and return the
-/// final coordinator state, metrics, and the total stream-progress
-/// watermark (items observed across all sites, from the batch frames).
-///
-/// Metrics here include upstream counts (metered from the decoded frames):
-/// unlike the in-process engines, a standalone server cannot merge its
-/// remote sites' thread-local meters.
-///
-/// This serves exactly one stream to completion and returns. For a
-/// persistent multi-stream service with live queries, use
-/// [`crate::daemon::Daemon`].
-pub fn serve_coordinator<C>(
-    listener: &TcpListener,
-    k: usize,
-    mut coordinator: C,
-    cfg: &RuntimeConfig,
-) -> Result<(C, Metrics, u64), RuntimeError>
-where
-    C: CoordinatorNode,
-    C::Up: FrameCodec + Send + 'static,
-    C::Down: FrameCodec + Send + 'static,
-{
-    let endpoint = accept_sites::<C::Up, C::Down>(listener, k, cfg.queue_capacity)?;
-    let (metrics, items) = coordinator_loop(&mut coordinator, endpoint, true)?;
-    Ok((coordinator, metrics, items))
 }
 
 // ------------------------------------------------------------- engine

@@ -1,12 +1,22 @@
-//! Hierarchical fan-in topology on the concurrent substrate.
+//! Hierarchical fan-in topology.
 //!
-//! The flat engine ([`crate::engine`]) runs `k` sites against one
-//! coordinator. This module promotes the two-level tree of
-//! `dwrs_sim::FanInTree` — `g` groups of `k` sites, each group running the
-//! **full weighted SWOR protocol** against its own *aggregator*, and a
-//! *root merger* holding the latest [`SyncMsg`] sample from every group —
-//! from a lockstep-only simulation to a first-class runtime topology over
-//! the same pluggable transports:
+//! The paper's model has one coordinator; large fleets in practice hang
+//! sites off regional aggregators that a root merges. The flat engine
+//! ([`crate::engine`]) runs `k` sites against one coordinator; this module
+//! runs the two-level tree — `g` groups of `k` sites, each group running
+//! its **full site/coordinator protocol** against its own *aggregator*,
+//! and a *root merger* holding the latest [`SyncMsg`] sample from every
+//! group. Precision-sampling samples are mergeable
+//! (`dwrs_core::merge`): the top-`s` of a union of top-`s` keyed samples
+//! over disjoint streams is a weighted SWOR of the union, so the root's
+//! sample is an exact weighted SWOR of everything the groups had seen as
+//! of their last syncs — bounded staleness traded against the extra
+//! `g·s/sync_every` message rate.
+//!
+//! [`LockstepTree`] is the single-threaded specification of the topology;
+//! [`run_tree_nodes`] runs the identical tree — same per-group seeding,
+//! same [`SyncMsg`] frames, same sync metering — on concurrent threads
+//! over the pluggable transports:
 //!
 //! ```text
 //!   group 0: site threads ──►┐
@@ -60,15 +70,12 @@ use std::sync::mpsc;
 use std::thread;
 
 use dwrs_core::merge::merge_samples;
-use dwrs_core::swor::{SworConfig, SworCoordinator, SyncMsg};
+use dwrs_core::swor::{SworCoordinator, SyncMsg};
 use dwrs_core::{Item, Keyed};
-use dwrs_sim::{
-    swor_coordinator, swor_site, tree_group_seed, CoordinatorNode, FanInTree, Meter, Metrics,
-    NoDown, Outbox, SiteNode,
-};
+use dwrs_sim::{CoordinatorNode, Meter, Metrics, NoDown, Outbox, SiteNode};
 
-use crate::adapters::EngineKind;
 use crate::config::RuntimeConfig;
+use crate::driver::EngineKind;
 use crate::engine::{route, site_loop, RuntimeError};
 use crate::obs::{record_thread_metrics, tree_syncs_counter};
 use crate::tcp::{accept_sites, connect_site};
@@ -183,8 +190,45 @@ impl SampleSource for dwrs_apps::WindowCoordinator {
     }
 }
 
-/// Ships one sync to the root, metering it as the paper accounts it (one
-/// message per synced entry, exact wire bytes).
+/// Builds one group's sync from its aggregator's current sample and
+/// meters it as the paper accounts it (one message per synced entry,
+/// exact wire bytes). Every tree substrate — lockstep and concurrent —
+/// syncs through here, so their accounting cannot drift apart.
+fn metered_sync<C: SampleSource>(
+    node: &C,
+    group: usize,
+    watermark: u64,
+    metrics: &mut Metrics,
+) -> SyncMsg {
+    let msg = SyncMsg {
+        group: group as u32,
+        items: watermark,
+        sample: node.keyed_sample(),
+    };
+    metrics.count_up(Meter::kind(&msg), msg.units(), msg.wire_bytes());
+    msg
+}
+
+/// Fails fast, before any thread or socket exists, when a sync of `s`
+/// entries cannot fit one frame: a sync frame carries the whole sample
+/// (9-byte batch header + 17-byte `SyncMsg` header + 24 bytes per entry)
+/// and the framed transport caps payloads at `MAX_FRAME_LEN`. Only the
+/// framed root hop of the `engine` tree has this limit; the channel
+/// engine has none.
+pub(crate) fn check_sync_fits_frame(s: usize, engine: EngineKind) -> Result<(), RuntimeError> {
+    let max_sync_payload = 9 + 17 + 24 * s;
+    let frame_cap = dwrs_core::framed::MAX_FRAME_LEN as usize;
+    if max_sync_payload > frame_cap {
+        let max_s = (frame_cap - 9 - 17) / 24;
+        return Err(RuntimeError::Transport(format!(
+            "sample size {s} needs {max_sync_payload}-byte sync frames, over the \
+             {frame_cap}-byte framed-transport cap; the {engine} tree supports s <= {max_s}"
+        )));
+    }
+    Ok(())
+}
+
+/// Ships one metered sync to the root.
 fn sync_to_root<C: SampleSource>(
     node: &C,
     root: &mut dyn crate::transport::BatchSender<SyncMsg>,
@@ -193,12 +237,7 @@ fn sync_to_root<C: SampleSource>(
     window: u64,
     metrics: &mut Metrics,
 ) -> Result<(), TransportError> {
-    let msg = SyncMsg {
-        group: group as u32,
-        items: watermark,
-        sample: node.keyed_sample(),
-    };
-    metrics.count_up(Meter::kind(&msg), msg.units(), msg.wire_bytes());
+    let msg = metered_sync(node, group, watermark, metrics);
     root.send(UpFrame::Batch {
         msgs: vec![msg],
         items: window,
@@ -346,43 +385,12 @@ pub(crate) fn root_loop(endpoint: CoordEndpoint<SyncMsg, NoDown>) -> RootResult 
     }
 }
 
-/// Splits a globally ordered `(global_site, item)` stream into per-group,
-/// per-site partitions: global site `i` is site `i % k` of group `i / k`.
-/// The tree analogue of [`crate::split_stream`].
-///
-/// This **materializes the whole stream** (O(n) memory), like its flat
-/// sibling; it is kept only so old call sites keep compiling. New code
-/// should describe the deployment as a [`crate::driver::Scenario`] with a
-/// tree topology and let [`crate::driver::run_scenario`] stream the
-/// workload through the bounded dispatcher at O(batch × queue) memory.
-#[deprecated(
-    since = "0.1.0",
-    note = "materializes the whole stream (O(n) memory); describe the run as a \
-            driver::Scenario with a tree topology and use driver::run_scenario, \
-            which streams at O(batch × queue) memory"
-)]
-pub fn split_tree_stream<I>(topo: &TreeTopology, stream: I) -> Vec<Vec<Vec<Item>>>
-where
-    I: IntoIterator<Item = (usize, Item)>,
-{
-    let k = topo.k_per_group;
-    let mut parts: Vec<Vec<Vec<Item>>> = (0..topo.groups)
-        .map(|_| (0..k).map(|_| Vec::new()).collect())
-        .collect();
-    for (site, item) in stream {
-        assert!(site < topo.total_sites(), "global site index out of range");
-        parts[site / k][site % k].push(item);
-    }
-    parts
-}
-
 /// Runs a full fan-in tree over an already-built wiring: one
 /// site/aggregator wiring per group plus the aggregator→root wiring.
 /// Generic over the protocol — `mk_site(group, site)` and
 /// `mk_aggregator(group)` build the group deployments (any
 /// [`SiteNode`]/[`CoordinatorNode`]+[`SampleSource`] pair) — and the
-/// engine behind both the threaded and TCP paths of [`run_tree_swor`] and
-/// the query-generic [`run_tree_nodes`].
+/// engine behind the threaded and TCP paths of [`run_tree_nodes`].
 #[allow(clippy::type_complexity, clippy::too_many_arguments)]
 fn run_tree_on<S, A, I>(
     group_wirings: Vec<Wiring<S::Up, S::Down>>,
@@ -478,37 +486,13 @@ where
     })
 }
 
-/// Finishes a lockstep fan-in tree run: final syncs (making the root
-/// exact), then the uniform [`TreeOutput`] conversion. Shared by the
-/// vec-based [`run_tree_swor`] lockstep arm and the streaming scenario
-/// driver — the one place lockstep tree results are assembled.
-pub(crate) fn finish_lockstep_tree(mut tree: FanInTree) -> TreeOutput {
-    tree.sync_all();
-    let g = tree.num_groups();
-    let group_samples: Vec<Vec<Keyed>> = (0..g).map(|gi| tree.group_sample(gi).to_vec()).collect();
-    let group_stats = (0..g)
-        .map(|gi| GroupStats {
-            items: tree.group_observed(gi),
-            syncs: tree.group_syncs(gi),
-            max_unsynced: tree.group_max_unsynced(gi),
-            max_frame_items: 1,
-        })
-        .collect();
-    TreeOutput {
-        root_sample: tree.root_sample(),
-        group_samples,
-        metrics: tree.merged_metrics(),
-        group_stats,
-        sync_log: Vec::new(),
-    }
-}
-
 /// Single-threaded fan-in tree over arbitrary protocol nodes: one lockstep
-/// [`dwrs_sim::Runner`] per group plus the root's sync/merge bookkeeping —
-/// the generic lockstep analogue of [`run_tree_nodes`], used by the
-/// scenario driver for every non-SWOR [`crate::driver::Query`] (SWOR keeps
-/// the specialized [`FanInTree`], with which identically-seeded runs are
-/// byte-compatible).
+/// [`dwrs_sim::Runner`] per group plus the root's sync/merge bookkeeping.
+/// This is the specification the concurrent trees ([`run_tree_nodes`])
+/// are checked against, and the lockstep engine of every
+/// [`crate::driver::Query`] tree deployment. Each sync is metered exactly
+/// as a concurrent aggregator meters it, plus one
+/// `(items observed, root-tier messages)` timeline snapshot.
 pub struct LockstepTree<S, A>
 where
     S: SiteNode,
@@ -550,10 +534,15 @@ where
         assert!(!groups.is_empty(), "need at least one group");
         assert!(sync_every >= 1, "sync period must be at least 1");
         let g = groups.len();
+        // Lockstep watermarks advance one item at a time.
+        let stats = GroupStats {
+            max_frame_items: 1,
+            ..GroupStats::default()
+        };
         Self {
             groups,
             synced: vec![Vec::new(); g],
-            stats: vec![GroupStats::default(); g],
+            stats: vec![stats; g],
             pending: vec![0; g],
             sync_metrics: Metrics::new(),
             sync_every,
@@ -565,29 +554,32 @@ where
     pub fn observe(&mut self, group: usize, site: usize, item: Item) {
         self.groups[group].step(site, item);
         self.stats[group].items += 1;
-        self.stats[group].max_frame_items = 1;
         self.pending[group] += 1;
         if self.pending[group] >= self.sync_every {
             self.sync_group(group);
         }
     }
 
-    /// Ships group `group`'s current sample to the root, with the paper's
-    /// sync-tier accounting (one message per synced entry, exact wire
-    /// bytes) — identical to the concurrent aggregator's metering.
+    /// Ships group `group`'s current sample to the root through the
+    /// shared sync metering, then snapshots the root-tier timeline at the
+    /// total item count.
     fn sync_group(&mut self, group: usize) {
         let st = &mut self.stats[group];
         st.max_unsynced = st.max_unsynced.max(self.pending[group]);
-        self.pending[group] = 0;
-        let msg = SyncMsg {
-            group: group as u32,
-            items: st.items,
-            sample: self.groups[group].coordinator.keyed_sample(),
-        };
-        self.sync_metrics
-            .count_up(Meter::kind(&msg), msg.units(), msg.wire_bytes());
         st.syncs += 1;
+        self.pending[group] = 0;
+        let coordinator = &self.groups[group].coordinator;
+        let msg = metered_sync(coordinator, group, st.items, &mut self.sync_metrics);
         self.synced[group] = msg.sample;
+        let observed = self.stats.iter().map(|st| st.items).sum();
+        self.sync_metrics.snapshot(observed);
+    }
+
+    /// The root's current merged sample: an exact weighted SWOR of the
+    /// union of the groups' streams as of their last syncs.
+    pub fn root_sample(&self) -> Vec<Keyed> {
+        let parts: Vec<&[Keyed]> = self.synced.iter().map(Vec::as_slice).collect();
+        merge_samples(&parts, self.s)
     }
 
     /// Ends the stream: every site's `finish` messages route through its
@@ -604,72 +596,12 @@ where
             metrics.merge(&runner.metrics);
         }
         metrics.merge(&self.sync_metrics);
-        let parts: Vec<&[Keyed]> = self.synced.iter().map(Vec::as_slice).collect();
-        let root_sample = merge_samples(&parts, self.s);
         TreeOutput {
-            root_sample,
+            root_sample: self.root_sample(),
             group_samples: self.synced,
             metrics,
             group_stats: self.stats,
             sync_log: Vec::new(),
-        }
-    }
-}
-
-/// Builds the fan-in tree deployment — seeded exactly like
-/// [`dwrs_sim::FanInTree`] via [`tree_group_seed`] — and runs it on the
-/// chosen substrate. `group_cfg` is the intra-group protocol configuration
-/// (its `num_sites` must equal `topo.k_per_group`).
-///
-/// `streams[gi][i]` is the partition of the stream for site `i` of group
-/// `gi`, in that site's arrival order — any streaming iterators (the
-/// scenario driver passes its bounded shard queues; the deprecated
-/// [`split_tree_stream`] derives materialized O(n) blocks from a globally
-/// ordered stream for legacy call sites).
-///
-/// With [`EngineKind::Lockstep`] the tree runs on the single-threaded
-/// simulator over a round-robin interleaving of the partitions; the other
-/// engines run `g·k` site threads, `g` aggregator threads, and one root
-/// thread over in-process channels or loopback TCP.
-pub fn run_tree_swor<I>(
-    engine: EngineKind,
-    group_cfg: &SworConfig,
-    topo: &TreeTopology,
-    seed: u64,
-    streams: Vec<Vec<I>>,
-    cfg: &RuntimeConfig,
-) -> Result<TreeOutput, RuntimeError>
-where
-    I: IntoIterator<Item = Item> + Send,
-{
-    let (g, k) = (topo.groups, topo.k_per_group);
-    assert_eq!(streams.len(), g, "one stream block per group");
-    assert_eq!(
-        group_cfg.num_sites, k,
-        "group config must cover k_per_group sites"
-    );
-    match engine {
-        EngineKind::Lockstep => {
-            let mut tree = FanInTree::from_config(group_cfg.clone(), g, topo.sync_every, seed);
-            // Flatten group-major and interleave round-robin: the same
-            // one-item-per-site-per-round order as before.
-            let flat: Vec<I> = streams.into_iter().flatten().collect();
-            crate::driver::interleave_shards(flat, |shard, item| {
-                tree.observe(shard / k, shard % k, item);
-            });
-            Ok(finish_lockstep_tree(tree))
-        }
-        EngineKind::Threads | EngineKind::Tcp | EngineKind::Epoll => {
-            let group_seed = |gi: usize| tree_group_seed(seed, gi);
-            run_tree_nodes(
-                engine,
-                group_cfg.sample_size,
-                topo,
-                |gi, i| swor_site(group_cfg, group_seed(gi), i),
-                |gi| swor_coordinator(group_cfg.clone(), group_seed(gi)),
-                streams,
-                cfg,
-            )
         }
     }
 }
@@ -681,7 +613,7 @@ where
 /// aggregator→root hop at `U = SyncMsg` and the root merging each group's
 /// latest keyed sample into a top-`s`. This is the engine every
 /// [`crate::driver::Query`] tree deployment routes through; the lockstep
-/// analogue is the driver's generic group-runner loop.
+/// analogue is [`LockstepTree`].
 pub fn run_tree_nodes<S, A, I>(
     engine: EngineKind,
     s: usize,
@@ -766,19 +698,7 @@ where
     I: IntoIterator<Item = Item> + Send,
 {
     let (g, k) = (topo.groups, topo.k_per_group);
-    // Fail fast instead of mid-run: a sync frame carries the whole sample
-    // (9-byte batch header + 17-byte SyncMsg header + 24 bytes per entry)
-    // and the framed transport caps payloads at MAX_FRAME_LEN. The channel
-    // engine has no such limit — only the framed hop does.
-    let max_sync_payload = 9 + 17 + 24 * s;
-    let frame_cap = dwrs_core::framed::MAX_FRAME_LEN as usize;
-    if max_sync_payload > frame_cap {
-        let max_s = (frame_cap - 9 - 17) / 24;
-        return Err(RuntimeError::Transport(format!(
-            "sample size {s} needs {max_sync_payload}-byte sync frames, over the \
-             {frame_cap}-byte framed-transport cap; the TCP tree supports s <= {max_s}"
-        )));
-    }
+    check_sync_fits_frame(s, EngineKind::Tcp)?;
     let bind = |what: &str| -> Result<(TcpListener, std::net::SocketAddr), RuntimeError> {
         let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0))
             .map_err(|e| RuntimeError::Transport(format!("bind {what} listener: {e}")))?;
@@ -821,7 +741,7 @@ where
 }
 
 /// [`connect_site`] with a contextualized transport error.
-fn tcp_connect<U, D>(
+pub(crate) fn tcp_connect<U, D>(
     addr: impl ToSocketAddrs,
     id: usize,
     what: &str,
@@ -836,43 +756,174 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dwrs_core::exact::inclusion_probabilities;
+    use dwrs_core::swor::wire::sync_len;
+    use dwrs_core::swor::{SworConfig, SworSite};
+    use dwrs_sim::{build_swor, swor_coordinator, swor_site, tree_group_seed};
 
-    #[allow(deprecated)]
+    /// A lockstep SWOR tree of `groups × k` sites, seeded like the scenario
+    /// driver's.
+    fn swor_tree(
+        s: usize,
+        groups: usize,
+        k: usize,
+        sync_every: u64,
+        seed: u64,
+    ) -> LockstepTree<SworSite, SworCoordinator> {
+        let cfg = SworConfig::new(s, k);
+        let runners = (0..groups)
+            .map(|gi| build_swor(cfg.clone(), tree_group_seed(seed, gi)))
+            .collect();
+        LockstepTree::new(s, sync_every, runners)
+    }
+
+    /// Global site `i % total` is site `i % k` of group `i / k`.
     fn tree_streams(topo: &TreeTopology, n: u64) -> Vec<Vec<Vec<Item>>> {
-        let total = topo.total_sites() as u64;
-        split_tree_stream(
+        let (k, total) = (topo.k_per_group, topo.total_sites() as u64);
+        let mut parts = vec![vec![Vec::new(); k]; topo.groups];
+        for i in 0..n {
+            let site = (i % total) as usize;
+            parts[site / k][site % k].push(Item::new(i, 1.0 + (i % 7) as f64));
+        }
+        parts
+    }
+
+    /// The weighted-SWOR tree on a concurrent engine, seeded like
+    /// [`swor_tree`].
+    fn run_swor_tree(
+        engine: EngineKind,
+        s: usize,
+        topo: &TreeTopology,
+        seed: u64,
+        streams: Vec<Vec<Vec<Item>>>,
+        cfg: &RuntimeConfig,
+    ) -> Result<TreeOutput, RuntimeError> {
+        let group_cfg = SworConfig::new(s, topo.k_per_group);
+        run_tree_nodes(
+            engine,
+            s,
             topo,
-            (0..n).map(|i| ((i % total) as usize, Item::new(i, 1.0 + (i % 7) as f64))),
+            |gi, i| swor_site(&group_cfg, tree_group_seed(seed, gi), i),
+            |gi| swor_coordinator(group_cfg.clone(), tree_group_seed(seed, gi)),
+            streams,
+            cfg,
         )
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn split_tree_stream_routes_by_group_and_site() {
-        let topo = TreeTopology::new(2, 2, 10);
-        let parts = split_tree_stream(
-            &topo,
-            vec![
-                (0, Item::unit(0)),
-                (3, Item::unit(1)),
-                (2, Item::unit(2)),
-                (3, Item::unit(3)),
-            ],
+    fn root_sample_size_is_min_t_s() {
+        let mut tree = swor_tree(4, 2, 2, 1, 7);
+        for i in 0..10u64 {
+            tree.observe((i % 2) as usize, ((i / 2) % 2) as usize, Item::unit(i));
+            let expect = ((i + 1) as usize).min(4);
+            assert_eq!(tree.root_sample().len(), expect, "at t = {}", i + 1);
+        }
+    }
+
+    #[test]
+    fn synced_root_matches_oracle_distribution() {
+        let weights = [3.0, 1.0, 7.0, 1.0, 2.0, 9.0, 1.0, 4.0];
+        let s = 2;
+        let exact = inclusion_probabilities(&weights, s);
+        let trials = 25_000u64;
+        let mut counts = vec![0u64; weights.len()];
+        for t in 0..trials {
+            let mut tree = swor_tree(s, 2, 2, 1, 40_000 + t);
+            for (i, &w) in weights.iter().enumerate() {
+                tree.observe(i % 2, (i / 2) % 2, Item::new(i as u64, w));
+            }
+            for kd in tree.finish().root_sample {
+                counts[kd.item.id as usize] += 1;
+            }
+        }
+        for (i, &c) in counts.iter().enumerate() {
+            let p = exact[i];
+            let emp = c as f64 / trials as f64;
+            let se = (p * (1.0 - p) / trials as f64).sqrt();
+            assert!(
+                (emp - p).abs() < 6.0 * se,
+                "item {i}: {emp:.4} vs exact {p:.4}"
+            );
+        }
+    }
+
+    #[test]
+    fn stale_root_reflects_last_sync_only() {
+        let mut tree = swor_tree(2, 1, 1, 1_000_000, 3);
+        tree.observe(0, 0, Item::new(0, 1.0));
+        // Never synced: the root is empty until the final sync.
+        assert!(tree.root_sample().is_empty());
+        assert_eq!(tree.finish().root_sample.len(), 1);
+    }
+
+    #[test]
+    fn sync_rate_controls_root_traffic() {
+        let run = |every: u64| {
+            let mut tree = swor_tree(8, 4, 2, every, 9);
+            for i in 0..8_000u64 {
+                tree.observe((i % 4) as usize, ((i / 4) % 2) as usize, Item::unit(i));
+            }
+            tree.finish().metrics.kind("sync")
+        };
+        let chatty = run(10);
+        let lazy = run(1_000);
+        assert!(
+            chatty > 50 * lazy.max(1),
+            "sync period had no effect: {chatty} vs {lazy}"
         );
-        let ids = |v: &Vec<Item>| v.iter().map(|i| i.id).collect::<Vec<_>>();
-        assert_eq!(ids(&parts[0][0]), vec![0]);
-        assert!(parts[0][1].is_empty());
-        assert_eq!(ids(&parts[1][0]), vec![2]);
-        assert_eq!(ids(&parts[1][1]), vec![1, 3]);
+    }
+
+    #[test]
+    fn metrics_fold_root_tier_into_paper_accounting() {
+        // Tree message accounting flows through `Metrics` (merged
+        // key-wise), not ad-hoc counters.
+        let mut tree = swor_tree(4, 2, 2, 50, 11);
+        for i in 0..2_000u64 {
+            tree.observe((i % 2) as usize, ((i / 2) % 2) as usize, Item::unit(i));
+        }
+        let out = tree.finish();
+        let m = &out.metrics;
+        assert!(m.kind("sync") > 0);
+        // Full paper-accounting byte decomposition across tiers: every
+        // upstream byte is either an exact intra-group frame (17 B early,
+        // 25 B regular) or part of a SyncMsg frame (17 B header per sync +
+        // 24 B per synced entry).
+        let syncs: u64 = out.group_stats.iter().map(|st| st.syncs).sum();
+        assert_eq!(
+            m.up_bytes,
+            17 * m.kind("early") + 25 * m.kind("regular") + 17 * syncs + 24 * m.kind("sync")
+        );
+        assert_eq!(
+            m.down_bytes,
+            5 * m.kind("level_saturated") + 9 * m.kind("update_epoch")
+        );
+        // Message totals decompose the same way.
+        assert_eq!(
+            m.up_total,
+            m.kind("early") + m.kind("regular") + m.kind("sync")
+        );
+        // Timeline snapshots recorded one entry per sync, in item order.
+        assert_eq!(m.timeline.len() as u64, syncs);
+        assert!(m.timeline.windows(2).all(|w| w[0].0 <= w[1].0));
+        // Items observed are tracked per group.
+        let items: u64 = out.group_stats.iter().map(|st| st.items).sum();
+        assert_eq!(items, 2_000);
+        // Spot-check the exact frame size helper against one sync.
+        let msg = SyncMsg {
+            group: 0,
+            items: out.group_stats[0].items,
+            sample: out.root_sample,
+        };
+        assert_eq!(sync_len(&msg), 17 + 24 * msg.sample.len());
     }
 
     #[test]
     fn threads_tree_end_to_end() {
         let topo = TreeTopology::new(3, 2, 500);
         let n = 30_000u64;
-        let out = run_tree_swor(
+        let out = run_swor_tree(
             EngineKind::Threads,
-            &SworConfig::new(8, topo.k_per_group),
+            8,
             &topo,
             42,
             tree_streams(&topo, n),
@@ -912,9 +963,9 @@ mod tests {
     fn tcp_tree_end_to_end() {
         let topo = TreeTopology::new(2, 2, 1_000);
         let n = 20_000u64;
-        let out = run_tree_swor(
+        let out = run_swor_tree(
             EngineKind::Tcp,
-            &SworConfig::new(8, topo.k_per_group),
+            8,
             &topo,
             7,
             tree_streams(&topo, n),
@@ -928,55 +979,6 @@ mod tests {
     }
 
     #[test]
-    fn lockstep_tree_matches_fan_in_tree_exactly() {
-        // The Lockstep engine is a thin driver over dwrs_sim::FanInTree;
-        // identical seeds and streams must give byte-identical samples.
-        let topo = TreeTopology::new(2, 2, 100);
-        let n = 5_000u64;
-        let out = run_tree_swor(
-            EngineKind::Lockstep,
-            &SworConfig::new(4, topo.k_per_group),
-            &topo,
-            11,
-            tree_streams(&topo, n),
-            &RuntimeConfig::default(),
-        )
-        .unwrap();
-        let mut tree = FanInTree::new(4, 2, 2, 100, 11);
-        // Reproduce the run_tree_swor round-robin interleaving: one item
-        // per (group, site) per round, in group-major order.
-        let streams = tree_streams(&topo, n);
-        let mut iters: Vec<Vec<_>> = streams
-            .into_iter()
-            .map(|gr| gr.into_iter().map(Vec::into_iter).collect())
-            .collect();
-        loop {
-            let mut any = false;
-            for (gi, group_iters) in iters.iter_mut().enumerate() {
-                for (si, it) in group_iters.iter_mut().enumerate() {
-                    if let Some(item) = it.next() {
-                        tree.observe(gi, si, item);
-                        any = true;
-                    }
-                }
-            }
-            if !any {
-                break;
-            }
-        }
-        tree.sync_all();
-        let ids = |v: &[Keyed]| {
-            v.iter()
-                .map(|kd| (kd.item.id, kd.key.to_bits()))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(ids(&out.root_sample), ids(&tree.root_sample()));
-        assert_eq!(out.metrics.total(), tree.total_messages());
-        assert_eq!(out.group_stats[0].items, tree.group_observed(0));
-        assert_eq!(out.group_stats[1].syncs, tree.group_syncs(1));
-    }
-
-    #[test]
     fn tiny_queue_and_batch_tree_still_completes() {
         // Two-hop backpressure on every message: the deadlock-freedom
         // invariant must hold tier-wise.
@@ -984,9 +986,9 @@ mod tests {
         let cfg = RuntimeConfig::new()
             .with_batch_max(1)
             .with_queue_capacity(1);
-        let out = run_tree_swor(
+        let out = run_swor_tree(
             EngineKind::Threads,
-            &SworConfig::new(4, topo.k_per_group),
+            4,
             &topo,
             3,
             tree_streams(&topo, 4_000),
@@ -1000,23 +1002,26 @@ mod tests {
 
     #[test]
     fn tcp_tree_rejects_sample_size_over_frame_cap() {
-        // A sync frame must fit MAX_FRAME_LEN; the TCP engine fails fast
-        // with a diagnostic instead of erroring mid-run (the channel
-        // engine has no framing and accepts the same size).
+        // A sync frame must fit MAX_FRAME_LEN; the framed engines fail fast
+        // with a diagnostic instead of erroring mid-run (the channel engine
+        // has no framing and accepts the same size).
         let topo = TreeTopology::new(1, 1, 1_000);
-        let err = run_tree_swor(
-            EngineKind::Tcp,
-            &SworConfig::new(50_000, topo.k_per_group),
-            &topo,
-            1,
-            vec![vec![Vec::new()]],
-            &RuntimeConfig::default(),
-        )
-        .unwrap_err();
-        assert!(
-            matches!(err, RuntimeError::Transport(ref m) if m.contains("sample size 50000")),
-            "got {err:?}"
-        );
+        for engine in [EngineKind::Tcp, EngineKind::Epoll] {
+            let err = run_swor_tree(
+                engine,
+                50_000,
+                &topo,
+                1,
+                vec![vec![Vec::new()]],
+                &RuntimeConfig::default(),
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err, RuntimeError::Transport(ref m)
+                    if m.contains("sample size 50000") && m.contains(&format!("{engine} tree"))),
+                "{engine}: got {err:?}"
+            );
+        }
     }
 
     #[test]

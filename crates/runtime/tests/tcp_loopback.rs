@@ -1,37 +1,60 @@
 //! Integration: the full weighted-SWOR protocol over real loopback TCP
-//! sockets — in-process (`run_tcp`) and split into standalone server/client
-//! halves (`serve_coordinator` + `run_site`), the shape a multi-process
-//! deployment uses.
+//! sockets, on the thread-per-connection (`run_tcp`) and event-driven
+//! (`run_epoll`) engines, against the in-process channel engine.
 
-use std::net::TcpListener;
-use std::thread;
-
-use dwrs_core::swor::SworConfig;
+use dwrs_core::swor::{SworConfig, SworCoordinator, SworSite};
 use dwrs_core::Item;
-use dwrs_runtime::run_swor;
-#[allow(deprecated)]
-use dwrs_runtime::split_stream;
-use dwrs_runtime::{EngineKind, RuntimeConfig};
-use dwrs_sim::{swor_coordinator, swor_site, Metrics};
+use dwrs_runtime::tcp::run_tcp;
+use dwrs_runtime::{
+    run_epoll, run_threads, EngineKind, ItemFeed, RunOutput, RuntimeConfig, VecFeed,
+};
+use dwrs_sim::{swor_coordinator, swor_site};
 
-#[allow(deprecated)]
-fn skewed_streams(n: u64, k: usize) -> Vec<Vec<Item>> {
-    let items = dwrs_workloads::zipf_ranked(n as usize, 1.2, 9);
-    split_stream(k, items.into_iter().enumerate().map(|(i, it)| (i % k, it)))
+/// Item `i` goes to site `i % k`, in stream order.
+fn round_robin(items: &[Item], k: usize) -> Vec<Vec<Item>> {
+    (0..k)
+        .map(|site| items.iter().skip(site).step_by(k).copied().collect())
+        .collect()
+}
+
+/// The weighted-SWOR deployment (seeded like the lockstep builders) over
+/// per-site partitions on one of the threaded engines.
+fn swor_on_engine(
+    engine: EngineKind,
+    cfg: SworConfig,
+    seed: u64,
+    streams: Vec<Vec<Item>>,
+) -> RunOutput<SworSite, SworCoordinator> {
+    let sites = (0..cfg.num_sites)
+        .map(|i| swor_site(&cfg, seed, i))
+        .collect();
+    let coordinator = swor_coordinator(cfg, seed);
+    let rcfg = RuntimeConfig::default();
+    match engine {
+        EngineKind::Threads => run_threads(sites, coordinator, streams, &rcfg),
+        EngineKind::Tcp => run_tcp(sites, coordinator, streams, &rcfg),
+        EngineKind::Epoll => {
+            let feeds = streams
+                .into_iter()
+                .map(|part| Box::new(VecFeed::new(part)) as Box<dyn ItemFeed>)
+                .collect();
+            run_epoll(sites, coordinator, feeds, &rcfg)
+        }
+        EngineKind::Lockstep => unreachable!("lockstep runs through run_scenario"),
+    }
+    .unwrap_or_else(|e| panic!("{engine} run: {e}"))
 }
 
 #[test]
 fn tcp_engine_end_to_end() {
     let k = 4;
-    let n = 50_000u64;
-    let out = run_swor(
+    let items = dwrs_workloads::zipf_ranked(50_000, 1.2, 9);
+    let out = swor_on_engine(
         EngineKind::Tcp,
         SworConfig::new(16, k),
         1234,
-        skewed_streams(n, k),
-        &RuntimeConfig::default(),
-    )
-    .expect("tcp run");
+        round_robin(&items, k),
+    );
     assert_eq!(out.coordinator.sample().len(), 16);
     // Exact wire accounting survives the socket hop and the thread merge.
     let m = &out.metrics;
@@ -48,58 +71,9 @@ fn tcp_engine_end_to_end() {
 }
 
 #[test]
-fn serve_and_site_halves_interoperate() {
-    // A standalone coordinator server plus k independently spawned site
-    // clients — the multi-process deployment shape, here on threads.
-    let k = 3;
-    let cfg = SworConfig::new(8, k);
-    let seed = 77u64;
-    let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0)).unwrap();
-    let addr = listener.local_addr().unwrap();
-    let streams = skewed_streams(30_000, k);
-
-    let server = thread::spawn({
-        let cfg = cfg.clone();
-        move || {
-            let coordinator = swor_coordinator(cfg, seed);
-            dwrs_runtime::tcp::serve_coordinator(
-                &listener,
-                k,
-                coordinator,
-                &RuntimeConfig::default(),
-            )
-        }
-    });
-
-    let mut clients = Vec::new();
-    for (i, items) in streams.into_iter().enumerate() {
-        let cfg = cfg.clone();
-        clients.push(thread::spawn(move || {
-            let site = swor_site(&cfg, seed, i);
-            dwrs_runtime::tcp::run_site(addr, i, site, items, &RuntimeConfig::default())
-        }));
-    }
-
-    let mut site_metrics = Metrics::new();
-    for c in clients {
-        let (_site, m) = c.join().unwrap().expect("site run");
-        site_metrics.merge(&m);
-    }
-    let (coordinator, server_metrics, items_observed) = server.join().unwrap().expect("serve run");
-    assert_eq!(items_observed, 30_000, "watermark covers the whole stream");
-    assert_eq!(coordinator.sample().len(), 8);
-    // The server meters ups from decoded frames; the clients meter them at
-    // send time. Both sides of the wire must agree exactly.
-    assert_eq!(server_metrics.up_total, site_metrics.up_total);
-    assert_eq!(server_metrics.up_bytes, site_metrics.up_bytes);
-    assert_eq!(server_metrics.kind("early"), site_metrics.kind("early"));
-    assert_eq!(server_metrics.kind("regular"), site_metrics.kind("regular"));
-}
-
-#[test]
 fn tcp_and_threads_agree_on_heavy_hitter_inclusion() {
-    // Same deployment, same seed, both threaded substrates: the heaviest
-    // item of a very skewed stream must be sampled by both (its inclusion
+    // Same deployment, same seed, every threaded substrate: the heaviest
+    // item of a very skewed stream must be sampled by each (its inclusion
     // probability is overwhelming at this weight ratio).
     let k = 4;
     let mut items = dwrs_workloads::zipf_ranked(20_000, 1.5, 3);
@@ -114,22 +88,8 @@ fn tcp_and_threads_agree_on_heavy_hitter_inclusion() {
             it.weight *= 1e6;
         }
     }
-    #[allow(deprecated)]
-    let streams = |items: &[Item]| {
-        split_stream(
-            k,
-            items.iter().copied().enumerate().map(|(i, it)| (i % k, it)),
-        )
-    };
     for engine in [EngineKind::Threads, EngineKind::Tcp, EngineKind::Epoll] {
-        let out = run_swor(
-            engine,
-            SworConfig::new(8, k),
-            555,
-            streams(&items),
-            &RuntimeConfig::default(),
-        )
-        .expect("run");
+        let out = swor_on_engine(engine, SworConfig::new(8, k), 555, round_robin(&items, k));
         assert!(
             out.coordinator
                 .sample()

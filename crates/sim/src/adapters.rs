@@ -89,19 +89,19 @@ impl CoordinatorNode for FaithfulCoordinator {
 }
 
 /// Canonical per-group seed derivation for fan-in tree deployments: group
-/// `gi` of a tree seeded with `seed` runs its intra-group weighted-SWOR
-/// protocol with this seed (sites and aggregator then derive theirs via
-/// [`swor_site`] / [`swor_coordinator`]). Both the lockstep
-/// [`crate::tree::FanInTree`] and the `dwrs-runtime` tree engines construct
-/// groups through it, so identically-seeded trees are identical across
-/// substrates — which is what makes their output distributions comparable.
+/// `gi` of a tree seeded with `seed` runs its intra-group protocol with
+/// this seed (sites and aggregator then derive theirs via [`swor_site`] /
+/// [`swor_coordinator`]). Every `dwrs-runtime` tree substrate — the
+/// lockstep `LockstepTree` and the concurrent engines — constructs groups
+/// through it, so identically-seeded trees are identical across
+/// substrates, which is what makes their output distributions comparable.
 pub fn tree_group_seed(seed: u64, group: usize) -> u64 {
     mix(seed, 0x7EE0 + group as u64)
 }
 
 /// Builds site `i` of a weighted-SWOR deployment. This is the canonical
 /// seed derivation — every execution substrate (lockstep runner, the
-/// `dwrs-runtime` engines, the CLI's `serve`/`feed` halves) must construct
+/// `dwrs-runtime` engines, the daemon's attach clients) must construct
 /// sites through it so identically-seeded deployments are identical
 /// across substrates.
 pub fn swor_site(cfg: &SworConfig, seed: u64, i: usize) -> SworSite {

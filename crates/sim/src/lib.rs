@@ -52,7 +52,6 @@ pub mod metrics;
 pub mod partition;
 pub mod protocol;
 pub mod runner;
-pub mod tree;
 
 pub use adapters::{
     build_naive, build_swor, build_swor_faithful, build_swr, build_tag, swor_coordinator,
@@ -62,4 +61,3 @@ pub use metrics::Metrics;
 pub use partition::{assign_sites, Partition, Partitioner};
 pub use protocol::{CoordinatorNode, Meter, Outbox, SiteNode};
 pub use runner::Runner;
-pub use tree::FanInTree;

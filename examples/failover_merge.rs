@@ -9,29 +9,34 @@
 
 use dwrs::core::estimate::{subset_sum, total_weight_estimate};
 use dwrs::core::swor::{SworConfig, SworCoordinator};
-use dwrs::sim::{build_swor, FanInTree};
+use dwrs::runtime::{run_scenario, EngineKind, Scenario, Topology, Workload};
+use dwrs::sim::build_swor;
 use dwrs::workloads;
 
 fn main() {
     // ---- 1. Hierarchical deployment: 4 regions × 8 sites ---------------
+    // Each region's aggregator syncs its sample to the root every 500 of
+    // its items; the run ends with a final sync that makes the root exact.
     let s = 64;
     let (regions, sites_per_region) = (4, 8);
-    let mut tree = FanInTree::new(s, regions, sites_per_region, 500, 2026);
     let events = workloads::pareto(80_000, 1.3, 1.0, 11);
     let total: f64 = events.iter().map(|e| e.weight).sum();
-    for (t, ev) in events.iter().enumerate() {
-        tree.observe(t % regions, (t / regions) % sites_per_region, *ev);
-    }
-    tree.sync_all();
-    let root = tree.root_sample();
+    let scenario = Scenario::new(EngineKind::Lockstep, regions * sites_per_region, s)
+        .with_seed(2026)
+        .with_workload(Workload::items(events.clone()))
+        .with_topology(Topology::Tree {
+            groups: regions,
+            sync_every: 500,
+        });
+    let report = run_scenario(&scenario).expect("fan-in tree run");
+    let root = report.sample;
     println!(
-        "fan-in tree: {} regions, root sample of {}",
-        tree.num_groups(),
+        "fan-in tree: {regions} regions, root sample of {}",
         root.len()
     );
     println!(
         "  total messages (intra-region + region->root): {}",
-        tree.total_messages()
+        report.metrics.total()
     );
 
     // ---- 2. Free analytics off the sample ------------------------------

@@ -10,8 +10,8 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`core`] | `dwrs-core` | the message-optimal distributed weighted SWOR (Algorithms 1–3), weighted SWR reduction, unweighted substrates, centralized reference samplers, exact oracle, math/RNG |
-//! | [`sim`] | `dwrs-sim` | the distributed coordinator-model simulator with exact message metering, incl. the lockstep fan-in tree |
-//! | [`runtime`] | `dwrs-runtime` | concurrent site/coordinator engines (threads, loopback TCP) in flat and hierarchical topologies |
+//! | [`sim`] | `dwrs-sim` | the distributed coordinator-model simulator with exact message metering |
+//! | [`runtime`] | `dwrs-runtime` | concurrent site/coordinator engines (threads, loopback TCP) in flat and hierarchical topologies, incl. the lockstep fan-in tree |
 //! | [`workloads`] | `dwrs-workloads` | stream generators incl. the lower-bound hard instances |
 //! | [`apps`] | `dwrs-apps` | residual heavy hitters (Thm. 4), L1 tracking (Thm. 6) + baselines, sliding-window extension |
 //! | [`stats`] | `dwrs-stats` | chi-square / KS / TV validation toolkit, mergeable GK quantile sketch |

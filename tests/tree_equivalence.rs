@@ -5,7 +5,7 @@
 //!
 //! The concurrent tree runs every group in the delayed-delivery regime and
 //! syncs aggregators to the root in frame granularity, so per-run message
-//! counts differ from the lockstep `FanInTree`; the root sampling
+//! counts differ from the lockstep `LockstepTree`; the root sampling
 //! distribution may not: with fixed RNG seeds, root-sample inclusion
 //! frequencies over many trials must pass the same `dwrs-stats`
 //! calibration checks (chi², KS) against the lockstep tree on identical
@@ -13,12 +13,14 @@
 //!
 //! Also asserted here: the bounded-staleness guarantee on root samples
 //! (an aggregator's un-synced item lag never reaches `sync_every` plus one
-//! frame's item window, and the final sync makes the root exact), and the
-//! paper-accounting byte decomposition across all tiers.
+//! frame's item window, and the final sync makes the root exact), the
+//! paper-accounting byte decomposition across all tiers, and golden traces
+//! that pin the deterministic lockstep tree bit for bit.
 
 use dwrs::core::exact::inclusion_probabilities;
 use dwrs::core::Item;
-use dwrs::runtime::{run_scenario, EngineKind, RuntimeConfig, Scenario, Topology, Workload};
+use dwrs::runtime::{run_scenario, EngineKind, Query, RuntimeConfig, Scenario, Topology, Workload};
+use dwrs::sim::Partition;
 use dwrs::stats::{chi2_two_sample, ks_two_sample};
 
 /// Stream used by the distributional tests: the same 12-item instance the
@@ -294,4 +296,184 @@ fn tree_sync_rate_trades_staleness_for_traffic() {
         chatty > 10 * lazy.max(1),
         "sync period had no effect on root traffic: {chatty} vs {lazy}"
     );
+}
+
+/// Everything a deterministic lockstep tree run must reproduce exactly.
+#[derive(Debug, PartialEq)]
+struct TreeTrace {
+    /// Root sample as `(item id, key bits)`.
+    sample: Vec<(u64, u64)>,
+    by_kind: Vec<(&'static str, u64)>,
+    /// `(up_bytes, down_bytes)`.
+    bytes: (u64, u64),
+    /// Per group: `(syncs, max_unsynced)`.
+    groups: Vec<(u64, u64)>,
+    timeline: Vec<(u64, u64)>,
+}
+
+fn lockstep_trace(sc: &Scenario) -> TreeTrace {
+    let report = run_scenario(sc).expect("lockstep tree run");
+    assert!(report.invariants_ok(), "{:?}", report.violations);
+    let m = report.metrics;
+    TreeTrace {
+        sample: report
+            .sample
+            .iter()
+            .map(|kd| (kd.item.id, kd.key.to_bits()))
+            .collect(),
+        by_kind: m.by_kind.into_iter().collect(),
+        bytes: (m.up_bytes, m.down_bytes),
+        groups: report
+            .group_stats
+            .iter()
+            .map(|st| (st.syncs, st.max_unsynced))
+            .collect(),
+        timeline: m.timeline,
+    }
+}
+
+#[test]
+fn lockstep_swor_and_rhh_trees_reproduce_golden_traces() {
+    // Recorded from the dedicated lockstep SWOR tree this generic
+    // `LockstepTree` replaced: same seeds, samples, counts, bytes, group
+    // stats and per-sync timeline, bit for bit.
+    let tree = |groups, sync_every| Topology::Tree { groups, sync_every };
+    let cases = [
+        (
+            Scenario::new(EngineKind::Lockstep, 4, 8)
+                .with_n(5_000)
+                .with_seed(11)
+                .with_workload(Workload::Uniform { lo: 1.0, hi: 10.0 })
+                .with_topology(tree(2, 700)),
+            TreeTrace {
+                sample: vec![
+                    (4424, 0x413e25df1d6128a0),
+                    (1420, 0x410b6e6b9450aa2e),
+                    (211, 0x40dd44e0ab0258e2),
+                    (3117, 0x40b5a3824eeb476f),
+                    (2998, 0x40b40f905c1855da),
+                    (1562, 0x40b03cec7912c0aa),
+                    (1676, 0x40aff90acf65ad01),
+                    (370, 0x40aa0864d4e00bda),
+                ],
+                by_kind: vec![
+                    ("early", 512),
+                    ("level_saturated", 16),
+                    ("regular", 84),
+                    ("sync", 64),
+                    ("update_epoch", 40),
+                ],
+                bytes: (12476, 440),
+                groups: vec![(4, 700), (4, 700)],
+                timeline: vec![
+                    (1398, 8),
+                    (1400, 16),
+                    (2798, 24),
+                    (2800, 32),
+                    (4198, 40),
+                    (4200, 48),
+                    (5000, 56),
+                    (5000, 64),
+                ],
+            },
+        ),
+        (
+            Scenario::new(EngineKind::Lockstep, 6, 5)
+                .with_n(3_000)
+                .with_seed(7)
+                .with_workload(Workload::Zipf { alpha: 1.2 })
+                .with_partition(Partition::Random)
+                .with_topology(tree(3, 250)),
+            TreeTrace {
+                sample: vec![
+                    (1355, 0x40ed78be04a45c2f),
+                    (2993, 0x40e935d3c3158cb4),
+                    (2794, 0x40cb09e819bf51ac),
+                    (2932, 0x40c4e43c61d7023e),
+                    (1910, 0x40c4383ae11109d8),
+                ],
+                by_kind: vec![
+                    ("early", 771),
+                    ("level_saturated", 30),
+                    ("regular", 128),
+                    ("sync", 70),
+                    ("update_epoch", 64),
+                ],
+                bytes: (18225, 726),
+                groups: vec![(5, 250), (4, 250), (5, 250)],
+                timeline: vec![
+                    (673, 5),
+                    (760, 10),
+                    (804, 15),
+                    (1462, 20),
+                    (1472, 25),
+                    (1558, 30),
+                    (2208, 35),
+                    (2275, 40),
+                    (2283, 45),
+                    (2933, 50),
+                    (2999, 55),
+                    (3000, 60),
+                    (3000, 65),
+                    (3000, 70),
+                ],
+            },
+        ),
+        (
+            Scenario::new(EngineKind::Lockstep, 4, 8)
+                .with_n(4_000)
+                .with_seed(3)
+                .with_workload(Workload::ResidualSkew { top: 4 })
+                .with_query(Query::ResidualHh {
+                    eps: 0.5,
+                    delta: 0.5,
+                })
+                .with_topology(tree(2, 500)),
+            TreeTrace {
+                sample: vec![
+                    (3186, 0x41b0fff731640a0f),
+                    (3613, 0x41af732fdb058819),
+                    (3934, 0x418a61de2fa72448),
+                    (2232, 0x415242ab370bda78),
+                    (1532, 0x411ace9dd419e4c4),
+                    (3594, 0x40e5bab72f60998c),
+                    (1612, 0x40d5fcb0168fc6af),
+                    (926, 0x40cc4878f47d2caa),
+                    (639, 0x40ca588e50e3c8d8),
+                    (2592, 0x40ba1c04e1d201ac),
+                    (2052, 0x40b8cf184afacd11),
+                    (3173, 0x40b57d43464234f8),
+                    (1778, 0x40b44d2da2f62f56),
+                    (810, 0x40b44cab57f2d836),
+                    (1858, 0x40b37b759baa7584),
+                    (3218, 0x40b24bfa4d00788e),
+                    (2761, 0x40a90b0248cb8051),
+                ],
+                by_kind: vec![
+                    ("early", 1488),
+                    ("level_saturated", 16),
+                    ("regular", 230),
+                    ("sync", 170),
+                    ("update_epoch", 32),
+                ],
+                bytes: (35296, 368),
+                groups: vec![(5, 500), (5, 500)],
+                timeline: vec![
+                    (998, 17),
+                    (1000, 34),
+                    (1998, 51),
+                    (2000, 68),
+                    (2998, 85),
+                    (3000, 102),
+                    (3998, 119),
+                    (4000, 136),
+                    (4000, 153),
+                    (4000, 170),
+                ],
+            },
+        ),
+    ];
+    for (sc, want) in &cases {
+        assert_eq!(&lockstep_trace(sc), want, "{sc:?}");
+    }
 }
