@@ -1,6 +1,7 @@
 //! Engine comparison: the same skewed weighted-SWOR scenario on the
-//! lockstep simulator vs. the `dwrs-runtime` threaded and loopback-TCP
-//! substrates, all routed through the scenario driver (`run_scenario`).
+//! lockstep simulator vs. the `dwrs-runtime` threads and epoll
+//! (loopback-TCP) substrates, all routed through the scenario driver
+//! (`run_scenario`).
 //! Throughput is items/second over the whole streaming run — generation,
 //! dispatch and protocol overlap inside the timed window, and resident
 //! memory stays O(batch × queue) rather than O(n).
@@ -32,12 +33,7 @@ fn engines(c: &mut Criterion) {
     g.throughput(Throughput::Elements(N as u64));
     g.sample_size(10);
     for k in [4usize, 8] {
-        for engine in [
-            EngineKind::Lockstep,
-            EngineKind::Threads,
-            EngineKind::Tcp,
-            EngineKind::Epoll,
-        ] {
+        for engine in [EngineKind::Lockstep, EngineKind::Threads, EngineKind::Epoll] {
             let sc = scenario(engine, k);
             g.bench_with_input(
                 BenchmarkId::new(engine.to_string(), format!("k{k}")),

@@ -7,7 +7,7 @@
 //! What the sweeps measure:
 //!
 //! * **`tree_vs_flat`** — end-to-end throughput (items/s) of flat vs. tree
-//!   on the threaded and loopback-TCP substrates. The tree adds `g`
+//!   on the threads and epoll (loopback-TCP) substrates. The tree adds `g`
 //!   aggregator threads and one root thread; on a multi-core host the
 //!   extra pipeline stages overlap with site work, so the tree's overhead
 //!   is the sync traffic, not wall-clock serialization.
@@ -44,7 +44,7 @@ fn tree_vs_flat(c: &mut Criterion) {
         groups: 2,
         sync_every: 10_000,
     };
-    for engine in [EngineKind::Threads, EngineKind::Tcp] {
+    for engine in [EngineKind::Threads, EngineKind::Epoll] {
         for (name, topology) in [("flat", Topology::Flat), ("tree", tree)] {
             let sc = scenario(engine, topology);
             g.bench_with_input(BenchmarkId::new(name, engine.to_string()), &sc, |b, sc| {

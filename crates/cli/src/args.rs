@@ -15,10 +15,10 @@ commands:
                query's answer; the workload streams through the scenario
                driver's bounded dispatcher, so memory stays O(batch x
                queue) whatever --n
-               flags: --engine {lockstep|threads|tcp|epoll}
+               flags: --engine {lockstep|threads|epoll}
                                                        (default threads;
-                        epoll = the tcp wire format multiplexed onto a
-                        few event-loop threads, for k in the thousands)
+                        epoll = loopback TCP, every connection
+                        multiplexed onto a few event-loop threads)
                       --topology {flat|tree}          (default flat)
                       --query  {swor|l1[:eps[,delta]]|rhh[:eps[,delta]]
                                 |window[:len]}        (default swor)

@@ -1163,7 +1163,7 @@ mod tests {
 
     #[test]
     fn run_command_all_engines_report_throughput() {
-        for engine in ["lockstep", "threads", "tcp", "epoll"] {
+        for engine in ["lockstep", "threads", "epoll"] {
             let (code, out) = run_cmd(&format!(
                 "run --engine {engine} --n 20000 --k 4 --s 8 --workload zipf_iid:1.2 --batch 8 --queue 8"
             ));
@@ -1199,7 +1199,7 @@ mod tests {
 
     #[test]
     fn run_tree_all_engines_report_root_sample() {
-        for engine in ["lockstep", "threads", "tcp", "epoll"] {
+        for engine in ["lockstep", "threads", "epoll"] {
             let (code, out) = run_cmd(&format!(
                 "run --engine {engine} --topology tree --n 20000 --k 4 --groups 2 \
                  --sync-every 1000 --s 8 --workload zipf_iid:1.2 --batch 8 --queue 8"
@@ -1217,7 +1217,7 @@ mod tests {
 
     #[test]
     fn run_query_flag_reports_answers_on_every_engine() {
-        for engine in ["lockstep", "threads", "tcp", "epoll"] {
+        for engine in ["lockstep", "threads", "epoll"] {
             let (code, out) = run_cmd(&format!(
                 "run --engine {engine} --query l1:0.25,0.25 --n 20000 --k 4 --format json"
             ));

@@ -144,8 +144,9 @@ pub enum CtrlMsg {
         query: String,
     },
     /// Attaches this connection as site `site` of stream `stream`; the
-    /// connection then switches to the data-plane framing (`TAG_BATCH` /
-    /// `TAG_EOF`). Reattaching a previously detached slot resumes it.
+    /// connection then switches to the data-plane frames (`BATCH` / `EOF`
+    /// up, `DOWN` down). Reattaching a previously detached slot resumes
+    /// it.
     Attach {
         /// Stream name.
         stream: String,
@@ -180,6 +181,20 @@ pub enum CtrlMsg {
         /// gauges only, no event history).
         events: u32,
     },
+}
+
+impl CtrlMsg {
+    /// The tag byte this request travels under on the wire.
+    pub fn tag(&self) -> u8 {
+        match self {
+            CtrlMsg::Create { .. } => TAG_CREATE,
+            CtrlMsg::Attach { .. } => TAG_ATTACH,
+            CtrlMsg::Query { .. } => TAG_QUERY,
+            CtrlMsg::Drain { .. } => TAG_DRAIN,
+            CtrlMsg::Shutdown => TAG_SHUTDOWN,
+            CtrlMsg::Metrics { .. } => TAG_METRICS,
+        }
+    }
 }
 
 /// A daemon → client control response.
@@ -539,6 +554,7 @@ fn check_finite_positive(x: f64) -> Result<f64, WireError> {
 
 impl FrameCodec for CtrlMsg {
     fn encode(&self, buf: &mut Vec<u8>) {
+        buf.push(self.tag());
         match self {
             CtrlMsg::Create {
                 stream,
@@ -546,32 +562,23 @@ impl FrameCodec for CtrlMsg {
                 s,
                 query,
             } => {
-                buf.push(TAG_CREATE);
                 put_str(buf, stream);
                 put_u32(buf, *k);
                 put_u32(buf, *s);
                 put_str(buf, query);
             }
             CtrlMsg::Attach { stream, site } => {
-                buf.push(TAG_ATTACH);
                 put_str(buf, stream);
                 put_u32(buf, *site);
             }
             CtrlMsg::Query { stream, kind, arg } => {
-                buf.push(TAG_QUERY);
                 put_str(buf, stream);
                 buf.push(kind.as_u8());
                 put_u64(buf, *arg);
             }
-            CtrlMsg::Drain { stream } => {
-                buf.push(TAG_DRAIN);
-                put_str(buf, stream);
-            }
-            CtrlMsg::Shutdown => buf.push(TAG_SHUTDOWN),
-            CtrlMsg::Metrics { events } => {
-                buf.push(TAG_METRICS);
-                put_u32(buf, *events);
-            }
+            CtrlMsg::Drain { stream } => put_str(buf, stream),
+            CtrlMsg::Shutdown => {}
+            CtrlMsg::Metrics { events } => put_u32(buf, *events),
         }
     }
 

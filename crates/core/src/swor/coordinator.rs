@@ -253,8 +253,8 @@ impl SworCoordinator {
     ///
     /// One broadcast per epoch crossed — not one per crossing event — keeps
     /// the downstream accounting a function of the epochs visited rather
-    /// than of how they were visited. Under delayed delivery (the threaded
-    /// and TCP engines) a single accepted key can jump `u` across several
+    /// than of how they were visited. Under delayed delivery (the threads
+    /// and epoll engines) a single accepted key can jump `u` across several
     /// epochs at once; coalescing those into one message made identical
     /// scenarios meter differently across engines (the 224-vs-232
     /// down-message drift between streaming and materialized TCP runs), and

@@ -5,7 +5,7 @@
 //! whose `TAG_*` constants form one tag space. Within a namespace every
 //! tag byte must be unique — the wire format dispatches on it. Across
 //! namespaces, values may legitimately collide (the protocols are layered:
-//! a swor-wire byte never appears where a tcp frame tag is expected) but
+//! a swor-wire byte never appears where a data-plane frame tag is expected) but
 //! *names* must stay globally unique so a grep for `TAG_X` is unambiguous.
 //! Every tag must also appear, name and byte, in the namespace's declared
 //! document.

@@ -1,6 +1,7 @@
 //! Runtime tuning knobs.
 
-/// Configuration for the threaded/TCP/epoll engines.
+/// Configuration for the threads and epoll engines (and the daemon's
+/// attach client).
 ///
 /// The knobs trade latency for throughput:
 ///

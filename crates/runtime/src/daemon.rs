@@ -15,8 +15,8 @@
 //! * **Attach / detach / reconnect**: sites join mid-run
 //!   ([`CtrlMsg::Attach`]), may disconnect (a clean socket close at a
 //!   frame boundary detaches the slot without faulting the stream — the
-//!   deliberate difference from the tcp engine, where a close before
-//!   `Eof` is a fault), and may reattach later to resume. Reattached
+//!   deliberate difference from the engines, where a close before `Eof`
+//!   is a fault), and may reattach later to resume. Reattached
 //!   links are **replayed** the coordinator's current broadcast state
 //!   (saturated levels, the epoch threshold) so a reconnecting site
 //!   filters exactly as a continuously-connected one would.
@@ -32,10 +32,10 @@
 //!
 //! Wire protocol: control frames are [`CtrlMsg`] / [`CtrlResp`] over the
 //! standard `[u32 LE length][payload]` framing; after a successful attach
-//! the same connection switches to the data-plane framing
-//! (`TAG_BATCH`/`TAG_EOF` upstream, `TAG_DOWN` downstream) shared with
-//! the tcp engine's transport. See `docs/DAEMON.md` for the operator
-//! guide and byte-level layouts.
+//! the same connection switches to the data-plane frames (`BATCH`/`EOF`
+//! upstream, `DOWN` downstream) of the codec in [`crate::tcp`], shared
+//! with the epoll engine. See `docs/DAEMON.md` for the operator guide and
+//! byte-level layouts.
 
 use std::collections::HashMap;
 use std::io;
@@ -46,10 +46,9 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use dwrs_core::ctrl::{
-    CtrlMsg, CtrlResp, LiveQueryKind, LiveSnapshot, MetricsReport, StreamMetrics, TAG_ATTACH,
-    TAG_CREATE, TAG_DRAIN, TAG_METRICS, TAG_QUERY, TAG_SHUTDOWN,
+    CtrlMsg, CtrlResp, LiveQueryKind, LiveSnapshot, MetricsReport, StreamMetrics,
 };
-use dwrs_core::framed::{decode_seq, FrameCodec, FramedReader, FramedWriter};
+use dwrs_core::framed::{FrameCodec, FramedReader, FramedWriter};
 use dwrs_core::swor::levels::epoch_threshold;
 use dwrs_core::swor::{DownMsg, SworConfig, SworCoordinator, UpMsg};
 use dwrs_core::{Item, Keyed};
@@ -66,7 +65,7 @@ use dwrs_telemetry::{
 use crate::config::RuntimeConfig;
 use crate::engine::flush;
 use crate::query::Query;
-use crate::tcp::{down_reader, tcp_batch_sender, tcp_down_sender, TAG_BATCH, TAG_EOF};
+use crate::tcp::{decode_up, down_reader, tcp_batch_sender, tcp_down_sender};
 use crate::transport::{BatchSender, UpFrame};
 use crate::RuntimeError;
 
@@ -833,22 +832,10 @@ fn stream_cmd(shared: &Shared, name: &str) -> Option<CmdSender> {
         .map(|h| h.cmd.clone())
 }
 
-/// The wire tag a control request travels under — recorded as the
-/// payload of `ctrl-error` trace events so an operator can see *which*
-/// request kind was refused.
-fn ctrl_tag(msg: &CtrlMsg) -> u8 {
-    match msg {
-        CtrlMsg::Create { .. } => TAG_CREATE,
-        CtrlMsg::Attach { .. } => TAG_ATTACH,
-        CtrlMsg::Query { .. } => TAG_QUERY,
-        CtrlMsg::Drain { .. } => TAG_DRAIN,
-        CtrlMsg::Shutdown => TAG_SHUTDOWN,
-        CtrlMsg::Metrics { .. } => TAG_METRICS,
-    }
-}
-
 /// Counts one refused control request and drops a breadcrumb in the
-/// daemon-level trace ring with the request's wire tag.
+/// daemon-level trace ring with the request's wire tag
+/// ([`CtrlMsg::tag`]), so an operator can see *which* request kind was
+/// refused.
 fn note_ctrl_error(tag: u8) {
     let t = global();
     t.registry.counter(METRIC_CTRL_ERRORS_TOTAL).inc();
@@ -921,7 +908,7 @@ fn handle_connection(shared: Arc<Shared>, addr: SocketAddr, stream: TcpStream) {
             // connections carry no stream state, so nothing to unwind.
             Ok(None) | Err(_) => return,
         };
-        let req_tag = ctrl_tag(&msg);
+        let req_tag = msg.tag();
         let resp = match msg {
             CtrlMsg::Create {
                 stream: name,
@@ -1064,45 +1051,28 @@ fn handle_connection(shared: Arc<Shared>, addr: SocketAddr, stream: TcpStream) {
 }
 
 /// After a successful attach, the connection is the slot's data link:
-/// decode `TAG_BATCH`/`TAG_EOF` frames into processor commands. A clean
-/// close at a frame boundary is a **detach** (the slot may reattach
-/// later) — deliberately unlike the tcp engine's reader, which treats it
-/// as a fault.
+/// decode `BATCH`/`EOF` frames into processor commands. A clean close at
+/// a frame boundary is a **detach** (the slot may reattach later) —
+/// deliberately unlike the engines' readers, which treat it as a fault.
 fn site_data_loop(reader: &mut FramedReader<TcpStream>, site: usize, cmd: &CmdSender) {
-    loop {
-        match reader.read_blob() {
-            Ok(Some(payload)) => match payload.split_first() {
-                Some((&TAG_BATCH, body)) if body.len() >= 8 => {
-                    let items = u64::from_le_bytes(body[..8].try_into().unwrap());
-                    match decode_seq::<UpMsg>(&body[8..]) {
-                        Ok(msgs) => {
-                            if cmd.send(StreamCmd::Up { site, msgs, items }).is_err() {
-                                return;
-                            }
-                        }
-                        Err(_) => {
-                            let _ = cmd.send(StreamCmd::Detach { site });
-                            return;
-                        }
-                    }
-                }
-                Some((&TAG_EOF, _)) => {
-                    let _ = cmd.send(StreamCmd::Eof { site });
+    while let Ok(Some(payload)) = reader.read_blob() {
+        match decode_up::<UpMsg>(payload) {
+            UpFrame::Batch { msgs, items } => {
+                if cmd.send(StreamCmd::Up { site, msgs, items }).is_err() {
                     return;
                 }
-                // TAG_FAULT, or any unrecognised frame: the slot is gone
-                // but resumable, same as a clean detach.
-                _ => {
-                    let _ = cmd.send(StreamCmd::Detach { site });
-                    return;
-                }
-            },
-            Ok(None) | Err(_) => {
-                let _ = cmd.send(StreamCmd::Detach { site });
+            }
+            UpFrame::Eof => {
+                let _ = cmd.send(StreamCmd::Eof { site });
                 return;
             }
+            // A site-sent FAULT, a malformed batch or an unrecognised
+            // frame: the slot is gone but resumable, same as a clean
+            // detach.
+            UpFrame::Fault(_) => break,
         }
     }
+    let _ = cmd.send(StreamCmd::Detach { site });
 }
 
 // ------------------------------------------------------------- client side
@@ -1403,8 +1373,8 @@ where
             }
         };
         // The reader consumed exactly the response frame (FramedReader
-        // never over-reads); the socket's read side now carries TAG_DOWN
-        // data frames — hand it to a dedicated down-reader thread.
+        // never over-reads); the socket's read side now carries DOWN data
+        // frames — hand it to a dedicated down-reader thread.
         let (down_tx, down_rx) = mpsc::channel();
         let read_half = ctrl_reader.into_inner();
         thread::spawn(move || down_reader::<S::Down>(read_half, down_tx));

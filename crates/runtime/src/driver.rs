@@ -17,7 +17,7 @@
 //!   `shards × (queue + 1) × frame` items (see [`DispatcherStats`]),
 //!   independent of stream length — O(batch × queue), not O(n).
 //! * [`Scenario`] + [`run_scenario`] — the single entry point: protocol
-//!   config, engine (lockstep | threads | tcp), topology (flat | tree),
+//!   config, engine (lockstep | threads | epoll), topology (flat | tree),
 //!   workload, seed and partition in one value; the result is a uniform
 //!   [`RunReport`] (sample, per-tier metrics, invariant checks, wall
 //!   clock, throughput, dispatcher stats, peak-RSS estimate) whatever the
@@ -54,7 +54,6 @@ use crate::config::RuntimeConfig;
 use crate::engine::{run_threads, RunOutput, RuntimeError};
 use crate::epoll::{run_epoll, run_tree_epoll, Feed, ItemFeed};
 use crate::query::{run_query_flat, run_query_tree, FlatOutcome, TreeOutcome};
-use crate::tcp::run_tcp;
 use crate::tree::{
     run_tree_nodes, GroupStats, LockstepTree, SampleSource, TreeOutput, TreeTopology,
 };
@@ -313,13 +312,8 @@ pub enum EngineKind {
     Lockstep,
     /// OS threads over in-process bounded channels.
     Threads,
-    /// OS threads over loopback TCP with framed wire encoding.
-    Tcp,
-    /// Event-driven loopback TCP: the same wire format as [`Tcp`], but
-    /// every connection multiplexed onto a few epoll event loops instead
-    /// of two threads per site ([`crate::epoll`]).
-    ///
-    /// [`Tcp`]: EngineKind::Tcp
+    /// Loopback TCP with framed wire encoding, every connection
+    /// multiplexed onto a few epoll event loops ([`crate::epoll`]).
     Epoll,
 }
 
@@ -329,10 +323,9 @@ impl std::str::FromStr for EngineKind {
         match s {
             "lockstep" => Ok(EngineKind::Lockstep),
             "threads" => Ok(EngineKind::Threads),
-            "tcp" => Ok(EngineKind::Tcp),
             "epoll" => Ok(EngineKind::Epoll),
             other => Err(format!(
-                "unknown engine '{other}' (expected lockstep | threads | tcp | epoll)"
+                "unknown engine '{other}' (expected lockstep | threads | epoll)"
             )),
         }
     }
@@ -343,7 +336,6 @@ impl std::fmt::Display for EngineKind {
         match self {
             EngineKind::Lockstep => write!(f, "lockstep"),
             EngineKind::Threads => write!(f, "threads"),
-            EngineKind::Tcp => write!(f, "tcp"),
             EngineKind::Epoll => write!(f, "epoll"),
         }
     }
@@ -1056,14 +1048,11 @@ where
             };
             Ok((items, weight, out, None))
         }
-        EngineKind::Threads | EngineKind::Tcp => {
+        EngineKind::Threads => {
             let (dispatcher, shards) = Dispatcher::new(sc.k);
             let partitioner = sc.partitioner();
             let feeder = thread::spawn(move || dispatcher.run(source, partitioner));
-            let result = match sc.engine {
-                EngineKind::Threads => run_threads(sites, coordinator, shards, &sc.runtime),
-                _ => run_tcp(sites, coordinator, shards, &sc.runtime),
-            };
+            let result = run_threads(sites, coordinator, shards, &sc.runtime);
             let dstats = join_feeder(feeder)?;
             let out = result?;
             Ok((dstats.items, dstats.weight, out, Some(dstats)))
@@ -1129,7 +1118,7 @@ where
             }
             Ok((items, weight, tree.finish(), None))
         }
-        EngineKind::Threads | EngineKind::Tcp => {
+        EngineKind::Threads => {
             let (dispatcher, shards) = Dispatcher::new(sc.k);
             let partitioner = sc.partitioner();
             let feeder = thread::spawn(move || dispatcher.run(source, partitioner));
@@ -1300,14 +1289,14 @@ mod tests {
             "threads".parse::<EngineKind>().unwrap(),
             EngineKind::Threads
         );
-        assert_eq!("tcp".parse::<EngineKind>().unwrap(), EngineKind::Tcp);
         assert_eq!("epoll".parse::<EngineKind>().unwrap(), EngineKind::Epoll);
         assert_eq!(
             "lockstep".parse::<EngineKind>().unwrap(),
             EngineKind::Lockstep
         );
         assert!("async".parse::<EngineKind>().is_err());
-        assert_eq!(EngineKind::Tcp.to_string(), "tcp");
+        assert!("tcp".parse::<EngineKind>().is_err());
+        assert_eq!(EngineKind::Threads.to_string(), "threads");
         assert_eq!(EngineKind::Epoll.to_string(), "epoll");
     }
 
@@ -1429,7 +1418,7 @@ mod tests {
 
     #[test]
     fn flat_scenario_runs_on_every_engine() {
-        for engine in [EngineKind::Lockstep, EngineKind::Threads, EngineKind::Tcp] {
+        for engine in [EngineKind::Lockstep, EngineKind::Threads, EngineKind::Epoll] {
             let sc = Scenario::new(engine, 4, 8)
                 .with_n(20_000)
                 .with_workload(Workload::Zipf { alpha: 1.2 });
@@ -1456,7 +1445,7 @@ mod tests {
 
     #[test]
     fn tree_scenario_runs_on_every_engine() {
-        for engine in [EngineKind::Lockstep, EngineKind::Threads, EngineKind::Tcp] {
+        for engine in [EngineKind::Lockstep, EngineKind::Threads, EngineKind::Epoll] {
             let sc = Scenario::new(engine, 4, 8)
                 .with_n(20_000)
                 .with_topology(Topology::Tree {
@@ -1545,7 +1534,7 @@ mod tests {
             },
             Query::SlidingWindow { window: 5_000 },
         ] {
-            for engine in [EngineKind::Lockstep, EngineKind::Threads, EngineKind::Tcp] {
+            for engine in [EngineKind::Lockstep, EngineKind::Threads, EngineKind::Epoll] {
                 for topology in [
                     Topology::Flat,
                     Topology::Tree {

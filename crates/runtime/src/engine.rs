@@ -2,17 +2,17 @@
 //!
 //! Each site runs its partition of the stream on its own OS thread; the
 //! coordinator runs on another. Threads communicate only through a
-//! [`crate::transport`] wiring, so the same loops drive in-process channels
-//! and loopback TCP.
+//! [`crate::transport`] wiring of in-process channels. The coordinator
+//! loop and the site loop's flush are shared with the epoll engine
+//! ([`crate::epoll`]) and the fan-in tree ([`crate::tree`]).
 //!
 //! # Deadlock freedom
 //!
 //! The up path is bounded and blocking (backpressure); the down path is
-//! unbounded and drained eagerly by sites (between items) and continuously
-//! by the TCP reader threads. Because the coordinator never blocks sending
-//! down, it always returns to draining the up queue, so blocked site
-//! `send`s always unblock. A cycle of blocking sends — the classic
-//! site⇄coordinator deadlock — cannot form.
+//! unbounded and drained eagerly by sites (between items). Because the
+//! coordinator never blocks sending down, it always returns to draining
+//! the up queue, so blocked site `send`s always unblock. A cycle of
+//! blocking sends — the classic site⇄coordinator deadlock — cannot form.
 //!
 //! # Graceful shutdown
 //!
@@ -325,11 +325,14 @@ pub(crate) fn route<D: Meter>(
     }
 }
 
-/// Runs a full deployment over an already-built wiring. The generic engine
-/// behind [`run_threads`] and [`crate::tcp::run_tcp`]: any
-/// [`SiteNode`]/[`CoordinatorNode`] pair from `dwrs-sim` runs unmodified.
-pub fn run_on<S, C, I>(
-    wiring: crate::transport::Wiring<S::Up, S::Down>,
+/// Runs a deployment on OS threads connected by in-process bounded
+/// channels. Any [`SiteNode`]/[`CoordinatorNode`] pair from `dwrs-sim`
+/// runs unmodified.
+///
+/// `streams[i]` is site `i`'s partition of the global stream, in that
+/// site's arrival order — any streaming iterators (the scenario driver
+/// passes its bounded shard queues).
+pub fn run_threads<S, C, I>(
     sites: Vec<S>,
     mut coordinator: C,
     streams: Vec<I>,
@@ -337,16 +340,15 @@ pub fn run_on<S, C, I>(
 ) -> Result<RunOutput<S, C>, RuntimeError>
 where
     S: SiteNode + Send,
-    S::Up: Send,
-    S::Down: Send,
+    S::Up: Send + 'static,
+    S::Down: Clone + Send + 'static,
     C: CoordinatorNode<Up = S::Up, Down = S::Down> + Send,
     I: IntoIterator<Item = Item> + Send,
 {
-    let (site_eps, coord_ep) = wiring;
     let k = sites.len();
     assert!(k >= 1, "need at least one site");
-    assert_eq!(site_eps.len(), k, "one endpoint per site");
     assert_eq!(streams.len(), k, "one stream partition per site");
+    let (site_eps, coord_ep) = channel_wiring(k, cfg.queue_capacity);
     let batch_max = cfg.batch_max.max(1);
 
     let (coord_res, site_res) = thread::scope(|scope| {
@@ -387,29 +389,6 @@ where
         coordinator,
         metrics,
     })
-}
-
-/// Runs a deployment on OS threads connected by in-process bounded
-/// channels.
-///
-/// `streams[i]` is site `i`'s partition of the global stream, in that
-/// site's arrival order — any streaming iterators (the scenario driver
-/// passes its bounded shard queues).
-pub fn run_threads<S, C, I>(
-    sites: Vec<S>,
-    coordinator: C,
-    streams: Vec<I>,
-    cfg: &RuntimeConfig,
-) -> Result<RunOutput<S, C>, RuntimeError>
-where
-    S: SiteNode + Send,
-    S::Up: Send + 'static,
-    S::Down: Clone + Send + 'static,
-    C: CoordinatorNode<Up = S::Up, Down = S::Down> + Send,
-    I: IntoIterator<Item = Item> + Send,
-{
-    let wiring = channel_wiring(sites.len(), cfg.queue_capacity);
-    run_on(wiring, sites, coordinator, streams, cfg)
 }
 
 #[cfg(test)]

@@ -1,14 +1,14 @@
-//! The event-driven `epoll` engine: thousands of site connections
-//! multiplexed onto a small fixed pool of event-loop threads.
+//! The event-driven `epoll` engine, the one socket engine: thousands of
+//! site connections over loopback TCP, multiplexed onto a small fixed
+//! pool of event-loop threads.
 //!
-//! The TCP engine ([`crate::tcp`]) spends two OS threads per site (the
-//! site loop plus a down-reader) and one up-reader per connection on the
-//! coordinator side — at the paper's deployment regime (k in the
-//! thousands, one site per edge/user shard) that is tens of thousands of
-//! threads. This engine keeps the *protocol* byte-for-byte identical (same
-//! `HELLO`/`BATCH`/`EOF`/`FAULT`/`DOWN` framing, same [`Metrics`] deltas)
-//! but replaces thread-per-connection I/O with readiness-driven state
-//! machines over nonblocking sockets (see [`crate::reactor`]):
+//! At the paper's deployment regime (k in the thousands, one site per
+//! edge/user shard) a thread per connection would be tens of thousands of
+//! threads. This engine runs readiness-driven state machines over
+//! nonblocking sockets instead (see [`crate::reactor`]), speaking the
+//! `HELLO`/`BATCH`/`EOF`/`FAULT`/`DOWN` frames through the data-plane
+//! codec in [`crate::tcp`], with the threads engine's [`Metrics`]
+//! accounting:
 //!
 //! * **Site side** — each site is a `SiteTask`: the same
 //!   observe/flush/finish/drain protocol steps as `engine::site_loop`, but
@@ -31,7 +31,11 @@
 //!   bounded up queue. The coordinator always returns to draining that
 //!   queue, so the reactor always unblocks; while it is blocked it reads
 //!   no sockets, kernel receive buffers fill, and site writes see
-//!   `WouldBlock` — exactly the TCP engine's backpressure chain.
+//!   `WouldBlock` — the backpressure chain of a blocking socket.
+//! * The reactor reads each readable connection at most once per pass,
+//!   then runs its down-flush pass. Level-triggered epoll reports the
+//!   unread rest on the next pass, so one busy connection cannot starve
+//!   the down path of fresh thresholds.
 //! * A site task stops *pulling input* while its up `SendBuf` is over
 //!   cap (the buffered analogue of a blocking `send`), so per-connection
 //!   memory stays bounded without ever blocking an event-loop thread.
@@ -51,7 +55,7 @@
 //! Any I/O error or protocol violation short-circuits to `Done` with the
 //! socket fully shut down, so the peer fails fast instead of hanging.
 
-use std::io::{self, Write};
+use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -60,25 +64,27 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use dwrs_core::framed::{encode_seq, FrameCodec};
+use dwrs_core::framed::FrameCodec;
 use dwrs_core::merge::merge_samples;
 use dwrs_core::swor::SyncMsg;
 use dwrs_core::{Item, Keyed};
 use dwrs_sim::{CoordinatorNode, Metrics, NoDown, SiteNode};
 
 use crate::config::RuntimeConfig;
-use crate::driver::EngineKind;
 use crate::engine::{coordinator_loop, flush, RunOutput, RuntimeError};
 use crate::obs::{record_thread_metrics, FlushMeter, ReactorMeter};
 use crate::reactor::{
     current_nofile_limit, is_fd_exhausted, raise_nofile_limit, wake_pair, PollEvent, Poller,
     RecvBuf, SendBuf, WakeRx, Waker, WAKE_TOKEN,
 };
-use crate::tcp::{accept_sites, read_hello, TAG_BATCH, TAG_DOWN, TAG_EOF, TAG_FAULT, TAG_HELLO};
+use crate::tcp::{
+    accept_sites, connect_site, decode_down, decode_up, encode_batch, encode_down, encode_up,
+    read_hello, write_hello,
+};
 use crate::transport::{BatchSender, CoordEndpoint, DownSender, TransportError, UpFrame};
 use crate::tree::{
-    aggregator_loop, check_sync_fits_frame, root_loop, tcp_connect, GroupStats, SampleSource,
-    TreeOutput, TreeTopology,
+    aggregator_loop, check_sync_fits_frame, root_loop, GroupStats, SampleSource, TreeOutput,
+    TreeTopology,
 };
 
 /// Event-loop threads in the site-side worker pool. Connection count is a
@@ -93,7 +99,7 @@ const FEED_CHUNK: usize = 4096;
 
 /// Soft cap on a site's buffered-but-unflushed up bytes: past this the
 /// task stops pulling input until write readiness drains it (the buffered
-/// analogue of the TCP engine's blocking `send`).
+/// analogue of a blocking socket `send`).
 const UP_BUF_CAP: usize = 64 * 1024;
 
 /// Advisory cap on a connection's buffered down bytes. Down sends must
@@ -177,39 +183,24 @@ impl ItemFeed for VecFeed {
 
 // ------------------------------------------------------------ up sender
 
-/// [`BatchSender`] over a [`SendBuf`]: encodes exactly the frames
-/// [`crate::tcp`]'s socket sender produces, but into the connection's
-/// buffer instead of a blocking socket write — so `engine::flush` (and its
-/// metering) is reused verbatim by the resumable site task.
+/// [`BatchSender`] over a [`SendBuf`]: encodes through the data-plane
+/// codec into the connection's buffer instead of a blocking socket write,
+/// so `engine::flush` (and its metering) is reused verbatim by the
+/// resumable site task.
 struct BufUp<'a> {
     buf: &'a mut SendBuf,
 }
 
 impl<U: FrameCodec + Send> BatchSender<U> for BufUp<'_> {
     fn send(&mut self, frame: UpFrame<U>) -> Result<(), TransportError> {
-        match frame {
-            UpFrame::Batch { mut msgs, items } => self.send_batch(&mut msgs, items),
-            UpFrame::Eof => self
-                .buf
-                .frame_with(|b| b.push(TAG_EOF))
-                .map_err(TransportError::Io),
-            UpFrame::Fault(msg) => self
-                .buf
-                .frame_with(|b| {
-                    b.push(TAG_FAULT);
-                    b.extend_from_slice(msg.as_bytes());
-                })
-                .map_err(TransportError::Io),
-        }
+        self.buf
+            .frame_with(|b| encode_up(&frame, b))
+            .map_err(TransportError::Io)
     }
 
     fn send_batch(&mut self, batch: &mut Vec<U>, items: u64) -> Result<(), TransportError> {
         self.buf
-            .frame_with(|b| {
-                b.push(TAG_BATCH);
-                b.extend_from_slice(&items.to_le_bytes());
-                encode_seq(batch, b);
-            })
+            .frame_with(|b| encode_batch(batch, items, b))
             .map_err(TransportError::Io)?;
         batch.clear();
         Ok(())
@@ -451,23 +442,9 @@ where
             loop {
                 let msg: S::Down = match self.recv.next_frame() {
                     Ok(None) => break,
-                    Ok(Some(payload)) => match payload.split_first() {
-                        Some((&TAG_DOWN, body)) => match <S::Down as FrameCodec>::decode(body) {
-                            Ok((m, used)) if used == body.len() => m,
-                            _ => {
-                                return Err(RuntimeError::Transport(format!(
-                                    "site {}: malformed down frame",
-                                    self.global
-                                )))
-                            }
-                        },
-                        _ => {
-                            return Err(RuntimeError::Transport(format!(
-                                "site {}: unexpected frame on down link",
-                                self.global
-                            )))
-                        }
-                    },
+                    Ok(Some(payload)) => decode_down(payload).map_err(|e| {
+                        RuntimeError::Transport(format!("site {}: {e}", self.global))
+                    })?,
                     Err(e) => {
                         return Err(RuntimeError::Transport(format!(
                             "site {} down link: {e}",
@@ -793,10 +770,7 @@ impl<D: FrameCodec + Send> DownSender<D> for EpollDownSender<D> {
             return Err(TransportError::Closed);
         }
         st.send
-            .frame_with(|b| {
-                b.push(TAG_DOWN);
-                msg.encode(b);
-            })
+            .frame_with(|b| encode_down(msg, b))
             .map_err(TransportError::Io)?;
         self.tx.publish(&st);
         drop(st);
@@ -855,33 +829,44 @@ struct CoordConn {
     dead: bool,
 }
 
-/// Decodes one up-frame payload — byte-for-byte the `tcp::up_reader`
-/// rules, so faults carry identical diagnostics across engines.
-fn decode_up<U: FrameCodec>(payload: &[u8]) -> UpFrame<U> {
-    match payload.split_first() {
-        Some((&TAG_BATCH, body)) if body.len() >= 8 => {
-            let items = u64::from_le_bytes(body[..8].try_into().expect("8 bytes checked"));
-            match dwrs_core::framed::decode_seq::<U>(&body[8..]) {
-                Ok(msgs) => UpFrame::Batch { msgs, items },
-                Err(e) => UpFrame::Fault(format!("bad batch payload: {e}")),
-            }
-        }
-        Some((&TAG_BATCH, _)) => {
-            UpFrame::Fault("batch frame shorter than its item-count header".into())
-        }
-        Some((&TAG_EOF, _)) => UpFrame::Eof,
-        Some((&TAG_FAULT, body)) => UpFrame::Fault(String::from_utf8_lossy(body).into_owned()),
-        Some((&tag, _)) => UpFrame::Fault(format!("unexpected frame tag {tag:#x}")),
-        None => UpFrame::Fault("empty frame".into()),
+impl CoordConn {
+    /// Wraps one accepted site connection, reporting as `site` into up
+    /// queue `queue`, together with the down sender the coordinator
+    /// writes to it through.
+    fn new<D: FrameCodec + Send + 'static>(
+        stream: TcpStream,
+        site: usize,
+        queue: usize,
+        waker: &Arc<Waker>,
+    ) -> (CoordConn, Box<dyn DownSender<D>>) {
+        let tx = ConnTx::new(Arc::clone(waker));
+        let down = Box::new(EpollDownSender::<D> {
+            tx: Arc::clone(&tx),
+            _marker: std::marker::PhantomData,
+        });
+        let conn = CoordConn {
+            stream,
+            site,
+            queue,
+            recv: RecvBuf::new(),
+            tx,
+            up_done: false,
+            write_shut: false,
+            registered: false,
+            reg_read: false,
+            reg_write: false,
+            dead: false,
+        };
+        (conn, down)
     }
 }
 
 type UpQueue<U> = mpsc::SyncSender<(usize, UpFrame<U>)>;
 
-/// Delivers one decoded frame into the connection's up queue, applying
-/// the `tcp::up_reader` termination rules: any non-batch frame ends the
-/// up path; a fault (or an orphaned queue) tears the whole connection
-/// down so a still-streaming peer errors out promptly.
+/// Delivers one decoded frame into the connection's up queue: any
+/// non-batch frame ends the up path; a fault (or an orphaned queue) tears
+/// the whole connection down so a still-streaming peer errors out
+/// promptly.
 fn deliver<U>(c: &mut CoordConn, ups: &[UpQueue<U>], frame: UpFrame<U>) {
     let terminal = !matches!(frame, UpFrame::Batch { .. });
     let broken = matches!(frame, UpFrame::Fault(_));
@@ -902,33 +887,16 @@ fn deliver<U>(c: &mut CoordConn, ups: &[UpQueue<U>], frame: UpFrame<U>) {
     }
 }
 
-/// Reads and delivers every complete up-frame currently available on `c`.
+/// Performs one read on `c` and delivers every up-frame it completed.
+///
+/// One read, not a read-until-`WouldBlock` loop: under steady input that
+/// loop never ends, and the reactor's down-flush pass starves. The reactor
+/// is level-triggered, so whatever this call leaves in the kernel buffer
+/// is reported again on the next pass.
 fn service_read<U: FrameCodec>(c: &mut CoordConn, ups: &[UpQueue<U>]) {
-    loop {
-        loop {
-            let frame: UpFrame<U> = match c.recv.next_frame() {
-                Ok(None) => break,
-                Ok(Some(payload)) => decode_up::<U>(payload),
-                Err(e) => UpFrame::Fault(format!("read error: {e}")),
-            };
-            deliver(c, ups, frame);
-            if c.up_done {
-                return;
-            }
-        }
+    let n = loop {
         match c.recv.fill_from(&mut (&c.stream)) {
-            Ok(0) => {
-                // Same split as `FramedReader`: EOF at a frame boundary is
-                // a premature-close fault, EOF mid-frame a read error.
-                let frame = if c.recv.mid_frame() {
-                    UpFrame::Fault("read error: connection closed mid-frame".into())
-                } else {
-                    UpFrame::Fault("connection closed before EOF frame".into())
-                };
-                deliver(c, ups, frame);
-                return;
-            }
-            Ok(_) => {}
+            Ok(n) => break n,
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => {
@@ -936,6 +904,27 @@ fn service_read<U: FrameCodec>(c: &mut CoordConn, ups: &[UpQueue<U>]) {
                 return;
             }
         }
+    };
+    loop {
+        let frame: UpFrame<U> = match c.recv.next_frame() {
+            Ok(None) => break,
+            Ok(Some(payload)) => decode_up::<U>(payload),
+            Err(e) => UpFrame::Fault(format!("read error: {e}")),
+        };
+        deliver(c, ups, frame);
+        if c.up_done {
+            return;
+        }
+    }
+    if n == 0 {
+        // Same split as `FramedReader`: EOF at a frame boundary is a
+        // premature-close fault, EOF mid-frame a read error.
+        let frame = if c.recv.mid_frame() {
+            UpFrame::Fault("read error: connection closed mid-frame".into())
+        } else {
+            UpFrame::Fault("connection closed before EOF frame".into())
+        };
+        deliver(c, ups, frame);
     }
 }
 
@@ -1110,11 +1099,7 @@ fn wire_sites(
             // below cannot hang on a never-completing handshake.
             let stream = TcpStream::connect_timeout(&addr, Duration::from_secs(10))?;
             stream.set_nodelay(true)?;
-            let mut hello = Vec::with_capacity(9);
-            hello.extend_from_slice(&5u32.to_le_bytes());
-            hello.push(TAG_HELLO);
-            hello.extend_from_slice(&(id as u32).to_le_bytes());
-            (&stream).write_all(&hello)?;
+            write_hello(&stream, id)?;
             stream.set_nonblocking(true)?;
             streams.push(stream);
         }
@@ -1184,9 +1169,9 @@ fn wire_sites(
 /// site event loops plus one coordinator reactor — thread count is O(1)
 /// in `k`, so k in the thousands runs on one box.
 ///
-/// Wire format, protocol behavior, and [`Metrics`] accounting are
-/// identical to [`crate::tcp::run_tcp`]; `feeds[i]` is site `i`'s
-/// partition of the stream as a nonblocking [`ItemFeed`].
+/// Protocol behavior and [`Metrics`] accounting are identical to
+/// [`crate::engine::run_threads`]; `feeds[i]` is site `i`'s partition of
+/// the stream as a nonblocking [`ItemFeed`].
 pub fn run_epoll<S, C>(
     sites: Vec<S>,
     mut coordinator: C,
@@ -1216,26 +1201,11 @@ where
     let (up_tx, up_rx) = mpsc::sync_channel(cfg.queue_capacity.max(1));
     let (waker, wake_rx) = wake_pair().map_err(|e| io_runtime_err("creating reactor waker", &e))?;
     let mut conns = Vec::with_capacity(k);
-    let mut downs: Vec<Box<dyn DownSender<S::Down>>> = Vec::with_capacity(k);
+    let mut downs = Vec::with_capacity(k);
     for (site, stream) in coord_streams.into_iter().enumerate() {
-        let tx = ConnTx::new(Arc::clone(&waker));
-        downs.push(Box::new(EpollDownSender::<S::Down> {
-            tx: Arc::clone(&tx),
-            _marker: std::marker::PhantomData,
-        }));
-        conns.push(CoordConn {
-            stream,
-            site,
-            queue: 0,
-            recv: RecvBuf::new(),
-            tx,
-            up_done: false,
-            write_shut: false,
-            registered: false,
-            reg_read: false,
-            reg_write: false,
-            dead: false,
-        });
+        let (conn, down) = CoordConn::new::<S::Down>(stream, site, 0, &waker);
+        conns.push(conn);
+        downs.push(down);
     }
     let coord_ep = CoordEndpoint::new(up_rx, downs);
     let tasks: Vec<SiteTask<S>> = sites
@@ -1256,8 +1226,8 @@ where
         (reactor.join(), coord.join(), site_res)
     });
 
-    // Deterministic error priority, matching run_on: panicking site by
-    // index, then the coordinator, then reactor/site transport errors.
+    // Deterministic error priority, matching run_threads: panicking site
+    // by index, then the coordinator, then reactor/site transport errors.
     let mut slots: Vec<Option<Result<(S, Metrics), RuntimeError>>> = (0..k).map(|_| None).collect();
     for (global, res) in site_res {
         slots[global] = Some(res);
@@ -1288,13 +1258,13 @@ where
 /// (HELLO ids are global, `gi·k + i`), the site protocol steps run on the
 /// `EPOLL_WORKERS` loop pool, and each group's aggregator drains its
 /// own bounded up queue. The aggregator→root hop stays on the blocking
-/// TCP substrate — `g` links is a fan-in the thread-per-link wiring
-/// handles fine, and it keeps the root path byte-identical to
-/// `run_tree_tcp`.
+/// socket halves of [`crate::tcp`] (one reader thread per link), since
+/// `g` links is a fan-in a thread per link handles fine; its [`SyncMsg`]
+/// frames cross real sockets like every site frame.
 ///
 /// Semantics (shutdown ordering, sync cadence, metrics accounting, error
-/// priority) match [`crate::tree::run_tree_nodes`] on the other
-/// substrates; `feeds[gi][i]` is the nonblocking input partition for site
+/// priority) match [`crate::tree::run_tree_nodes`] on the threads
+/// substrate; `feeds[gi][i]` is the nonblocking input partition for site
 /// `i` of group `gi`.
 #[allow(clippy::type_complexity)]
 pub fn run_tree_epoll<S, A>(
@@ -1314,7 +1284,7 @@ where
     let (g, k) = (topo.groups, topo.k_per_group);
     assert!(g >= 1 && k >= 1, "need at least one site per group");
     assert_eq!(feeds.len(), g, "one feed block per group");
-    check_sync_fits_frame(s, EngineKind::Epoll)?;
+    check_sync_fits_frame(s)?;
     let batch_max = cfg.batch_max.max(1);
     let down_poll = cfg.down_poll_every.max(1);
     let _ = raise_nofile_limit();
@@ -1345,24 +1315,9 @@ where
         (0..g).map(|_| Vec::with_capacity(k)).collect();
     for (global, stream) in coord_streams.into_iter().enumerate() {
         let (gi, i) = (global / k, global % k);
-        let tx = ConnTx::new(Arc::clone(&waker));
-        group_downs[gi].push(Box::new(EpollDownSender::<S::Down> {
-            tx: Arc::clone(&tx),
-            _marker: std::marker::PhantomData,
-        }));
-        conns.push(CoordConn {
-            stream,
-            site: i,
-            queue: gi,
-            recv: RecvBuf::new(),
-            tx,
-            up_done: false,
-            write_shut: false,
-            registered: false,
-            reg_read: false,
-            reg_write: false,
-            dead: false,
-        });
+        let (conn, down) = CoordConn::new(stream, i, gi, &waker);
+        conns.push(conn);
+        group_downs[gi].push(down);
     }
     let agg_eps: Vec<CoordEndpoint<S::Up, S::Down>> = up_rxs
         .into_iter()
@@ -1373,11 +1328,9 @@ where
     let (root_listener, root_addr) = bind("root")?;
     let mut root_links = Vec::with_capacity(g);
     for gi in 0..g {
-        root_links.push(tcp_connect(
-            root_addr,
-            gi,
-            &format!("group {gi} root link"),
-        )?);
+        let link = connect_site(root_addr, gi)
+            .map_err(|e| RuntimeError::Transport(format!("connect group {gi} root link: {e}")))?;
+        root_links.push(link);
     }
     let root_ep = accept_sites::<SyncMsg, NoDown>(&root_listener, g, cfg.queue_capacity)?;
 
@@ -1408,7 +1361,7 @@ where
         (reactor.join(), agg_res, root.join(), site_res)
     });
 
-    // Deterministic error priority, matching run_tree_on: panicking sites
+    // Deterministic error priority, matching the threads tree: panicking sites
     // by global index, then aggregators, then the root; then the reactor
     // (an FdExhausted there is the root cause of any downstream faults),
     // then transport errors tier by tier.
@@ -1732,5 +1685,59 @@ mod tests {
         .unwrap();
         assert_eq!(out.coordinator.received, 100);
         assert_eq!(out.metrics.up_total, 100);
+    }
+
+    #[test]
+    fn service_read_reads_once_per_pass() {
+        // Regression: service_read used to read until WouldBlock, so under
+        // steady input one connection kept the coordinator reactor from
+        // its down-flush pass. A ~32 KiB burst of BATCH frames must take
+        // more than one pass, and later passes must deliver the rest.
+        use std::io::Write;
+        let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        server.set_nonblocking(true).unwrap();
+        let frames = 40u64;
+        let msgs: Vec<Up> = (0..100).map(Up).collect();
+        let mut wire = Vec::new();
+        for items in 0..frames {
+            let mut payload = Vec::new();
+            encode_batch(&msgs, items, &mut payload);
+            wire.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            wire.extend_from_slice(&payload);
+        }
+        client.write_all(&wire).unwrap();
+        // Wait until the whole burst sits in the server's receive buffer.
+        let mut peek = vec![0u8; wire.len()];
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while server.peek(&mut peek).unwrap_or(0) < wire.len() {
+            assert!(Instant::now() < deadline, "burst never arrived");
+            thread::sleep(Duration::from_millis(1));
+        }
+
+        let (waker, _wake_rx) = wake_pair().unwrap();
+        let (mut conn, _down) = CoordConn::new::<Down>(server, 0, 0, &waker);
+        let (tx, rx) = mpsc::sync_channel(frames as usize);
+        let ups = [tx];
+        service_read::<Up>(&mut conn, &ups);
+        let mut got: Vec<UpFrame<Up>> = rx.try_iter().map(|(_, f)| f).collect();
+        assert!(
+            !got.is_empty() && (got.len() as u64) < frames,
+            "one pass delivered {} of {frames} frames",
+            got.len()
+        );
+        for _ in 0..frames {
+            service_read::<Up>(&mut conn, &ups);
+            got.extend(rx.try_iter().map(|(_, f)| f));
+        }
+        assert!(!conn.up_done);
+        let want: Vec<UpFrame<Up>> = (0..frames)
+            .map(|items| UpFrame::Batch {
+                msgs: msgs.clone(),
+                items,
+            })
+            .collect();
+        assert_eq!(got, want);
     }
 }

@@ -1,11 +1,11 @@
 //! # dwrs-runtime
 //!
 //! A concurrent execution substrate for the PODS'19 site/coordinator
-//! protocols: `k` sites and one coordinator run as real OS threads
-//! connected by a pluggable framed [`transport`] — in-process bounded
-//! channels ([`run_threads`]) or loopback TCP with the `swor::wire`
-//! encoding on real sockets ([`tcp::run_tcp`], or [`run_epoll`] with
-//! every connection multiplexed onto a few event loops). Multi-process
+//! protocols: `k` sites and one coordinator run concurrently, either as
+//! OS threads connected by in-process bounded channels ([`run_threads`])
+//! or over loopback TCP with every connection multiplexed onto a few
+//! event loops ([`run_epoll`]), the frames encoded by the data-plane
+//! codec in [`tcp`] over the `swor::wire` payloads. Multi-process
 //! deployments attach their sites to a long-lived [`daemon`].
 //!
 //! Any [`dwrs_sim::SiteNode`] / [`dwrs_sim::CoordinatorNode`] pair runs
@@ -25,7 +25,7 @@
 //! * **panic-safe joins**: a crashing site or coordinator thread surfaces
 //!   as a [`RuntimeError`] instead of a hang.
 //!
-//! The threaded engines are *not* round-synchronous: sites apply
+//! The concurrent engines are *not* round-synchronous: sites apply
 //! coordinator broadcasts whenever they arrive, i.e. they run in the
 //! delayed-delivery regime the protocols already tolerate (stale
 //! thresholds cannot break correctness, only inflate message counts —
@@ -36,8 +36,8 @@
 //! module runs the **hierarchical fan-in topology**: groups of sites
 //! against per-group aggregators, which periodically ship their mergeable
 //! keyed samples to a root merger — single-threaded as the
-//! [`LockstepTree`] specification, or concurrently over the same
-//! transports (see [`run_tree_nodes`]).
+//! [`LockstepTree`] specification, or concurrently on the same engines
+//! (see [`run_tree_nodes`]).
 //!
 //! For continuous monitoring — the paper's actual setting — the
 //! [`daemon`] module runs the coordinator as a **long-lived process**
@@ -104,6 +104,5 @@ pub use query::{Query, QueryAnswer};
 pub use reactor::raise_nofile_limit;
 pub use transport::{
     channel_wiring, BatchSender, CoordEndpoint, DownSender, SiteEndpoint, TransportError, UpFrame,
-    Wiring,
 };
 pub use tree::{run_tree_nodes, GroupStats, LockstepTree, SampleSource, TreeOutput, TreeTopology};

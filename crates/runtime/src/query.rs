@@ -4,7 +4,7 @@
 //! The paper's headline motivation for distributed weighted SWOR is the
 //! applications it unlocks; this module promotes them from centralized
 //! `crates/apps` simulations to first-class runtime protocols, each
-//! running streamed on every engine (lockstep | threads | tcp) and
+//! running streamed on every engine (lockstep | threads | epoll) and
 //! topology (flat | tree) with the same per-tier metrics, invariant
 //! checks, and [`crate::driver::RunReport`] as plain SWOR:
 //!

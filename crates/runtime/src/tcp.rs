@@ -1,18 +1,20 @@
-//! Loopback-TCP transport: the same engine loops, but frames cross real
-//! sockets using `dwrs_core::framed` length-prefixed encoding over the
-//! `swor::wire` payload codec — so the bytes on the wire are exactly the
-//! bytes the metrics meter.
+//! The data-plane wire codec, plus the blocking socket halves that still
+//! carry it.
 //!
-//! Socket protocol (all frames are `[u32 len][payload]`, payload starts
-//! with one tag byte):
+//! Every data-plane frame is `[u32 len][payload]` (`dwrs_core::framed`)
+//! and every payload starts with one tag byte. Each frame kind has exactly
+//! one encoder and one decoder, here, shared by the epoll engine
+//! ([`crate::epoll`]), the daemon ([`crate::daemon`]) and the blocking
+//! halves below — so the bytes on the wire are the same on every
+//! substrate, and exactly the bytes the metrics meter:
 //!
-//! | direction | tag | payload |
-//! |---|---|---|
-//! | site→coord | `HELLO` | `u32` site id (first frame on a connection) |
-//! | site→coord | `BATCH` | `u64` item count, then concatenated `FrameCodec` up-messages |
-//! | site→coord | `EOF` | empty — the site's stream is exhausted |
-//! | site→coord | `FAULT` | UTF-8 diagnostic — the site hit a local failure |
-//! | coord→site | `DOWN` | exactly one `FrameCodec` down-message |
+//! | direction | tag | payload | written by | read by |
+//! |---|---|---|---|---|
+//! | site→coord | `HELLO` | `u32` site id (first frame on a connection) | `write_hello` | `read_hello` |
+//! | site→coord | `BATCH` | `u64` item count, then concatenated `FrameCodec` up-messages | `encode_batch` | `decode_up` |
+//! | site→coord | `EOF` | empty — the site's stream is exhausted | `encode_up` | `decode_up` |
+//! | site→coord | `FAULT` | UTF-8 diagnostic — the site hit a local failure | `encode_up` | `decode_up` |
+//! | coord→site | `DOWN` | exactly one `FrameCodec` down-message | `encode_down` | `decode_down` |
 //!
 //! The `BATCH` item count is the sender's stream-progress watermark for the
 //! flush window (items observed, not messages sent — the protocols are
@@ -23,14 +25,16 @@
 //! after `EOF`; the coordinator half-closes each down link once every site
 //! reported `EOF`, which terminates the sites' drain loops.
 //!
-//! Dedicated reader threads bridge each socket onto the same `mpsc`
-//! receivers the channel transport uses: per-connection readers on the
-//! coordinator side feed the shared bounded up queue (so TCP inherits the
-//! engine's backpressure: a slow coordinator fills the queue, the readers
-//! block, the kernel socket buffers fill, and site writes stall), and one
-//! reader per site drains down-messages eagerly (which keeps the
-//! coordinator's down writes from ever blocking — the deadlock-freedom
-//! invariant).
+//! The blocking halves bridge one socket onto the `mpsc` channels the
+//! engine loops consume, with one reader thread per direction.
+//! [`connect_site`] and [`accept_sites`] wire the epoll tree's `g`
+//! aggregator→root links; the daemon's attach client reuses the site-side
+//! sender and down reader, and the daemon its down sender. The up reader
+//! feeds a shared bounded queue, so backpressure carries over: a slow
+//! coordinator fills the queue, the readers block, the kernel socket
+//! buffers fill, and sender writes stall. The down reader drains eagerly,
+//! which keeps the coordinator's down writes from ever blocking (the
+//! deadlock-freedom invariant).
 
 use std::io::{self, Read};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
@@ -38,20 +42,115 @@ use std::sync::mpsc;
 use std::thread;
 
 use dwrs_core::framed::{decode_seq, encode_seq, FrameCodec, FramedReader, FramedWriter};
-use dwrs_core::Item;
-use dwrs_sim::{CoordinatorNode, SiteNode};
 
-use crate::config::RuntimeConfig;
-use crate::engine::{RunOutput, RuntimeError};
+use crate::engine::RuntimeError;
 use crate::transport::{
     BatchSender, CoordEndpoint, DownSender, SiteEndpoint, TransportError, UpFrame,
 };
 
-pub(crate) const TAG_HELLO: u8 = 0x10;
-pub(crate) const TAG_BATCH: u8 = 0x11;
-pub(crate) const TAG_EOF: u8 = 0x12;
-pub(crate) const TAG_FAULT: u8 = 0x13;
-pub(crate) const TAG_DOWN: u8 = 0x21;
+const TAG_HELLO: u8 = 0x10;
+const TAG_BATCH: u8 = 0x11;
+const TAG_EOF: u8 = 0x12;
+const TAG_FAULT: u8 = 0x13;
+const TAG_DOWN: u8 = 0x21;
+
+// ---------------------------------------------------------------- codec
+
+/// Writes the `HELLO` frame that opens every site connection, declaring
+/// the connecting site's id.
+pub(crate) fn write_hello(stream: &TcpStream, site: usize) -> io::Result<()> {
+    FramedWriter::new(stream).write_frame_with(|buf| {
+        buf.push(TAG_HELLO);
+        buf.extend_from_slice(&(site as u32).to_le_bytes());
+    })
+}
+
+/// Reads and validates the `HELLO` frame that opens every site connection
+/// (the epoll engine's accept loop calls it while the socket is still in
+/// blocking mode).
+pub(crate) fn read_hello(stream: &TcpStream) -> Result<usize, RuntimeError> {
+    let mut len_bytes = [0u8; 4];
+    let mut take = stream;
+    take.read_exact(&mut len_bytes)
+        .map_err(|e| RuntimeError::Transport(format!("reading HELLO length: {e}")))?;
+    let len = u32::from_le_bytes(len_bytes);
+    if len != 5 {
+        return Err(RuntimeError::Transport(format!(
+            "HELLO frame must be 5 bytes, got {len}"
+        )));
+    }
+    let mut payload = [0u8; 5];
+    take.read_exact(&mut payload)
+        .map_err(|e| RuntimeError::Transport(format!("reading HELLO payload: {e}")))?;
+    if payload[0] != TAG_HELLO {
+        return Err(RuntimeError::Transport(format!(
+            "expected HELLO tag, got {:#x}",
+            payload[0]
+        )));
+    }
+    Ok(u32::from_le_bytes(payload[1..5].try_into().expect("4 bytes")) as usize)
+}
+
+/// Appends a `BATCH` payload: the flush window's item count, then the
+/// messages back to back. Encodes from the borrow, so the caller keeps its
+/// batch allocation.
+pub(crate) fn encode_batch<U: FrameCodec>(msgs: &[U], items: u64, buf: &mut Vec<u8>) {
+    buf.push(TAG_BATCH);
+    buf.extend_from_slice(&items.to_le_bytes());
+    encode_seq(msgs, buf);
+}
+
+/// Appends one up-frame payload: `BATCH`, `EOF`, or `FAULT` with its
+/// diagnostic.
+pub(crate) fn encode_up<U: FrameCodec>(frame: &UpFrame<U>, buf: &mut Vec<u8>) {
+    match frame {
+        UpFrame::Batch { msgs, items } => encode_batch(msgs, *items, buf),
+        UpFrame::Eof => buf.push(TAG_EOF),
+        UpFrame::Fault(msg) => {
+            buf.push(TAG_FAULT);
+            buf.extend_from_slice(msg.as_bytes());
+        }
+    }
+}
+
+/// Decodes one up-frame payload. Total: a malformed batch, an unknown tag
+/// or an empty frame decodes to an [`UpFrame::Fault`] carrying the
+/// diagnostic, so every reader ends a broken link the same way.
+pub(crate) fn decode_up<U: FrameCodec>(payload: &[u8]) -> UpFrame<U> {
+    match payload.split_first() {
+        Some((&TAG_BATCH, body)) if body.len() >= 8 => {
+            let items = u64::from_le_bytes(body[..8].try_into().expect("8 bytes checked"));
+            match decode_seq::<U>(&body[8..]) {
+                Ok(msgs) => UpFrame::Batch { msgs, items },
+                Err(e) => UpFrame::Fault(format!("bad batch payload: {e}")),
+            }
+        }
+        Some((&TAG_BATCH, _)) => {
+            UpFrame::Fault("batch frame shorter than its item-count header".into())
+        }
+        Some((&TAG_EOF, _)) => UpFrame::Eof,
+        Some((&TAG_FAULT, body)) => UpFrame::Fault(String::from_utf8_lossy(body).into_owned()),
+        Some((&tag, _)) => UpFrame::Fault(format!("unexpected frame tag {tag:#x}")),
+        None => UpFrame::Fault("empty frame".into()),
+    }
+}
+
+/// Appends a `DOWN` payload: exactly one message.
+pub(crate) fn encode_down<D: FrameCodec>(msg: &D, buf: &mut Vec<u8>) {
+    buf.push(TAG_DOWN);
+    msg.encode(buf);
+}
+
+/// Decodes one `DOWN` payload, which must hold exactly one message.
+pub(crate) fn decode_down<D: FrameCodec>(payload: &[u8]) -> Result<D, &'static str> {
+    match payload.split_first() {
+        Some((&TAG_DOWN, body)) => match D::decode(body) {
+            Ok((msg, used)) if used == body.len() => Ok(msg),
+            _ => Err("malformed down frame"),
+        },
+        _ => Err("unexpected frame on down link"),
+    }
+}
 
 // ----------------------------------------------------------- site side
 
@@ -83,32 +182,15 @@ pub(crate) fn tcp_batch_sender<U: FrameCodec + Send + 'static>(
 
 impl<U: FrameCodec + Send> BatchSender<U> for TcpBatchSender<U> {
     fn send(&mut self, frame: UpFrame<U>) -> Result<(), TransportError> {
-        match frame {
-            UpFrame::Batch { mut msgs, items } => self.send_batch(&mut msgs, items),
-            UpFrame::Eof => self
-                .writer
-                .write_frame_with(|buf| buf.push(TAG_EOF))
-                .map_err(TransportError::Io),
-            UpFrame::Fault(msg) => self
-                .writer
-                .write_frame_with(|buf| {
-                    buf.push(TAG_FAULT);
-                    buf.extend_from_slice(msg.as_bytes());
-                })
-                .map_err(TransportError::Io),
-        }
+        self.writer
+            .write_frame_with(|buf| encode_up(&frame, buf))
+            .map_err(TransportError::Io)
     }
 
     fn send_batch(&mut self, batch: &mut Vec<U>, items: u64) -> Result<(), TransportError> {
         self.writer
-            .write_frame_with(|buf| {
-                buf.push(TAG_BATCH);
-                buf.extend_from_slice(&items.to_le_bytes());
-                encode_seq(batch, buf);
-            })
+            .write_frame_with(|buf| encode_batch(batch, items, buf))
             .map_err(TransportError::Io)?;
-        // Keep the caller's allocation: the messages were serialized from
-        // the borrow, nothing moved out.
         batch.clear();
         Ok(())
     }
@@ -140,9 +222,7 @@ where
 {
     let stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true)?;
-    let mut hello = vec![TAG_HELLO];
-    hello.extend_from_slice(&(site_id as u32).to_le_bytes());
-    FramedWriter::new(&stream).write_blob(&hello)?;
+    write_hello(&stream, site_id)?;
     let up = tcp_batch_sender(stream.try_clone()?);
     let (down_tx, down_rx) = mpsc::channel::<D>();
     thread::spawn(move || down_reader(stream, down_tx));
@@ -160,12 +240,9 @@ pub(crate) fn down_reader<D: FrameCodec>(stream: TcpStream, tx: mpsc::Sender<D>)
     let mut reader = FramedReader::new(stream);
     loop {
         let stop = match reader.read_blob() {
-            Ok(Some(payload)) => match payload.split_first() {
-                Some((&TAG_DOWN, body)) => match D::decode(body) {
-                    Ok((msg, used)) if used == body.len() => tx.send(msg).is_err(),
-                    _ => true, // malformed: stop draining, the site will finish
-                },
-                _ => true,
+            Ok(Some(payload)) => match decode_down::<D>(payload) {
+                Ok(msg) => tx.send(msg).is_err(),
+                Err(_) => true, // malformed: stop draining, the site will finish
             },
             Ok(None) | Err(_) => true,
         };
@@ -203,10 +280,7 @@ pub(crate) fn tcp_down_sender<D: FrameCodec + Send + 'static>(
 impl<D: FrameCodec + Send> DownSender<D> for TcpDownSender<D> {
     fn send(&mut self, msg: &D) -> Result<(), TransportError> {
         self.writer
-            .write_frame_with(|buf| {
-                buf.push(TAG_DOWN);
-                msg.encode(buf);
-            })
+            .write_frame_with(|buf| encode_down(msg, buf))
             .map_err(TransportError::Io)
     }
 
@@ -232,24 +306,7 @@ fn up_reader<U: FrameCodec>(
     let mut reader = FramedReader::new(stream);
     loop {
         let frame = match reader.read_blob() {
-            Ok(Some(payload)) => match payload.split_first() {
-                Some((&TAG_BATCH, body)) if body.len() >= 8 => {
-                    let items = u64::from_le_bytes(body[..8].try_into().expect("8 bytes checked"));
-                    match decode_seq::<U>(&body[8..]) {
-                        Ok(msgs) => UpFrame::Batch { msgs, items },
-                        Err(e) => UpFrame::Fault(format!("bad batch payload: {e}")),
-                    }
-                }
-                Some((&TAG_BATCH, _)) => {
-                    UpFrame::Fault("batch frame shorter than its item-count header".into())
-                }
-                Some((&TAG_EOF, _)) => UpFrame::Eof,
-                Some((&TAG_FAULT, body)) => {
-                    UpFrame::Fault(String::from_utf8_lossy(body).into_owned())
-                }
-                Some((&tag, _)) => UpFrame::Fault(format!("unexpected frame tag {tag:#x}")),
-                None => UpFrame::Fault("empty frame".into()),
-            },
+            Ok(Some(payload)) => decode_up::<U>(payload),
             Ok(None) => UpFrame::Fault("connection closed before EOF frame".into()),
             Err(e) => UpFrame::Fault(format!("read error: {e}")),
         };
@@ -313,71 +370,6 @@ where
     Ok(CoordEndpoint::new(up_rx, downs))
 }
 
-/// Reads and validates the `HELLO` frame that opens every site connection
-/// (shared with the epoll engine's accept loop, which handshakes while
-/// the socket is still in blocking mode).
-pub(crate) fn read_hello(stream: &TcpStream) -> Result<usize, RuntimeError> {
-    let mut len_bytes = [0u8; 4];
-    let mut take = stream;
-    take.read_exact(&mut len_bytes)
-        .map_err(|e| RuntimeError::Transport(format!("reading HELLO length: {e}")))?;
-    let len = u32::from_le_bytes(len_bytes);
-    if len != 5 {
-        return Err(RuntimeError::Transport(format!(
-            "HELLO frame must be 5 bytes, got {len}"
-        )));
-    }
-    let mut payload = [0u8; 5];
-    take.read_exact(&mut payload)
-        .map_err(|e| RuntimeError::Transport(format!("reading HELLO payload: {e}")))?;
-    if payload[0] != TAG_HELLO {
-        return Err(RuntimeError::Transport(format!(
-            "expected HELLO tag, got {:#x}",
-            payload[0]
-        )));
-    }
-    Ok(u32::from_le_bytes(payload[1..5].try_into().expect("4 bytes")) as usize)
-}
-
-// ------------------------------------------------------------- engine
-
-/// Runs a full deployment over loopback TCP inside one process: binds an
-/// ephemeral listener on 127.0.0.1, connects `k` site sockets, and drives
-/// the same engine as [`crate::engine::run_threads`] with every protocol
-/// byte crossing the kernel's TCP stack.
-pub fn run_tcp<S, C, I>(
-    sites: Vec<S>,
-    coordinator: C,
-    streams: Vec<I>,
-    cfg: &RuntimeConfig,
-) -> Result<RunOutput<S, C>, RuntimeError>
-where
-    S: SiteNode + Send,
-    S::Up: FrameCodec + Send + 'static,
-    S::Down: FrameCodec + Send + 'static,
-    C: CoordinatorNode<Up = S::Up, Down = S::Down> + Send,
-    I: IntoIterator<Item = Item> + Send,
-{
-    let k = sites.len();
-    let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0))
-        .map_err(|e| RuntimeError::Transport(format!("bind loopback listener: {e}")))?;
-    let addr = listener
-        .local_addr()
-        .map_err(|e| RuntimeError::Transport(e.to_string()))?;
-
-    // Connect all k site sockets first (they complete against the listen
-    // backlog without an accept loop running), then accept and handshake.
-    let mut eps = Vec::with_capacity(k);
-    for id in 0..k {
-        eps.push(
-            connect_site::<S::Up, S::Down>(addr, id)
-                .map_err(|e| RuntimeError::Transport(format!("connect site {id}: {e}")))?,
-        );
-    }
-    let coord_ep = accept_sites::<S::Up, S::Down>(&listener, k, cfg.queue_capacity)?;
-    crate::engine::run_on((eps, coord_ep), sites, coordinator, streams, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -430,8 +422,7 @@ mod tests {
         let handle = thread::spawn(move || {
             let mut s = TcpStream::connect(addr).unwrap();
             // Valid HELLO, then a garbage frame.
-            s.write_all(&5u32.to_le_bytes()).unwrap();
-            s.write_all(&[TAG_HELLO, 0, 0, 0, 0]).unwrap();
+            write_hello(&s, 0).unwrap();
             s.write_all(&3u32.to_le_bytes()).unwrap();
             s.write_all(&[0xEE, 0xFF, 0x00]).unwrap();
         });

@@ -2,9 +2,11 @@
 //!
 //! A deployment is `k` site endpoints plus one coordinator endpoint. Only
 //! the *sending* halves differ between transports (an in-process channel
-//! sender vs. a framed socket writer), so those are trait objects; the
-//! receiving halves are always `std::sync::mpsc` receivers — the TCP
-//! transport bridges sockets onto channels with dedicated reader threads.
+//! sender, a framed socket writer, or a reactor connection's send
+//! buffer), so those are trait objects; the receiving halves are always
+//! `std::sync::mpsc` receivers — the socket transports bridge sockets
+//! onto channels, through the epoll engine's reactor or the blocking
+//! reader threads of [`crate::tcp`].
 //!
 //! Queue discipline (the deadlock-freedom invariant, see `crate::engine`):
 //! the site→coordinator path is **bounded** (blocking `send` = backpressure)
@@ -102,9 +104,6 @@ pub trait DownSender<D>: Send {
     /// Half-closes the link so the site's drain loop terminates.
     fn close(&mut self) {}
 }
-
-/// A fully wired deployment: one endpoint per site plus the coordinator's.
-pub type Wiring<U, D> = (Vec<SiteEndpoint<U, D>>, CoordEndpoint<U, D>);
 
 /// A site's two half-links.
 pub struct SiteEndpoint<U, D> {

@@ -15,8 +15,8 @@
 //!
 //! [`LockstepTree`] is the single-threaded specification of the topology;
 //! [`run_tree_nodes`] runs the identical tree — same per-group seeding,
-//! same [`SyncMsg`] frames, same sync metering — on concurrent threads
-//! over the pluggable transports:
+//! same [`SyncMsg`] frames, same sync metering — concurrently, on the
+//! threads or the epoll substrate:
 //!
 //! ```text
 //!   group 0: site threads ──►┐
@@ -27,12 +27,13 @@
 //!   group g-1: sites ...   ──┴─► aggregator g-1─┘
 //! ```
 //!
-//! Both hops reuse the existing transport layer: sites↔aggregator links
-//! are ordinary [`crate::transport`] wirings (bounded in-process channels
-//! or framed loopback TCP), and the aggregator→root hop is *the same
-//! up-path abstraction* instantiated at `U = SyncMsg` — so the `HELLO`
-//! handshake, batch framing, fault frames, and backpressure discipline all
-//! carry over unchanged.
+//! Both hops reuse the existing transport layer, and the aggregator→root
+//! hop is *the same up-path abstraction* as a site link, instantiated at
+//! `U = SyncMsg`. On threads, both hops are bounded in-process
+//! [`crate::transport`] channels. On epoll, site links are reactor
+//! connections, and the `g` root links are the blocking socket halves of
+//! [`crate::tcp`]; the `HELLO` handshake, batch framing, fault frames and
+//! backpressure discipline all carry over unchanged.
 //!
 //! # Deadlock freedom across two hops
 //!
@@ -65,7 +66,6 @@
 //! [`GroupStats`] and asserted by the tree equivalence suite. After
 //! shutdown the root is exact: the final sync covers every item.
 
-use std::net::{TcpListener, ToSocketAddrs};
 use std::sync::mpsc;
 use std::thread;
 
@@ -78,10 +78,7 @@ use crate::config::RuntimeConfig;
 use crate::driver::EngineKind;
 use crate::engine::{route, site_loop, RuntimeError};
 use crate::obs::{record_thread_metrics, tree_syncs_counter};
-use crate::tcp::{accept_sites, connect_site};
-use crate::transport::{
-    channel_wiring, CoordEndpoint, SiteEndpoint, TransportError, UpFrame, Wiring,
-};
+use crate::transport::{channel_wiring, CoordEndpoint, SiteEndpoint, TransportError, UpFrame};
 
 /// Shape of a two-level fan-in deployment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -166,7 +163,7 @@ impl SampleSource for SworCoordinator {
 /// Largest candidate count a window aggregator syncs in one frame: what
 /// fits a `MAX_FRAME_LEN` sync payload (17-byte header + 24 bytes per
 /// entry, with slack for the batch wrapper). ~43k entries — far above the
-/// expected `O(s·log(window/s))` retained-set size for any `s` the TCP
+/// expected `O(s·log(window/s))` retained-set size for any `s` the epoll
 /// tree admits; only adversarially ordered keys (a near-monotone key
 /// stream, whose undominated set is the whole window) ever reach it.
 const MAX_WINDOW_SYNC_ENTRIES: usize = (dwrs_core::framed::MAX_FRAME_LEN as usize - 64) / 24;
@@ -213,16 +210,16 @@ fn metered_sync<C: SampleSource>(
 /// entries cannot fit one frame: a sync frame carries the whole sample
 /// (9-byte batch header + 17-byte `SyncMsg` header + 24 bytes per entry)
 /// and the framed transport caps payloads at `MAX_FRAME_LEN`. Only the
-/// framed root hop of the `engine` tree has this limit; the channel
-/// engine has none.
-pub(crate) fn check_sync_fits_frame(s: usize, engine: EngineKind) -> Result<(), RuntimeError> {
+/// epoll tree's framed root hop has this limit; the channel engine has
+/// none.
+pub(crate) fn check_sync_fits_frame(s: usize) -> Result<(), RuntimeError> {
     let max_sync_payload = 9 + 17 + 24 * s;
     let frame_cap = dwrs_core::framed::MAX_FRAME_LEN as usize;
     if max_sync_payload > frame_cap {
         let max_s = (frame_cap - 9 - 17) / 24;
         return Err(RuntimeError::Transport(format!(
             "sample size {s} needs {max_sync_payload}-byte sync frames, over the \
-             {frame_cap}-byte framed-transport cap; the {engine} tree supports s <= {max_s}"
+             {frame_cap}-byte framed-transport cap; the epoll tree supports s <= {max_s}"
         )));
     }
     Ok(())
@@ -385,16 +382,13 @@ pub(crate) fn root_loop(endpoint: CoordEndpoint<SyncMsg, NoDown>) -> RootResult 
     }
 }
 
-/// Runs a full fan-in tree over an already-built wiring: one
-/// site/aggregator wiring per group plus the aggregator→root wiring.
-/// Generic over the protocol — `mk_site(group, site)` and
-/// `mk_aggregator(group)` build the group deployments (any
-/// [`SiteNode`]/[`CoordinatorNode`]+[`SampleSource`] pair) — and the
-/// engine behind the threaded and TCP paths of [`run_tree_nodes`].
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
-fn run_tree_on<S, A, I>(
-    group_wirings: Vec<Wiring<S::Up, S::Down>>,
-    root_wiring: Wiring<SyncMsg, NoDown>,
+/// Runs a full fan-in tree on OS threads over bounded in-process
+/// channels: one site/aggregator wiring per group plus the
+/// aggregator→root wiring. Generic over the protocol —
+/// `mk_site(group, site)` and `mk_aggregator(group)` build the group
+/// deployments (any [`SiteNode`]/[`CoordinatorNode`]+[`SampleSource`]
+/// pair). The threads arm of [`run_tree_nodes`].
+fn run_tree_threads<S, A, I>(
     s: usize,
     topo: &TreeTopology,
     mut mk_site: impl FnMut(usize, usize) -> S,
@@ -404,18 +398,15 @@ fn run_tree_on<S, A, I>(
 ) -> Result<TreeOutput, RuntimeError>
 where
     S: SiteNode + Send,
-    S::Up: Send,
-    S::Down: Send,
+    S::Up: Send + 'static,
+    S::Down: Clone + Send + 'static,
     A: CoordinatorNode<Up = S::Up, Down = S::Down> + SampleSource + Send,
     I: IntoIterator<Item = Item> + Send,
 {
     let (g, k) = (topo.groups, topo.k_per_group);
     let batch_max = cfg.batch_max.max(1);
     let down_poll_every = cfg.down_poll_every.max(1);
-    let (root_links, root_ep) = root_wiring;
-    assert_eq!(group_wirings.len(), g, "one wiring per group");
-    assert_eq!(root_links.len(), g, "one root link per group");
-    assert_eq!(streams.len(), g, "one stream block per group");
+    let (root_links, root_ep) = channel_wiring::<SyncMsg, NoDown>(g, cfg.queue_capacity);
 
     type SiteRes = Result<Metrics, RuntimeError>;
     type AggRes = Result<(Metrics, GroupStats), RuntimeError>;
@@ -423,14 +414,9 @@ where
         let mut site_handles: Vec<thread::ScopedJoinHandle<'_, SiteRes>> =
             Vec::with_capacity(g * k);
         let mut agg_handles: Vec<thread::ScopedJoinHandle<'_, AggRes>> = Vec::with_capacity(g);
-        for (gi, (((site_eps, coord_ep), root_link), group_streams)) in group_wirings
-            .into_iter()
-            .zip(root_links)
-            .zip(streams)
-            .enumerate()
-        {
-            assert_eq!(site_eps.len(), k, "one endpoint per site");
+        for (gi, (root_link, group_streams)) in root_links.into_iter().zip(streams).enumerate() {
             assert_eq!(group_streams.len(), k, "one stream partition per site");
+            let (site_eps, coord_ep) = channel_wiring(k, cfg.queue_capacity);
             for ((i, ep), items) in site_eps.into_iter().enumerate().zip(group_streams) {
                 let mut site = mk_site(gi, i);
                 site_handles
@@ -606,8 +592,8 @@ where
     }
 }
 
-/// Runs a generic fan-in tree on the threaded or TCP substrate: `g` groups
-/// of `k` sites built by `mk_site(group, site)` against per-group
+/// Runs a generic fan-in tree on the threads or epoll substrate: `g`
+/// groups of `k` sites built by `mk_site(group, site)` against per-group
 /// aggregators built by `mk_aggregator(group)` (any
 /// [`SiteNode`]/[`CoordinatorNode`]+[`SampleSource`] pair), with the
 /// aggregator→root hop at `U = SyncMsg` and the root merging each group's
@@ -630,31 +616,14 @@ where
     A: CoordinatorNode<Up = S::Up, Down = S::Down> + SampleSource + Send,
     I: IntoIterator<Item = Item> + Send,
 {
-    let (g, k) = (topo.groups, topo.k_per_group);
-    assert_eq!(streams.len(), g, "one stream block per group");
+    assert_eq!(streams.len(), topo.groups, "one stream block per group");
     match engine {
         EngineKind::Lockstep => Err(RuntimeError::InvalidScenario(
             "run_tree_nodes drives the concurrent substrates; lockstep trees run through \
              the scenario driver"
                 .into(),
         )),
-        EngineKind::Threads => {
-            let group_wirings = (0..g)
-                .map(|_| channel_wiring(k, cfg.queue_capacity))
-                .collect();
-            let root_wiring = channel_wiring(g, cfg.queue_capacity);
-            run_tree_on(
-                group_wirings,
-                root_wiring,
-                s,
-                topo,
-                mk_site,
-                mk_aggregator,
-                streams,
-                cfg,
-            )
-        }
-        EngineKind::Tcp => run_tree_tcp(s, topo, mk_site, mk_aggregator, streams, cfg),
+        EngineKind::Threads => run_tree_threads(s, topo, mk_site, mk_aggregator, streams, cfg),
         EngineKind::Epoll => {
             // This vec-based entry point materializes each partition into
             // a [`crate::epoll::VecFeed`]; streaming deployments (the
@@ -676,81 +645,6 @@ where
             crate::epoll::run_tree_epoll(s, topo, mk_site, mk_aggregator, feeds, cfg)
         }
     }
-}
-
-/// Wires the whole tree over loopback TCP inside one process — one
-/// listener per aggregator plus one for the root, every hop crossing the
-/// kernel's TCP stack with framed wire encoding — then hands off
-/// to the shared engine.
-fn run_tree_tcp<S, A, I>(
-    s: usize,
-    topo: &TreeTopology,
-    mk_site: impl FnMut(usize, usize) -> S,
-    mk_aggregator: impl FnMut(usize) -> A,
-    streams: Vec<Vec<I>>,
-    cfg: &RuntimeConfig,
-) -> Result<TreeOutput, RuntimeError>
-where
-    S: SiteNode + Send,
-    S::Up: dwrs_core::framed::FrameCodec + Send + 'static,
-    S::Down: dwrs_core::framed::FrameCodec + Send + 'static,
-    A: CoordinatorNode<Up = S::Up, Down = S::Down> + SampleSource + Send,
-    I: IntoIterator<Item = Item> + Send,
-{
-    let (g, k) = (topo.groups, topo.k_per_group);
-    check_sync_fits_frame(s, EngineKind::Tcp)?;
-    let bind = |what: &str| -> Result<(TcpListener, std::net::SocketAddr), RuntimeError> {
-        let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0))
-            .map_err(|e| RuntimeError::Transport(format!("bind {what} listener: {e}")))?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| RuntimeError::Transport(e.to_string()))?;
-        Ok((listener, addr))
-    };
-    let (root_listener, root_addr) = bind("root")?;
-    let mut group_wirings = Vec::with_capacity(g);
-    let mut root_links = Vec::with_capacity(g);
-    for gi in 0..g {
-        let (listener, addr) = bind("group")?;
-        // Connect all k site sockets first (they complete against the
-        // listen backlog), then accept and handshake — as in the flat
-        // loopback engine.
-        let mut eps = Vec::with_capacity(k);
-        for i in 0..k {
-            eps.push(tcp_connect(addr, i, &format!("group {gi} site {i}"))?);
-        }
-        let coord_ep = accept_sites(&listener, k, cfg.queue_capacity)?;
-        group_wirings.push((eps, coord_ep));
-        root_links.push(tcp_connect(
-            root_addr,
-            gi,
-            &format!("group {gi} root link"),
-        )?);
-    }
-    let root_ep = accept_sites::<SyncMsg, NoDown>(&root_listener, g, cfg.queue_capacity)?;
-    run_tree_on(
-        group_wirings,
-        (root_links, root_ep),
-        s,
-        topo,
-        mk_site,
-        mk_aggregator,
-        streams,
-        cfg,
-    )
-}
-
-/// [`connect_site`] with a contextualized transport error.
-pub(crate) fn tcp_connect<U, D>(
-    addr: impl ToSocketAddrs,
-    id: usize,
-    what: &str,
-) -> Result<SiteEndpoint<U, D>, RuntimeError>
-where
-    U: dwrs_core::framed::FrameCodec + Send + 'static,
-    D: dwrs_core::framed::FrameCodec + Send + 'static,
-{
-    connect_site(addr, id).map_err(|e| RuntimeError::Transport(format!("connect {what}: {e}")))
 }
 
 #[cfg(test)]
@@ -960,25 +854,6 @@ mod tests {
     }
 
     #[test]
-    fn tcp_tree_end_to_end() {
-        let topo = TreeTopology::new(2, 2, 1_000);
-        let n = 20_000u64;
-        let out = run_swor_tree(
-            EngineKind::Tcp,
-            8,
-            &topo,
-            7,
-            tree_streams(&topo, n),
-            &RuntimeConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(out.root_sample.len(), 8);
-        let items: u64 = out.group_stats.iter().map(|st| st.items).sum();
-        assert_eq!(items, n);
-        assert!(out.metrics.kind("sync") > 0);
-    }
-
-    #[test]
     fn tiny_queue_and_batch_tree_still_completes() {
         // Two-hop backpressure on every message: the deadlock-freedom
         // invariant must hold tier-wise.
@@ -1002,26 +877,24 @@ mod tests {
 
     #[test]
     fn tcp_tree_rejects_sample_size_over_frame_cap() {
-        // A sync frame must fit MAX_FRAME_LEN; the framed engines fail fast
-        // with a diagnostic instead of erroring mid-run (the channel engine
-        // has no framing and accepts the same size).
+        // A sync frame must fit MAX_FRAME_LEN; the framed epoll tree fails
+        // fast with a diagnostic instead of erroring mid-run (the channel
+        // engine has no framing and accepts the same size).
         let topo = TreeTopology::new(1, 1, 1_000);
-        for engine in [EngineKind::Tcp, EngineKind::Epoll] {
-            let err = run_swor_tree(
-                engine,
-                50_000,
-                &topo,
-                1,
-                vec![vec![Vec::new()]],
-                &RuntimeConfig::default(),
-            )
-            .unwrap_err();
-            assert!(
-                matches!(err, RuntimeError::Transport(ref m)
-                    if m.contains("sample size 50000") && m.contains(&format!("{engine} tree"))),
-                "{engine}: got {err:?}"
-            );
-        }
+        let err = run_swor_tree(
+            EngineKind::Epoll,
+            50_000,
+            &topo,
+            1,
+            vec![vec![Vec::new()]],
+            &RuntimeConfig::default(),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, RuntimeError::Transport(ref m)
+                if m.contains("sample size 50000") && m.contains("epoll tree")),
+            "got {err:?}"
+        );
     }
 
     #[test]

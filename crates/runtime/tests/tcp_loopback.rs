@@ -1,10 +1,9 @@
 //! Integration: the full weighted-SWOR protocol over real loopback TCP
-//! sockets, on the thread-per-connection (`run_tcp`) and event-driven
-//! (`run_epoll`) engines, against the in-process channel engine.
+//! sockets on the event-driven (`run_epoll`) engine, against the
+//! in-process channel engine.
 
 use dwrs_core::swor::{SworConfig, SworCoordinator, SworSite};
 use dwrs_core::Item;
-use dwrs_runtime::tcp::run_tcp;
 use dwrs_runtime::{
     run_epoll, run_threads, EngineKind, ItemFeed, RunOutput, RuntimeConfig, VecFeed,
 };
@@ -18,7 +17,7 @@ fn round_robin(items: &[Item], k: usize) -> Vec<Vec<Item>> {
 }
 
 /// The weighted-SWOR deployment (seeded like the lockstep builders) over
-/// per-site partitions on one of the threaded engines.
+/// per-site partitions on one of the concurrent engines.
 fn swor_on_engine(
     engine: EngineKind,
     cfg: SworConfig,
@@ -32,7 +31,6 @@ fn swor_on_engine(
     let rcfg = RuntimeConfig::default();
     match engine {
         EngineKind::Threads => run_threads(sites, coordinator, streams, &rcfg),
-        EngineKind::Tcp => run_tcp(sites, coordinator, streams, &rcfg),
         EngineKind::Epoll => {
             let feeds = streams
                 .into_iter()
@@ -46,33 +44,8 @@ fn swor_on_engine(
 }
 
 #[test]
-fn tcp_engine_end_to_end() {
-    let k = 4;
-    let items = dwrs_workloads::zipf_ranked(50_000, 1.2, 9);
-    let out = swor_on_engine(
-        EngineKind::Tcp,
-        SworConfig::new(16, k),
-        1234,
-        round_robin(&items, k),
-    );
-    assert_eq!(out.coordinator.sample().len(), 16);
-    // Exact wire accounting survives the socket hop and the thread merge.
-    let m = &out.metrics;
-    assert_eq!(m.up_bytes, 17 * m.kind("early") + 25 * m.kind("regular"));
-    assert_eq!(
-        m.down_bytes,
-        5 * m.kind("level_saturated") + 9 * m.kind("update_epoch")
-    );
-    assert_eq!(m.down_total, m.broadcast_events * k as u64);
-    // The sample is the true top-s: every sampled key clears the final u.
-    let sample = out.coordinator.sample();
-    let u = out.coordinator.u();
-    assert!(sample.iter().all(|kd| kd.key >= u));
-}
-
-#[test]
 fn tcp_and_threads_agree_on_heavy_hitter_inclusion() {
-    // Same deployment, same seed, every threaded substrate: the heaviest
+    // Same deployment, same seed, every concurrent substrate: the heaviest
     // item of a very skewed stream must be sampled by each (its inclusion
     // probability is overwhelming at this weight ratio).
     let k = 4;
@@ -88,7 +61,7 @@ fn tcp_and_threads_agree_on_heavy_hitter_inclusion() {
             it.weight *= 1e6;
         }
     }
-    for engine in [EngineKind::Threads, EngineKind::Tcp, EngineKind::Epoll] {
+    for engine in [EngineKind::Threads, EngineKind::Epoll] {
         let out = swor_on_engine(engine, SworConfig::new(8, k), 555, round_robin(&items, k));
         assert!(
             out.coordinator

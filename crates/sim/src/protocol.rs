@@ -102,7 +102,7 @@ impl<D> Outbox<D> {
 
     /// Removes and returns everything queued: `(unicasts, broadcasts)`.
     /// This is how execution substrates (the lockstep [`crate::Runner`],
-    /// the `dwrs-runtime` thread/TCP engines) route coordinator responses.
+    /// the `dwrs-runtime` threads/epoll engines) route coordinator responses.
     pub fn take(&mut self) -> (Vec<(usize, D)>, Vec<D>) {
         (
             std::mem::take(&mut self.unicasts),

@@ -129,7 +129,7 @@ fn every_engine_is_documented() {
     let usage = repo_file("crates/cli/src/args.rs");
     let arch = repo_file("docs/ARCHITECTURE.md");
     let err = "quantum".parse::<dwrs::runtime::EngineKind>().unwrap_err();
-    for engine in ["lockstep", "threads", "tcp", "epoll"] {
+    for engine in ["lockstep", "threads", "epoll"] {
         assert!(
             err.contains(engine),
             "EngineKind's parse error does not enumerate '{engine}': {err}"

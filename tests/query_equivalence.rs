@@ -3,7 +3,7 @@
 //! heavy-hitter query must recover the exact oracle's required set —
 //! mirroring `tests/runtime_equivalence.rs` for the SWOR base protocol.
 //!
-//! The threaded/TCP engines run in the delayed-delivery regime, so
+//! The threads/epoll engines run in the delayed-delivery regime, so
 //! message counts differ from lockstep, but each query's *answer
 //! distribution* may not: L1 estimates pass two-sample KS/chi² checks
 //! between engines, residual-heavy-hitter recall is 1.0 against the exact
@@ -121,7 +121,7 @@ fn rhh_recall_is_exact_on_every_engine_and_topology() {
         eps: 0.2,
         delta: 0.05,
     };
-    for engine in [EngineKind::Lockstep, EngineKind::Threads, EngineKind::Tcp] {
+    for engine in [EngineKind::Lockstep, EngineKind::Threads, EngineKind::Epoll] {
         for topology in [
             Topology::Flat,
             Topology::Tree {
@@ -177,7 +177,7 @@ fn window_sample_is_bit_identical_across_engines() {
         let lockstep = bits(EngineKind::Lockstep, seed);
         assert_eq!(lockstep.len(), 16, "seed {seed}");
         assert_eq!(lockstep, bits(EngineKind::Threads, seed), "seed {seed}");
-        assert_eq!(lockstep, bits(EngineKind::Tcp, seed), "seed {seed}");
+        assert_eq!(lockstep, bits(EngineKind::Epoll, seed), "seed {seed}");
         // Everything sampled lies in the final window.
         assert!(lockstep.iter().all(|&(id, _)| id >= 10_000 - 3_000));
     }

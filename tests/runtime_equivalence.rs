@@ -218,12 +218,7 @@ fn engines_agree_on_large_skewed_stream_invariants() {
     let k = 4;
     let s = 16;
     let n = 100_000u64;
-    for engine in [
-        EngineKind::Lockstep,
-        EngineKind::Threads,
-        EngineKind::Tcp,
-        EngineKind::Epoll,
-    ] {
+    for engine in [EngineKind::Lockstep, EngineKind::Threads, EngineKind::Epoll] {
         let sc = Scenario::new(engine, k, s)
             .with_n(n)
             .with_seed(77)

@@ -201,12 +201,7 @@ fn tree_engines_agree_on_large_skewed_stream_invariants() {
     };
     let s = 16;
     let n = 200_000u64;
-    for engine in [
-        EngineKind::Lockstep,
-        EngineKind::Threads,
-        EngineKind::Tcp,
-        EngineKind::Epoll,
-    ] {
+    for engine in [EngineKind::Lockstep, EngineKind::Threads, EngineKind::Epoll] {
         let sc = Scenario::new(engine, 8, s)
             .with_n(n)
             .with_seed(77)
