@@ -10,11 +10,17 @@
 ///   flushed at end-of-stream). Larger batches amortize channel wakeups and
 ///   socket syscalls; smaller batches tighten the staleness window in which
 ///   the coordinator has not yet seen a site's candidates.
-/// * `queue_capacity` — bound (in batches) of the site→coordinator queue.
-///   When the coordinator falls behind, site `send`s block: bounded-queue
-///   backpressure instead of unbounded buffering. The down path is
-///   deliberately *unbounded* and eagerly drained, which is what makes the
-///   blocking up path deadlock-free (see `crate::engine`).
+/// * `queue_capacity` — bound (in batches) of each coordinator's
+///   site→coordinator path: bounded-queue backpressure instead of
+///   unbounded buffering. On threads it is the up channel's capacity, and
+///   site `send`s block when the coordinator falls behind. On epoll it
+///   counts credits from the moment a site encodes a batch until its
+///   coordinator takes it, so batches parked in send buffers and kernel
+///   socket buffers count too; a site stops pulling input while its
+///   coordinator's credits are used up. Trees bound each group's
+///   aggregator separately. The down path is deliberately *unbounded* and
+///   eagerly drained, which is what makes the bounded up path
+///   deadlock-free (see `crate::engine`).
 /// * `down_poll_every` — items a site observes between polls of its down
 ///   link. Each poll is an atomic-laden channel drain (or a nonblocking
 ///   socket read on the epoll engine), so polling every item costs real
@@ -30,7 +36,7 @@
 pub struct RuntimeConfig {
     /// Upstream messages per transport frame before a flush is forced.
     pub batch_max: usize,
-    /// Site→coordinator queue bound, in batches.
+    /// Site→coordinator bound per coordinator, in batches.
     pub queue_capacity: usize,
     /// Items a site observes between polls of its down link.
     pub down_poll_every: u32,
@@ -58,7 +64,7 @@ impl RuntimeConfig {
         self
     }
 
-    /// Sets the up-queue capacity (clamped to ≥ 1).
+    /// Sets the up-path bound in batches (clamped to ≥ 1).
     pub fn with_queue_capacity(mut self, queue_capacity: usize) -> Self {
         self.queue_capacity = queue_capacity.max(1);
         self

@@ -17,28 +17,39 @@
 //!   of a blocking iterator, so one stalled feed never wedges the other
 //!   tasks sharing its worker.
 //! * **Coordinator side** — one reactor thread owns every site connection:
-//!   it reassembles up-frames and pushes them into the same bounded
-//!   `mpsc` queue `coordinator_loop` already consumes, and flushes
+//!   it reassembles up-frames and hands each one to the unmodified
+//!   `coordinator_loop` over a rendezvous `mpsc` channel, and flushes
 //!   down-messages from per-connection `SendBuf`s on write readiness.
-//!   The unmodified `coordinator_loop` services the protocol.
 //!
 //! # Backpressure and deadlock freedom, tier by tier
 //!
-//! The engine invariant (bounded blocking up path, unbounded eagerly
-//! drained down path — see [`crate::engine`]) maps onto the reactor so:
+//! The engine invariant (bounded up path, unbounded eagerly drained down
+//! path — see [`crate::engine`]) maps onto the reactor so:
 //!
-//! * The coordinator reactor *may* block pushing a decoded frame into the
-//!   bounded up queue. The coordinator always returns to draining that
-//!   queue, so the reactor always unblocks; while it is blocked it reads
-//!   no sockets, kernel receive buffers fill, and site writes see
-//!   `WouldBlock` — the backpressure chain of a blocking socket.
+//! * The up path is bounded by credits: `queue_capacity` BATCH frames per
+//!   coordinator, counted from the moment a site task encodes one until
+//!   the coordinator takes it (`CreditPool`). A task takes a credit per
+//!   encoded BATCH frame and stops *pulling input* while its
+//!   coordinator's credits are used up, so frames built against stale
+//!   thresholds cannot pile up in send buffers and kernel socket buffers
+//!   while the coordinator is busy. No event-loop thread ever blocks on
+//!   a credit.
+//! * The reactor hands each frame over a rendezvous channel and returns
+//!   its credit once `send` returns. It therefore waits at most for the
+//!   batch the coordinator is already processing; the coordinator always
+//!   returns to `recv` (its down sends never block), so the reactor
+//!   always unblocks.
 //! * The reactor reads each readable connection at most once per pass,
 //!   then runs its down-flush pass. Level-triggered epoll reports the
 //!   unread rest on the next pass, so one busy connection cannot starve
 //!   the down path of fresh thresholds.
-//! * A site task stops *pulling input* while its up `SendBuf` is over
-//!   cap (the buffered analogue of a blocking `send`), so per-connection
-//!   memory stays bounded without ever blocking an event-loop thread.
+//! * A site task also stops pulling input while its up `SendBuf` is over
+//!   cap, so per-connection memory stays bounded even for frames that
+//!   take no credit.
+//! * Credits held by a dead connection never come back, so a pool stops
+//!   gating once the reactor sees a fault, finds the coordinator gone, or
+//!   exits for any reason. Returning credits wakes parked site workers
+//!   through their `Waker`s, once per drop to half the bound.
 //! * Down sends never block and never fail: [`DownSender::send`] appends
 //!   to the connection's `SendBuf` under a mutex and wakes the reactor
 //!   (`Waker` coalesces wake storms to one byte). Sites drain eagerly,
@@ -181,27 +192,107 @@ impl ItemFeed for VecFeed {
     }
 }
 
+// -------------------------------------------------------------- credits
+
+/// One waker per site worker, shared by every credit pool of a run.
+type Wakers = Arc<[Arc<Waker>]>;
+
+/// The up-path bound of one coordinator: `queue_capacity` BATCH frames,
+/// counted from the moment a site task encodes one until the coordinator
+/// takes it off the reactor's rendezvous handoff.
+///
+/// The bound is soft by at most one frame per site worker (a task checks
+/// [`CreditPool::used_up`] before each item but takes its credit at the
+/// flush), and the closing frames of `finish_stream` take credits without
+/// waiting for them.
+struct CreditPool {
+    /// BATCH frames encoded and not yet taken by the coordinator.
+    in_flight: AtomicUsize,
+    bound: usize,
+    /// Cleared once credits can stop coming back (a fault, an orphaned
+    /// handoff, the reactor's exit); a closed pool never gates again.
+    open: AtomicBool,
+    /// Every site worker's waker: a worker parked on used-up credits has
+    /// no fd that tells it they came back.
+    wakers: Wakers,
+}
+
+impl CreditPool {
+    fn new(bound: usize, wakers: Wakers) -> Arc<CreditPool> {
+        Arc::new(CreditPool {
+            in_flight: AtomicUsize::new(0),
+            bound: bound.max(1),
+            open: AtomicBool::new(true),
+            wakers,
+        })
+    }
+
+    /// Takes the credit of one encoded BATCH frame. Never waits: tasks
+    /// wait before pulling input instead, in [`CreditPool::used_up`].
+    fn take(&self) {
+        self.in_flight.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// True while the tasks drawing on this pool must stop pulling input.
+    fn used_up(&self) -> bool {
+        self.in_flight.load(Ordering::Acquire) >= self.bound && self.open.load(Ordering::Acquire)
+    }
+
+    /// Returns one credit. Every worker is woken when the count falls to
+    /// half the bound (to zero for a bound of one): waking on every
+    /// used-up → free transition would cost a wake per frame at full load.
+    /// Saturates at zero, so a BATCH frame that took no credit (a foreign
+    /// peer) cannot wrap the count into a permanent stall.
+    fn put(&self) {
+        let prev = self
+            .in_flight
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1));
+        if prev == Ok(self.bound / 2 + 1) {
+            self.wake_all();
+        }
+    }
+
+    /// Stops gating for good and wakes every worker parked on the pool.
+    fn close(&self) {
+        if self.open.swap(false, Ordering::AcqRel) {
+            self.wake_all();
+        }
+    }
+
+    fn wake_all(&self) {
+        for w in self.wakers.iter() {
+            w.wake();
+        }
+    }
+}
+
 // ------------------------------------------------------------ up sender
 
 /// [`BatchSender`] over a [`SendBuf`]: encodes through the data-plane
 /// codec into the connection's buffer instead of a blocking socket write,
 /// so `engine::flush` (and its metering) is reused verbatim by the
-/// resumable site task.
+/// resumable site task. Every BATCH frame it encodes takes a credit.
 struct BufUp<'a> {
     buf: &'a mut SendBuf,
+    credits: &'a CreditPool,
 }
 
 impl<U: FrameCodec + Send> BatchSender<U> for BufUp<'_> {
     fn send(&mut self, frame: UpFrame<U>) -> Result<(), TransportError> {
         self.buf
             .frame_with(|b| encode_up(&frame, b))
-            .map_err(TransportError::Io)
+            .map_err(TransportError::Io)?;
+        if matches!(frame, UpFrame::Batch { .. }) {
+            self.credits.take();
+        }
+        Ok(())
     }
 
     fn send_batch(&mut self, batch: &mut Vec<U>, items: u64) -> Result<(), TransportError> {
         self.buf
             .frame_with(|b| encode_batch(batch, items, b))
             .map_err(TransportError::Io)?;
+        self.credits.take();
         batch.clear();
         Ok(())
     }
@@ -236,6 +327,8 @@ struct SiteTask<S: SiteNode> {
     stream: TcpStream,
     recv: RecvBuf,
     send: SendBuf,
+    /// The credit pool of the coordinator this site reports to.
+    credits: Arc<CreditPool>,
     batch: Vec<S::Up>,
     items_pending: u64,
     until_poll: u32,
@@ -261,7 +354,13 @@ where
     S::Up: FrameCodec + Send,
     S::Down: FrameCodec,
 {
-    fn new(global: usize, site: S, feed: Box<dyn ItemFeed>, stream: TcpStream) -> SiteTask<S> {
+    fn new(
+        global: usize,
+        site: S,
+        feed: Box<dyn ItemFeed>,
+        stream: TcpStream,
+        credits: Arc<CreditPool>,
+    ) -> SiteTask<S> {
         SiteTask {
             global,
             site,
@@ -270,6 +369,7 @@ where
             stream,
             recv: RecvBuf::new(),
             send: SendBuf::with_cap(UP_BUF_CAP),
+            credits,
             batch: Vec::new(),
             items_pending: 0,
             until_poll: 0,
@@ -298,9 +398,10 @@ where
                 }
                 let mut budget = FEED_CHUNK;
                 while budget > 0 && self.phase == Phase::Streaming {
-                    if self.send.over_cap() {
+                    if self.send.over_cap() || self.credits.used_up() {
                         // Backpressure: stop pulling input until write
-                        // readiness drains the buffer below cap.
+                        // readiness drains the buffer below cap and the
+                        // coordinator has taken enough frames.
                         break;
                     }
                     let item = match self.cur.next() {
@@ -359,7 +460,8 @@ where
 
     /// The end-of-stream sequence of `site_loop`: `finish`, chunked final
     /// flushes, the residual item-count watermark, `EOF` — all queued into
-    /// the send buffer; [`Phase::Closing`] drains it to the socket.
+    /// the send buffer; [`Phase::Closing`] drains it to the socket. Its
+    /// BATCH frames take credits without waiting for them.
     fn finish_stream(&mut self, batch_max: usize) -> Result<(), RuntimeError> {
         self.site.finish(&mut self.batch);
         while self.batch.len() > batch_max {
@@ -377,6 +479,7 @@ where
             let items = std::mem::take(&mut self.items_pending);
             let mut up = BufUp {
                 buf: &mut self.send,
+                credits: &self.credits,
             };
             BatchSender::<S::Up>::send(
                 &mut up,
@@ -389,6 +492,7 @@ where
         }
         let mut up = BufUp {
             buf: &mut self.send,
+            credits: &self.credits,
         };
         BatchSender::<S::Up>::send(&mut up, UpFrame::Eof).map_err(RuntimeError::from)?;
         self.phase = Phase::Closing;
@@ -400,6 +504,7 @@ where
     fn flush_batch(&mut self, batch_max: usize) -> Result<(), RuntimeError> {
         let mut up = BufUp {
             buf: &mut self.send,
+            credits: &self.credits,
         };
         flush(
             &mut up,
@@ -516,16 +621,37 @@ where
 /// Per-task outcome of a worker shard: `(global_index, result)`.
 type SiteResults<S> = Vec<(usize, Result<(S, Metrics), RuntimeError>)>;
 
-/// Runs `tasks` to completion on a pool of event-loop threads, returning
-/// `(global_index, result)` per task. Tasks are distributed round-robin,
-/// preserving a deterministic global→worker mapping.
-fn run_site_pool<S>(tasks: Vec<SiteTask<S>>, batch_max: usize, down_poll: u32) -> SiteResults<S>
+/// Makes one waker per site worker (`EPOLL_WORKERS`, fewer when there are
+/// fewer sites). The credit pools hold the wakers; [`run_site_pool`] gets
+/// the receive ends, one per worker.
+fn site_wakers(sites: usize) -> Result<(Wakers, Vec<WakeRx>), RuntimeError> {
+    let mut wakers = Vec::new();
+    let mut rxs = Vec::new();
+    for _ in 0..EPOLL_WORKERS.min(sites).max(1) {
+        let (waker, rx) =
+            wake_pair().map_err(|e| io_runtime_err("creating site worker waker", &e))?;
+        wakers.push(waker);
+        rxs.push(rx);
+    }
+    Ok((wakers.into(), rxs))
+}
+
+/// Runs `tasks` to completion on a pool of event-loop threads, one per
+/// waker in `wake_rxs`, returning `(global_index, result)` per task.
+/// Tasks are distributed round-robin, preserving a deterministic
+/// global→worker mapping.
+fn run_site_pool<S>(
+    tasks: Vec<SiteTask<S>>,
+    wake_rxs: Vec<WakeRx>,
+    batch_max: usize,
+    down_poll: u32,
+) -> SiteResults<S>
 where
     S: SiteNode + Send,
     S::Up: FrameCodec + Send,
     S::Down: FrameCodec,
 {
-    let workers = EPOLL_WORKERS.min(tasks.len()).max(1);
+    let workers = wake_rxs.len();
     let mut shards: Vec<Vec<SiteTask<S>>> = (0..workers).map(|_| Vec::new()).collect();
     for (i, t) in tasks.into_iter().enumerate() {
         shards[i % workers].push(t);
@@ -533,7 +659,10 @@ where
     thread::scope(|scope| {
         let handles: Vec<_> = shards
             .into_iter()
-            .map(|shard| scope.spawn(move || site_worker(shard, batch_max, down_poll)))
+            .zip(wake_rxs)
+            .map(|(shard, wake_rx)| {
+                scope.spawn(move || site_worker(shard, wake_rx, batch_max, down_poll))
+            })
             .collect();
         let mut out = Vec::new();
         for h in handles {
@@ -550,14 +679,24 @@ where
 
 /// One event-loop thread: steps every task while progress is made, then
 /// blocks on the poller (with a short timeout — feed arrivals have no fd)
-/// and refreshes per-task readiness hints.
-fn site_worker<S>(mut tasks: Vec<SiteTask<S>>, batch_max: usize, down_poll: u32) -> SiteResults<S>
+/// and refreshes per-task readiness hints. Returning credits wakes it
+/// through `wake_rx`.
+fn site_worker<S>(
+    mut tasks: Vec<SiteTask<S>>,
+    mut wake_rx: WakeRx,
+    batch_max: usize,
+    down_poll: u32,
+) -> SiteResults<S>
 where
     S: SiteNode,
     S::Up: FrameCodec + Send,
     S::Down: FrameCodec,
 {
     let poller = Poller::new().ok();
+    if let Some(p) = poller.as_ref() {
+        // A failed registration only costs parked tasks the poll timeout.
+        let _ = p.register(wake_rx.raw_fd(), WAKE_TOKEN, true, false);
+    }
     let mut meter = ReactorMeter::new();
     let mut events: Vec<PollEvent> = Vec::new();
     let mut events_since_wait = 0usize;
@@ -611,6 +750,10 @@ where
                     thread::sleep(Duration::from_micros(500));
                 }
                 for ev in &events {
+                    if ev.token == WAKE_TOKEN {
+                        wake_rx.drain();
+                        continue;
+                    }
                     if let Some(t) = tasks.get_mut(ev.token as usize) {
                         if ev.readable {
                             t.read_ready = true;
@@ -757,7 +900,7 @@ impl ConnTx {
 
 /// [`DownSender`] feeding the reactor: never blocks, never fails while
 /// the link is up (deadlock-freedom invariant — the coordinator must
-/// always return to draining its up queue).
+/// always return to taking up-frames off the reactor's handoff).
 struct EpollDownSender<D> {
     tx: Arc<ConnTx>,
     _marker: std::marker::PhantomData<fn(D)>,
@@ -810,16 +953,16 @@ impl<D> Drop for EpollDownSender<D> {
 /// One site connection from the coordinator reactor's point of view.
 struct CoordConn {
     stream: TcpStream,
-    /// Site id within the queue's deployment (flat: global id; tree: the
-    /// member index within the group).
+    /// Site id within its coordinator's deployment (flat: global id;
+    /// tree: the member index within the group).
     site: usize,
-    /// Which up queue this connection reports into (flat: 0; tree: the
+    /// Which `UpLink` this connection reports into (flat: 0; tree: the
     /// group index).
     queue: usize,
     recv: RecvBuf,
     tx: Arc<ConnTx>,
     /// No more up-frames will be delivered (Eof/Fault seen, peer gone, or
-    /// queue receiver dropped).
+    /// coordinator's receiver dropped).
     up_done: bool,
     /// Our write half is shut (clean close handshake or teardown).
     write_shut: bool,
@@ -830,8 +973,8 @@ struct CoordConn {
 }
 
 impl CoordConn {
-    /// Wraps one accepted site connection, reporting as `site` into up
-    /// queue `queue`, together with the down sender the coordinator
+    /// Wraps one accepted site connection, reporting as `site` into
+    /// `UpLink` `queue`, together with the down sender the coordinator
     /// writes to it through.
     fn new<D: FrameCodec + Send + 'static>(
         stream: TcpStream,
@@ -861,22 +1004,51 @@ impl CoordConn {
     }
 }
 
-type UpQueue<U> = mpsc::SyncSender<(usize, UpFrame<U>)>;
+/// One coordinator's up path as the reactor sees it: the rendezvous
+/// handoff into its loop and the credit pool its sites draw on.
+struct UpLink<U> {
+    tx: mpsc::SyncSender<(usize, UpFrame<U>)>,
+    credits: Arc<CreditPool>,
+}
 
-/// Delivers one decoded frame into the connection's up queue: any
-/// non-batch frame ends the up path; a fault (or an orphaned queue) tears
-/// the whole connection down so a still-streaming peer errors out
-/// promptly.
-fn deliver<U>(c: &mut CoordConn, ups: &[UpQueue<U>], frame: UpFrame<U>) {
-    let terminal = !matches!(frame, UpFrame::Batch { .. });
+impl<U> UpLink<U> {
+    /// A link over a fresh rendezvous channel (`sync_channel(0)`): the
+    /// credits are the bound, so the channel itself holds nothing.
+    fn new(credits: Arc<CreditPool>) -> (UpLink<U>, mpsc::Receiver<(usize, UpFrame<U>)>) {
+        let (tx, rx) = mpsc::sync_channel(0);
+        (UpLink { tx, credits }, rx)
+    }
+}
+
+/// The reactor owns every `UpLink`, so however it exits (done, error,
+/// panic) the pools stop gating: credits still in flight then have no
+/// one left to return them.
+impl<U> Drop for UpLink<U> {
+    fn drop(&mut self) {
+        self.credits.close();
+    }
+}
+
+/// Hands one decoded frame to the connection's coordinator and returns a
+/// BATCH frame's credit once the coordinator has taken it: any non-batch
+/// frame ends the up path; a fault (or an orphaned handoff) tears the
+/// whole connection down so a still-streaming peer errors out promptly,
+/// and closes the credit pool, whose credits that connection may hold.
+fn deliver<U>(c: &mut CoordConn, ups: &[UpLink<U>], frame: UpFrame<U>) {
+    let up = &ups[c.queue];
+    let batch = matches!(frame, UpFrame::Batch { .. });
     let broken = matches!(frame, UpFrame::Fault(_));
-    // Blocking send is the backpressure: while the bounded queue is full
-    // the reactor reads no sockets, kernel buffers fill, sites stall.
-    let orphaned = ups[c.queue].send((c.site, frame)).is_err();
-    if terminal || orphaned {
+    // A rendezvous: `send` returns once the coordinator has taken the
+    // frame, so the reactor waits at most for the batch it is processing.
+    let orphaned = up.tx.send((c.site, frame)).is_err();
+    if batch {
+        up.credits.put();
+    }
+    if !batch || orphaned {
         c.up_done = true;
     }
     if broken || orphaned {
+        up.credits.close();
         let mut st = c.tx.state.lock().expect("down state poisoned");
         st.send.clear();
         st.closing = true;
@@ -893,7 +1065,7 @@ fn deliver<U>(c: &mut CoordConn, ups: &[UpQueue<U>], frame: UpFrame<U>) {
 /// loop never ends, and the reactor's down-flush pass starves. The reactor
 /// is level-triggered, so whatever this call leaves in the kernel buffer
 /// is reported again on the next pass.
-fn service_read<U: FrameCodec>(c: &mut CoordConn, ups: &[UpQueue<U>]) {
+fn service_read<U: FrameCodec>(c: &mut CoordConn, ups: &[UpLink<U>]) {
     let n = loop {
         match c.recv.fill_from(&mut (&c.stream)) {
             Ok(n) => break n,
@@ -957,14 +1129,15 @@ fn flush_conn_downs(c: &mut CoordConn) {
 }
 
 /// The coordinator-side event loop: one thread multiplexing every site
-/// connection. Decoded up-frames flow into the bounded queues consumed by
-/// [`coordinator_loop`]; down-frames queued by [`EpollDownSender`]s flush
-/// on write readiness. Exits once every connection has completed both
-/// directions; dropping the connections closes the sockets, so even an
-/// abnormal exit releases the sites' drain loops.
+/// connection. Decoded up-frames are handed to [`coordinator_loop`] (or
+/// the aggregators) over the rendezvous channels of `ups`; down-frames
+/// queued by [`EpollDownSender`]s flush on write readiness. Exits once
+/// every connection has completed both directions; dropping the
+/// connections closes the sockets, and dropping `ups` closes the credit
+/// pools, so even an abnormal exit releases the sites.
 fn coord_reactor<U: FrameCodec>(
     mut conns: Vec<CoordConn>,
-    ups: Vec<UpQueue<U>>,
+    ups: Vec<UpLink<U>>,
     mut wake_rx: WakeRx,
 ) -> Result<(), RuntimeError> {
     use std::os::fd::AsRawFd;
@@ -1083,6 +1256,12 @@ fn coord_reactor<U: FrameCodec>(
 
 // ------------------------------------------------------------- wiring
 
+/// How many connects the `wire_sites` connector may run ahead of its
+/// accept loop. std's `TcpListener` listens with a backlog of 128; once
+/// more handshakes than that are queued, the kernel drops SYNs and each
+/// dropped client retries only after a second.
+const CONNECT_AHEAD: usize = 64;
+
 /// Connects `k` site sockets to `addr` while accepting them on
 /// `listener`, performing the `HELLO` handshake on each. Returns the site
 /// ends (in site order) and the coordinator ends (indexed by the id each
@@ -1092,9 +1271,18 @@ fn wire_sites(
     addr: SocketAddr,
     k: usize,
 ) -> Result<(Vec<TcpStream>, Vec<TcpStream>), RuntimeError> {
+    // One token per connect, taken back per accept: the connector stays
+    // at most `CONNECT_AHEAD` handshakes ahead of the listen backlog.
+    let (ahead_tx, ahead_rx) = mpsc::sync_channel::<()>(CONNECT_AHEAD);
     let connector = thread::spawn(move || -> io::Result<Vec<TcpStream>> {
         let mut streams = Vec::with_capacity(k);
         for id in 0..k {
+            if ahead_tx.send(()).is_err() {
+                return Err(io::Error::new(
+                    io::ErrorKind::ConnectionAborted,
+                    "accept loop gave up",
+                ));
+            }
             // Bounded connect: if the accept side errors out the join
             // below cannot hang on a never-completing handshake.
             let stream = TcpStream::connect_timeout(&addr, Duration::from_secs(10))?;
@@ -1115,6 +1303,8 @@ fn wire_sites(
                 break;
             }
         };
+        // Err only once the connector is gone: nothing left to release.
+        let _ = ahead_rx.recv();
         let r = stream
             .set_nodelay(true)
             .map_err(|e| io_runtime_err("configuring site connection", &e))
@@ -1148,6 +1338,8 @@ fn wire_sites(
     }
     // Join the connector before surfacing accept errors: its sockets must
     // not leak, and a failed accept loop usually means it failed too.
+    // Dropping the tokens first releases a connector waiting for one.
+    drop(ahead_rx);
     let connected = connector
         .join()
         .map_err(|_| RuntimeError::Transport("site connector thread panicked".into()))?;
@@ -1170,8 +1362,11 @@ fn wire_sites(
 /// in `k`, so k in the thousands runs on one box.
 ///
 /// Protocol behavior and [`Metrics`] accounting are identical to
-/// [`crate::engine::run_threads`]; `feeds[i]` is site `i`'s partition of
-/// the stream as a nonblocking [`ItemFeed`].
+/// [`crate::engine::run_threads`], and so is the meaning of
+/// `cfg.queue_capacity`: it bounds the batches between the sites and the
+/// coordinator, here counted as credits from encode to coordinator.
+/// `feeds[i]` is site `i`'s partition of the stream as a nonblocking
+/// [`ItemFeed`].
 pub fn run_epoll<S, C>(
     sites: Vec<S>,
     mut coordinator: C,
@@ -1198,7 +1393,8 @@ where
         .map_err(|e| RuntimeError::Transport(e.to_string()))?;
     let (site_streams, coord_streams) = wire_sites(&listener, addr, k)?;
 
-    let (up_tx, up_rx) = mpsc::sync_channel(cfg.queue_capacity.max(1));
+    let (site_wakers, site_wake_rxs) = site_wakers(k)?;
+    let (up, up_rx) = UpLink::new(CreditPool::new(cfg.queue_capacity, site_wakers));
     let (waker, wake_rx) = wake_pair().map_err(|e| io_runtime_err("creating reactor waker", &e))?;
     let mut conns = Vec::with_capacity(k);
     let mut downs = Vec::with_capacity(k);
@@ -1213,16 +1409,18 @@ where
         .zip(site_streams)
         .zip(feeds)
         .enumerate()
-        .map(|(i, ((site, stream), feed))| SiteTask::new(i, site, feed, stream))
+        .map(|(i, ((site, stream), feed))| {
+            SiteTask::new(i, site, feed, stream, Arc::clone(&up.credits))
+        })
         .collect();
 
     let (reactor_res, coord_res, site_res) = thread::scope(|scope| {
-        let reactor = scope.spawn(move || coord_reactor::<S::Up>(conns, vec![up_tx], wake_rx));
+        let reactor = scope.spawn(move || coord_reactor::<S::Up>(conns, vec![up], wake_rx));
         let coord = scope.spawn(|| {
             let metrics = coordinator_loop(&mut coordinator, coord_ep)?;
             Ok::<_, RuntimeError>(metrics)
         });
-        let site_res = run_site_pool(tasks, batch_max, down_poll);
+        let site_res = run_site_pool(tasks, site_wake_rxs, batch_max, down_poll);
         (reactor.join(), coord.join(), site_res)
     });
 
@@ -1256,11 +1454,12 @@ where
 /// Runs a two-level fan-in tree on the event-driven engine: all `g·k`
 /// site connections share one listener and one coordinator-side reactor
 /// (HELLO ids are global, `gi·k + i`), the site protocol steps run on the
-/// `EPOLL_WORKERS` loop pool, and each group's aggregator drains its
-/// own bounded up queue. The aggregator→root hop stays on the blocking
-/// socket halves of [`crate::tcp`] (one reader thread per link), since
-/// `g` links is a fan-in a thread per link handles fine; its [`SyncMsg`]
-/// frames cross real sockets like every site frame.
+/// `EPOLL_WORKERS` loop pool, and each group's aggregator takes frames
+/// off its own rendezvous handoff while the group's sites draw on its own
+/// credit pool (`queue_capacity` batches). The aggregator→root hop stays
+/// on the blocking socket halves of [`crate::tcp`] (one reader thread per
+/// link), since `g` links is a fan-in a thread per link handles fine; its
+/// [`SyncMsg`] frames cross real sockets like every site frame.
 ///
 /// Semantics (shutdown ordering, sync cadence, metrics accounting, error
 /// priority) match [`crate::tree::run_tree_nodes`] on the threads
@@ -1300,14 +1499,17 @@ where
     let (site_listener, site_addr) = bind("site")?;
     let (site_streams, coord_streams) = wire_sites(&site_listener, site_addr, g * k)?;
 
-    // One bounded up queue per aggregator; one reactor (and one waker)
+    // One credit pool and rendezvous handoff per aggregator, matching the
+    // threads tree's per-group channel bound; one reactor (and one waker)
     // multiplexing every group's connections.
+    let (site_wakers, site_wake_rxs) = site_wakers(g * k)?;
     let (waker, wake_rx) = wake_pair().map_err(|e| io_runtime_err("creating reactor waker", &e))?;
-    let mut up_txs = Vec::with_capacity(g);
+    let mut ups: Vec<UpLink<S::Up>> = Vec::with_capacity(g);
     let mut up_rxs = Vec::with_capacity(g);
     for _ in 0..g {
-        let (tx, rx) = mpsc::sync_channel(cfg.queue_capacity.max(1));
-        up_txs.push(tx);
+        let credits = CreditPool::new(cfg.queue_capacity, Arc::clone(&site_wakers));
+        let (up, rx) = UpLink::new(credits);
+        ups.push(up);
         up_rxs.push(rx);
     }
     let mut conns = Vec::with_capacity(g * k);
@@ -1340,13 +1542,14 @@ where
         assert_eq!(group_feeds.len(), k, "one feed per site");
         for (i, feed) in group_feeds.into_iter().enumerate() {
             let stream = site_iter.next().expect("wire_sites returned g*k streams");
-            tasks.push(SiteTask::new(gi * k + i, mk_site(gi, i), feed, stream));
+            let (global, credits) = (gi * k + i, Arc::clone(&ups[gi].credits));
+            tasks.push(SiteTask::new(global, mk_site(gi, i), feed, stream, credits));
         }
     }
 
     type AggRes = Result<(Metrics, GroupStats), RuntimeError>;
     let (reactor_res, agg_res, root_res, site_res) = thread::scope(|scope| {
-        let reactor = scope.spawn(move || coord_reactor::<S::Up>(conns, up_txs, wake_rx));
+        let reactor = scope.spawn(move || coord_reactor::<S::Up>(conns, ups, wake_rx));
         let mut agg_handles: Vec<thread::ScopedJoinHandle<'_, AggRes>> = Vec::with_capacity(g);
         for (gi, (coord_ep, root_link)) in agg_eps.into_iter().zip(root_links).enumerate() {
             let mut aggregator = mk_aggregator(gi);
@@ -1356,7 +1559,7 @@ where
             }));
         }
         let root = scope.spawn(move || root_loop(root_ep));
-        let site_res = run_site_pool(tasks, batch_max, down_poll);
+        let site_res = run_site_pool(tasks, site_wake_rxs, batch_max, down_poll);
         let agg_res: Vec<_> = agg_handles.into_iter().map(|h| h.join()).collect();
         (reactor.join(), agg_res, root.join(), site_res)
     });
@@ -1521,8 +1724,10 @@ mod tests {
 
     #[test]
     fn tiny_queue_and_batch_still_complete() {
-        // queue_capacity 1 + batch_max 1 + down_poll_every 1 exercises the
-        // reactor's blocking-send backpressure on every single message.
+        // queue_capacity 1 + batch_max 1 + down_poll_every 1 puts every
+        // single message through the credit gate: one BATCH frame in
+        // flight per worker at most, each returned only once the
+        // coordinator has taken it.
         let cfg = RuntimeConfig::new()
             .with_batch_max(1)
             .with_queue_capacity(1)
@@ -1589,15 +1794,26 @@ mod tests {
         assert_eq!(out.metrics.up_total, 103);
     }
 
+    /// One credit and one-message batches: the failure tests' second
+    /// input, where the surviving sites sit parked on used-up credits
+    /// when the failure strikes.
+    fn one_credit() -> RuntimeConfig {
+        RuntimeConfig::new()
+            .with_batch_max(1)
+            .with_queue_capacity(1)
+    }
+
+    /// Forwards every item, like [`EchoSite`], until it sees id 3.
     #[derive(Debug)]
     struct PanickingSite;
     impl SiteNode for PanickingSite {
         type Up = Up;
         type Down = Down;
-        fn observe(&mut self, item: Item, _out: &mut Vec<Up>) {
+        fn observe(&mut self, item: Item, out: &mut Vec<Up>) {
             if item.id == 3 {
                 panic!("injected failure");
             }
+            out.push(Up(item.id));
         }
         fn receive(&mut self, _msg: &Down) {}
     }
@@ -1606,16 +1822,16 @@ mod tests {
     fn site_panic_reported_not_hung() {
         // Under the (i % k) partition only site 1 ever sees id 3; the
         // panic is caught per step, pinned to the right site, and the
-        // run unwinds instead of hanging the other tasks.
-        let sites = vec![PanickingSite, PanickingSite];
-        let err = run_epoll(
-            sites,
-            EchoCoord { received: 0 },
-            feeds(10, 2),
-            &RuntimeConfig::default(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, RuntimeError::SitePanicked(1)), "got {err:?}");
+        // run unwinds instead of hanging the other tasks — also when the
+        // dead connection's fault must reopen a used-up credit pool.
+        for (cfg, n) in [(RuntimeConfig::default(), 10), (one_credit(), 1000)] {
+            let sites = vec![PanickingSite, PanickingSite];
+            let err = run_epoll(sites, EchoCoord { received: 0 }, feeds(n, 2), &cfg).unwrap_err();
+            assert!(
+                matches!(err, RuntimeError::SitePanicked(1)),
+                "n = {n}: got {err:?}"
+            );
+        }
     }
 
     #[derive(Debug)]
@@ -1632,20 +1848,17 @@ mod tests {
 
     #[test]
     fn coordinator_panic_reported_not_hung() {
-        // The dying coordinator drops its queue receiver; the reactor's
-        // orphaned-send path tears every connection down, releasing the
-        // still-streaming site tasks.
-        let err = run_epoll(
-            echo_sites(2),
-            PanickingCoord,
-            feeds(100, 2),
-            &RuntimeConfig::default(),
-        )
-        .unwrap_err();
-        assert!(
-            matches!(err, RuntimeError::CoordinatorPanicked),
-            "got {err:?}"
-        );
+        // The dying coordinator drops its receiver; the reactor's
+        // orphaned-send path tears every connection down and closes the
+        // credit pool, releasing the still-streaming site tasks even
+        // when they are parked on used-up credits.
+        for (cfg, n) in [(RuntimeConfig::default(), 100), (one_credit(), 1000)] {
+            let err = run_epoll(echo_sites(2), PanickingCoord, feeds(n, 2), &cfg).unwrap_err();
+            assert!(
+                matches!(err, RuntimeError::CoordinatorPanicked),
+                "n = {n}: got {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -1718,8 +1931,11 @@ mod tests {
 
         let (waker, _wake_rx) = wake_pair().unwrap();
         let (mut conn, _down) = CoordConn::new::<Down>(server, 0, 0, &waker);
+        // A buffered handoff, so this thread can collect what one pass
+        // delivered without a coordinator thread on the other end.
         let (tx, rx) = mpsc::sync_channel(frames as usize);
-        let ups = [tx];
+        let credits = CreditPool::new(1, Vec::new().into());
+        let ups = [UpLink { tx, credits }];
         service_read::<Up>(&mut conn, &ups);
         let mut got: Vec<UpFrame<Up>> = rx.try_iter().map(|(_, f)| f).collect();
         assert!(
@@ -1739,5 +1955,64 @@ mod tests {
             })
             .collect();
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn credit_pool_wakes_at_half_the_bound_and_stops_gating_once_closed() {
+        let poller = Poller::new().unwrap();
+        let (waker, mut wake_rx) = wake_pair().unwrap();
+        poller
+            .register(wake_rx.raw_fd(), WAKE_TOKEN, true, false)
+            .unwrap();
+        let mut woken = || {
+            let mut events = Vec::new();
+            poller.wait(&mut events, 0).unwrap();
+            wake_rx.drain();
+            !events.is_empty()
+        };
+        let pool = CreditPool::new(4, vec![waker].into());
+        for _ in 0..4 {
+            assert!(!pool.used_up());
+            pool.take();
+        }
+        assert!(pool.used_up());
+        pool.put();
+        assert!(!pool.used_up(), "3 of 4 in flight");
+        assert!(!woken(), "no wake above half the bound");
+        pool.put();
+        assert!(woken(), "the count reached half the bound");
+        pool.put();
+        pool.put();
+        pool.put();
+        assert!(!woken(), "one wake per fall to half the bound");
+        assert_eq!(pool.in_flight.load(Ordering::Acquire), 0, "saturates at 0");
+
+        for _ in 0..4 {
+            pool.take();
+        }
+        pool.close();
+        assert!(!pool.used_up(), "a closed pool never gates");
+        assert!(woken(), "closing wakes parked workers");
+    }
+
+    #[test]
+    fn wire_sites_at_k_1000_never_waits_on_a_syn_retry() {
+        // The connector used to run ahead of the accept loop, which also
+        // reads every HELLO; past the listen backlog of 128 queued
+        // handshakes the kernel dropped SYNs, and each dropped client
+        // retried after 1 s.
+        let _ = raise_nofile_limit();
+        for _ in 0..3 {
+            let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0)).unwrap();
+            let addr = listener.local_addr().unwrap();
+            let t0 = Instant::now();
+            let (sites, coords) = wire_sites(&listener, addr, 1000).unwrap();
+            let took = t0.elapsed();
+            assert_eq!((sites.len(), coords.len()), (1000, 1000));
+            assert!(
+                took < Duration::from_secs(1),
+                "k = 1000 wiring took {took:?}"
+            );
+        }
     }
 }

@@ -14,10 +14,11 @@
 //!
 //! * **per-site upstream batching** with a configurable flush threshold
 //!   ([`RuntimeConfig::batch_max`]);
-//! * **bounded-queue backpressure** on the up path
-//!   ([`RuntimeConfig::queue_capacity`]) with an unbounded, eagerly
-//!   drained down path — the combination that makes blocking sends
-//!   deadlock-free (see [`engine`]);
+//! * **bounded backpressure** on the up path
+//!   ([`RuntimeConfig::queue_capacity`] batches: the channel bound on
+//!   threads, credits from encode to coordinator on epoll) with an
+//!   unbounded, eagerly drained down path — the combination that makes
+//!   the bounded up path deadlock-free (see [`engine`]);
 //! * **deterministic graceful shutdown**: flush → `Eof` → coordinator
 //!   drain → down-link close → final sample extraction, with per-thread
 //!   [`dwrs_sim::Metrics`] merged into totals that follow the paper's
