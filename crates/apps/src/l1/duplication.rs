@@ -30,10 +30,9 @@
 //! The tracker assumes instant broadcast delivery (the paper's synchronous
 //! round model); this is what makes the geometric collapse exact.
 
-use dwrs_core::keys::{key_above, p_key_above};
-use dwrs_core::math::geometric_trials;
+use dwrs_core::keys::{first_copy_above, key_above};
 use dwrs_core::rng::{mix, Rng};
-use dwrs_core::swor::{level_of, DownMsg, SworConfig, SworCoordinator, UpMsg};
+use dwrs_core::swor::{DownMsg, LevelTable, SworConfig, SworCoordinator, UpMsg};
 use dwrs_core::Item;
 
 use super::L1Estimator;
@@ -112,7 +111,7 @@ pub struct L1DupTracker {
     cfg: L1Config,
     s: usize,
     ell: u64,
-    r: f64,
+    levels: LevelTable,
     coord: SworCoordinator,
     /// Shared (instant-delivery) site view of the epoch threshold.
     threshold: f64,
@@ -128,12 +127,12 @@ impl L1DupTracker {
         let s = cfg.sample_size();
         let ell = cfg.duplication();
         let swor_cfg = SworConfig::new(s, cfg.num_sites);
-        let r = swor_cfg.r();
+        let levels = LevelTable::new(swor_cfg.r());
         Self {
             cfg,
             s,
             ell,
-            r,
+            levels,
             coord: SworCoordinator::new(swor_cfg, mix(seed, 0xC0)),
             threshold: 0.0,
             rng: Rng::new(mix(seed, 0x517E)),
@@ -170,7 +169,7 @@ impl L1DupTracker {
     /// Inserts the `ℓ` duplicates of one update, exactly.
     fn insert_duplicates(&mut self, item: Item) {
         let w = item.weight;
-        let level = level_of(w, self.r);
+        let level = self.levels.level(w);
         let mut remaining = self.ell;
         // Early phase: real early messages, one at a time, until the level
         // saturates (or duplicates run out).
@@ -182,11 +181,9 @@ impl L1DupTracker {
         }
         // Regular phase: geometric skips between threshold-clearing keys.
         while remaining > 0 {
-            let p = p_key_above(w, self.threshold);
-            let gap = geometric_trials(&mut self.rng, p);
-            if gap > remaining {
+            let Some(gap) = first_copy_above(&mut self.rng, w, self.threshold, remaining) else {
                 break;
-            }
+            };
             remaining -= gap;
             let key = key_above(w, self.threshold, &mut self.rng);
             self.coord
@@ -231,6 +228,7 @@ impl L1Estimator for L1DupTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dwrs_core::swor::level_of;
 
     /// Reference implementation: literally insert every duplicate through a
     /// site-side exponential draw. Used to validate the batched collapse.

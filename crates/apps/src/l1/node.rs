@@ -26,11 +26,18 @@
 //!   coordinator's final `u` is at least the s-th largest of any subset of
 //!   delivered keys), which caps the burst between saturation and the
 //!   first epoch broadcast arriving.
+//!
+//! Per item the node does O(1) work beyond the messages it sends, and keeps
+//! that constant small without changing any draw: the level comes from a
+//! [`LevelTable`] (exact, no `ln`), and the regular phase's gap goes
+//! through [`first_copy_above`], whose exact pre-check ends an item none of
+//! whose `remaining` duplicates can clear the threshold
+//! (`1 − u ≥ remaining·(w/θ)(1 + δ)`) before any `exp_m1`, `ln` or
+//! `ln_1p`.
 
-use dwrs_core::keys::{key_above, p_key_above};
-use dwrs_core::math::geometric_trials;
+use dwrs_core::keys::{first_copy_above, key_above};
 use dwrs_core::rng::Rng;
-use dwrs_core::swor::{level_of, DownMsg, LevelBits, SworConfig, UpMsg};
+use dwrs_core::swor::{DownMsg, LevelBits, LevelTable, SworConfig, UpMsg};
 use dwrs_core::topk::TopK;
 use dwrs_core::{Item, Keyed};
 use dwrs_sim::SiteNode;
@@ -39,7 +46,7 @@ use dwrs_sim::SiteNode;
 #[derive(Debug)]
 pub struct L1Site {
     ell: u64,
-    r: f64,
+    levels: LevelTable,
     level_capacity: u64,
     level_sets_enabled: bool,
     /// Last broadcast epoch threshold.
@@ -61,7 +68,7 @@ impl L1Site {
         assert!(ell >= 1, "duplication factor must be at least 1");
         Self {
             ell,
-            r: cfg.r(),
+            levels: LevelTable::new(cfg.r()),
             level_capacity: cfg.level_capacity() as u64,
             level_sets_enabled: cfg.level_sets_enabled,
             threshold: 0.0,
@@ -90,7 +97,7 @@ impl SiteNode for L1Site {
 
     fn observe(&mut self, item: Item, out: &mut Vec<UpMsg>) {
         let w = item.weight;
-        let level = level_of(w, self.r);
+        let level = self.levels.level(w);
         let mut remaining = self.ell;
         // Early phase: real early messages, one per duplicate, until the
         // level is (locally known to be) saturated.
@@ -115,11 +122,9 @@ impl SiteNode for L1Site {
         // Regular phase: geometric skips between threshold-clearing keys.
         loop {
             let threshold = self.effective_threshold();
-            let p = p_key_above(w, threshold);
-            let gap = geometric_trials(&mut self.rng, p);
-            if gap > remaining {
+            let Some(gap) = first_copy_above(&mut self.rng, w, threshold, remaining) else {
                 return;
-            }
+            };
             remaining -= gap;
             let key = key_above(w, threshold, &mut self.rng);
             self.sent_keys.offer(Keyed::new(item, key));

@@ -2,11 +2,11 @@
 //! baseline gap.
 
 use dwrs_core::item::total_weight;
-use dwrs_core::swor::SworConfig;
+use dwrs_core::swor::{swor_bound, SworConfig};
 use dwrs_sim::{assign_sites, build_naive, Partition};
 use dwrs_workloads::{uniform_weights, zipf_ranked};
 
-use crate::exps::util::{log_log_slope, run_swor, swor_bound};
+use crate::exps::util::{log_log_slope, run_swor};
 use crate::table::{f, n, Table};
 use crate::Scale;
 

@@ -19,15 +19,6 @@ pub fn run_swor(
     runner
 }
 
-/// The paper's Theorem 3 bound `k·ln(W/s)/ln(1+k/s)` (natural logs; the
-/// constant in front is what experiments estimate).
-pub fn swor_bound(k: usize, s: usize, total_weight: f64) -> f64 {
-    let k = k as f64;
-    let s = s as f64;
-    let ratio = (total_weight / s).max(std::f64::consts::E);
-    k * ratio.ln() / (1.0 + k / s).ln().max(f64::MIN_POSITIVE)
-}
-
 /// Corollary 1's bound `(k + s·ln s)·ln(W)/ln(2+k/s)`.
 pub fn swr_bound(k: usize, s: usize, total_weight: f64) -> f64 {
     let kf = k as f64;
@@ -77,7 +68,6 @@ mod tests {
 
     #[test]
     fn bounds_positive_and_monotone_in_w() {
-        assert!(swor_bound(16, 16, 1e6) > swor_bound(16, 16, 1e3));
         assert!(swr_bound(16, 16, 1e6) > 0.0);
         assert!(rhh_bound(16, 0.1, 0.1, 1e6) > 0.0);
         assert!(l1_bound(16, 0.1, 0.1, 1e6) > 0.0);

@@ -226,7 +226,20 @@ fn cmd_run<W: Write>(p: &Parsed, out: &mut W) -> Result<(), ArgError> {
     };
     let report = run_scenario(&sc).map_err(|e| ArgError(format!("{engine} engine failed: {e}")))?;
     print_report(&report, &sc, streaming, &format, out);
-    Ok(())
+    invariant_verdict(&report.violations)
+}
+
+/// A run's exit verdict, given after its report is printed: any violated
+/// invariant fails the command.
+fn invariant_verdict(violations: &[String]) -> Result<(), ArgError> {
+    if violations.is_empty() {
+        Ok(())
+    } else {
+        Err(ArgError(format!(
+            "invariant violations: {}",
+            violations.join("; ")
+        )))
+    }
 }
 
 /// Prints a [`RunReport`] in the CLI's text or JSON format.
@@ -1028,13 +1041,7 @@ fn cmd_load<W: Write>(p: &Parsed, out: &mut W) -> Result<(), ArgError> {
             writeln!(out, "invariants: all passed").ok();
         }
     }
-    if !report.invariants_ok() {
-        return Err(ArgError(format!(
-            "invariant violations: {}",
-            report.violations.join("; ")
-        )));
-    }
-    Ok(())
+    invariant_verdict(&report.violations)
 }
 
 fn cmd_workload<W: Write>(p: &Parsed, out: &mut W) -> Result<(), ArgError> {
@@ -1159,6 +1166,31 @@ mod tests {
         assert!(out.contains("sample (id, weight, key):"));
         assert!(out.contains("messages: total"));
         assert!(out.contains("bytes on the wire"));
+    }
+
+    #[test]
+    fn run_fails_on_an_invariant_violation_after_printing_the_report() {
+        let sc = Scenario::new(EngineKind::Lockstep, 2, 4).with_n(500);
+        let mut report = run_scenario(&sc).expect("lockstep run");
+        assert!(invariant_verdict(&report.violations).is_ok());
+        report
+            .violations
+            .push("sample size 3 != min(n, s) = 4".to_string());
+        for (format, flagged) in [
+            ("text", "WARNING: invariant violations"),
+            ("json", "\"invariants_ok\":false"),
+        ] {
+            let mut buf = Vec::new();
+            print_report(&report, &sc, true, format, &mut buf);
+            let out = String::from_utf8(buf).expect("utf8");
+            assert!(out.contains(flagged), "{format}: {out}");
+        }
+        let err = invariant_verdict(&report.violations).expect_err("a violation must fail");
+        assert!(
+            err.0.contains("sample size 3 != min(n, s) = 4"),
+            "{}",
+            err.0
+        );
     }
 
     #[test]

@@ -22,7 +22,16 @@ pub fn geometric_trials(rng: &mut crate::rng::Rng, p: f64) -> u64 {
     if p >= 1.0 {
         return 1;
     }
-    let g = (rng.open01().ln() / (-p).ln_1p()).floor();
+    geometric_from_draw(rng.open01(), p)
+}
+
+/// [`geometric_trials`]' inversion for a given uniform draw `u ∈ (0, 1)`
+/// and `0 < p < 1`: `floor(ln u / ln(1 − p)) + 1`. Callers that must look
+/// at the draw before paying for the `ln`s (`keys::first_copy_above`) use
+/// this so the gap stays bit-identical to `geometric_trials`.
+#[inline]
+pub(crate) fn geometric_from_draw(u: f64, p: f64) -> u64 {
+    let g = (u.ln() / (-p).ln_1p()).floor();
     if g >= u64::MAX as f64 {
         u64::MAX
     } else {

@@ -88,9 +88,28 @@ impl SworConfig {
     }
 }
 
+/// Theorem 3's message bound `k·ln(W/s)/ln(1+k/s)` for `k` sites, sample
+/// size `s` and total weight `W` (natural logs; the constant in front is
+/// what experiments and tests estimate). `W/s` is floored at `e`, so the
+/// bound stays positive on tiny streams.
+pub fn swor_bound(k: usize, s: usize, total_weight: f64) -> f64 {
+    let k = k as f64;
+    let s = s as f64;
+    let ratio = (total_weight / s).max(std::f64::consts::E);
+    k * ratio.ln() / (1.0 + k / s).ln().max(f64::MIN_POSITIVE)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn swor_bound_grows_with_weight_and_floors_tiny_streams() {
+        assert!(swor_bound(16, 16, 1e6) > swor_bound(16, 16, 1e3));
+        // Tiny streams floor W/s at e: the bound is k / ln(1 + k/s).
+        let tiny = swor_bound(16, 16, 1.0);
+        assert!((tiny - 16.0 / 2f64.ln()).abs() < 1e-9, "{tiny}");
+    }
 
     #[test]
     fn r_is_two_when_k_small() {

@@ -29,7 +29,7 @@ use crate::rng::Rng;
 use crate::topk::{top_s_of, TopK};
 
 use super::config::SworConfig;
-use super::levels::{epoch_of, epoch_threshold, level_of};
+use super::levels::{epoch_of, epoch_threshold, LevelTable};
 use super::messages::{DownMsg, UpMsg};
 
 /// Coordinator-side counters (diagnostics only).
@@ -134,6 +134,7 @@ impl Withheld {
 pub struct SworCoordinator {
     cfg: SworConfig,
     r: f64,
+    level_table: LevelTable,
     level_capacity: u64,
     sample: TopK,
     withheld: Withheld,
@@ -154,6 +155,7 @@ impl SworCoordinator {
         Self {
             cfg,
             r,
+            level_table: LevelTable::new(r),
             level_capacity,
             sample: TopK::new(s),
             withheld: Withheld::new(s),
@@ -200,7 +202,7 @@ impl SworCoordinator {
 
     fn receive_early(&mut self, item: Item, out: &mut Vec<DownMsg>) {
         self.stats.early_received += 1;
-        let level = level_of(item.weight, self.r);
+        let level = self.level_table.level(item.weight);
         let info = self.levels.entry(level).or_default();
         if info.saturated {
             // A site with a stale saturation bit (possible under delayed
@@ -400,6 +402,7 @@ impl SworCoordinator {
         Self {
             cfg: snap.config,
             r,
+            level_table: LevelTable::new(r),
             level_capacity,
             sample,
             withheld,

@@ -20,7 +20,7 @@ use crate::rng::Rng;
 use crate::topk::{top_s_of, TopK};
 
 use super::config::SworConfig;
-use super::levels::{epoch_of, epoch_threshold, level_of};
+use super::levels::{epoch_of, epoch_threshold, LevelTable};
 use super::messages::{DownMsg, UpMsg};
 
 /// Verbatim Algorithm 2 coordinator with full level-set storage.
@@ -28,6 +28,7 @@ use super::messages::{DownMsg, UpMsg};
 pub struct FaithfulCoordinator {
     cfg: SworConfig,
     r: f64,
+    level_table: LevelTable,
     level_capacity: usize,
     sample: TopK,
     level_sets: HashMap<u32, Vec<Keyed>>,
@@ -46,6 +47,7 @@ impl FaithfulCoordinator {
         Self {
             cfg,
             r,
+            level_table: LevelTable::new(r),
             level_capacity,
             sample: TopK::new(s),
             level_sets: HashMap::new(),
@@ -64,7 +66,7 @@ impl FaithfulCoordinator {
     pub fn receive(&mut self, msg: UpMsg, out: &mut Vec<DownMsg>) {
         match msg {
             UpMsg::Early { item } => {
-                let level = level_of(item.weight, self.r);
+                let level = self.level_table.level(item.weight);
                 if *self.saturated.get(&level).unwrap_or(&false) {
                     let keyed = assign_key(item, &mut self.rng);
                     self.add_to_sample(keyed, out);

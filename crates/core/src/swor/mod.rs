@@ -70,10 +70,10 @@ pub mod naive;
 pub mod site;
 pub mod wire;
 
-pub use config::SworConfig;
+pub use config::{swor_bound, SworConfig};
 pub use coordinator::{CoordStats, SworCoordinator};
 pub use faithful::FaithfulCoordinator;
-pub use levels::{epoch_of, epoch_threshold, level_of, LevelBits};
+pub use levels::{epoch_of, epoch_threshold, level_of, LevelBits, LevelTable};
 pub use messages::{DownMsg, SyncMsg, UpMsg};
 pub use naive::{NaiveCoordinator, NaiveSite};
 pub use site::{SiteStats, SworSite};

@@ -10,13 +10,25 @@
 //!
 //! The site keeps O(1) words of state: the threshold and the saturation
 //! bitset (Proposition 6), and spends O(1) time per item.
+//!
+//! That constant is kept small without changing a single message, key or
+//! random draw:
+//!
+//! * the level comes from [`LevelTable`], which estimates it from the
+//!   weight's bits and climbs the precomputed boundaries `powi(r, j)`,
+//!   equal to [`super::level_of`] by construction;
+//! * the key's uniform draw `u` is checked first by
+//!   `keys::no_key_above`: since `−ln u ≥ 1 − u`, a draw with
+//!   `1 − u ≥ (w/θ)(1 + δ)` cannot give a key above `θ`, so a filtered item
+//!   usually costs no `ln`. Otherwise the key is formed from that same `u`
+//!   exactly as [`crate::keys::key_for`] would.
 
 use crate::item::Item;
-use crate::keys::key_for;
+use crate::keys::{key_from_draw, no_key_above};
 use crate::rng::Rng;
 
 use super::config::SworConfig;
-use super::levels::{level_of, LevelBits};
+use super::levels::{LevelBits, LevelTable};
 use super::messages::{DownMsg, UpMsg};
 
 /// Counters a site accumulates (not part of the protocol; zero messages).
@@ -35,7 +47,7 @@ pub struct SiteStats {
 /// The per-site state of the weighted SWOR protocol (Algorithm 1).
 #[derive(Debug)]
 pub struct SworSite {
-    r: f64,
+    levels: LevelTable,
     level_sets_enabled: bool,
     /// Current epoch threshold `u_i` (0 until the first epoch broadcast).
     threshold: f64,
@@ -49,7 +61,7 @@ impl SworSite {
     /// Creates a site from the shared configuration and a per-site seed.
     pub fn new(cfg: &SworConfig, seed: u64) -> Self {
         Self {
-            r: cfg.r(),
+            levels: LevelTable::new(cfg.r()),
             level_sets_enabled: cfg.level_sets_enabled,
             threshold: 0.0,
             saturated: LevelBits::new(),
@@ -66,19 +78,23 @@ impl SworSite {
     /// Processes one stream item; returns at most one upstream message.
     pub fn observe(&mut self, item: Item) -> Option<UpMsg> {
         self.stats.observed += 1;
-        let level = level_of(item.weight, self.r);
-        if self.level_sets_enabled && !self.saturated.get(level) {
+        let w = item.weight;
+        if self.level_sets_enabled && !self.saturated.get(self.levels.level(w)) {
             self.stats.early_sent += 1;
             return Some(UpMsg::Early { item });
         }
-        let key = key_for(item.weight, &mut self.rng);
-        if key > self.threshold {
-            self.stats.regular_sent += 1;
-            Some(UpMsg::Regular { item, key })
+        let u = self.rng.open01();
+        if no_key_above(u, w, self.threshold) {
+            debug_assert!(key_from_draw(w, u) <= self.threshold);
         } else {
-            self.stats.filtered += 1;
-            None
+            let key = key_from_draw(w, u);
+            if key > self.threshold {
+                self.stats.regular_sent += 1;
+                return Some(UpMsg::Regular { item, key });
+            }
         }
+        self.stats.filtered += 1;
+        None
     }
 
     /// Applies a coordinator broadcast.

@@ -1,7 +1,7 @@
 //! Integration: message-complexity scaling assertions (generous constants;
 //! the precise curves are produced by the experiment harness).
 
-use dwrs::core::swor::SworConfig;
+use dwrs::core::swor::{swor_bound, SworConfig};
 use dwrs::core::swr::SwrConfig;
 use dwrs::core::Item;
 use dwrs::sim::{assign_sites, build_naive, build_swor, build_swr, Partition};
@@ -36,7 +36,7 @@ fn swor_within_constant_of_theorem3_bound() {
         let items = uniform_weights(1 << 14, 1.0, 2.0, k as u64);
         let w: f64 = items.iter().map(|i| i.weight).sum();
         let total = swor_total(s, k, &items, 5);
-        let bound = k as f64 * (w / s as f64).ln() / (1.0 + k as f64 / s as f64).ln();
+        let bound = swor_bound(k, s, w);
         let ratio = total as f64 / bound;
         // Constants: early messages cost 4rs per level; allow a wide but
         // finite envelope.

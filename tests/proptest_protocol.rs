@@ -1,7 +1,7 @@
 //! Property-based integration tests: protocol invariants under arbitrary
 //! streams, weights, partitionings and seeds.
 
-use dwrs::core::swor::{epoch_of, level_of, SworConfig};
+use dwrs::core::swor::{epoch_of, level_of, LevelTable, SworConfig};
 use dwrs::core::topk::{Offer, TopK};
 use dwrs::core::{Item, Keyed};
 use dwrs::sim::{build_swor, build_swor_faithful};
@@ -144,6 +144,20 @@ proptest! {
             prop_assert!(w < r.powi(level as i32 + 1) * (1.0 + 1e-12));
         } else {
             prop_assert!(w < r);
+        }
+    }
+
+    #[test]
+    fn level_table_equals_level_of(
+        r in 1.5f64..64.0,
+        exps in proptest::collection::vec(-3.0f64..300.0, 1..64),
+    ) {
+        // Weights log-uniform over [1e-3, 1e300], looked up in one table
+        // so it grows across calls as a site's does.
+        let mut table = LevelTable::new(r);
+        for e in exps {
+            let w = 10f64.powf(e);
+            prop_assert_eq!(table.level(w), level_of(w, r), "r = {}, w = {:e}", r, w);
         }
     }
 
