@@ -3,8 +3,8 @@
 //! second comparison row of the paper's Section 5 table.
 //!
 //! Reconstruction from the stated guarantees (the paper of \[23\] is not
-//! reproduced here; see DESIGN.md §5): the protocol proceeds in *rounds*,
-//! each spanning roughly a doubling of the total weight.
+//! reproduced here): the protocol proceeds in *rounds*, each spanning
+//! roughly a doubling of the total weight.
 //!
 //! * At a round start the coordinator learns the exact total `B` (one
 //!   broadcast + one reply per site + one broadcast of the new signal rate:

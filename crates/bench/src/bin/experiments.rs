@@ -6,6 +6,9 @@
 //! experiments [--quick] all
 //! experiments [--quick] e1 e4 table5 ...
 //! ```
+//!
+//! Exits 1 when any experiment's verdict failed (after printing every
+//! table), 2 on a usage error or an unknown id.
 
 use dwrs_bench::{run_experiment, Scale, ALL_EXPERIMENTS};
 
@@ -30,11 +33,16 @@ fn main() {
         ids
     };
     let started = std::time::Instant::now();
+    let mut failed = Vec::new();
     for id in &selected {
         let t0 = std::time::Instant::now();
-        if !run_experiment(id, scale) {
-            eprintln!("unknown experiment id: {id}");
-            std::process::exit(2);
+        match run_experiment(id, scale) {
+            None => {
+                eprintln!("unknown experiment id: {id}");
+                std::process::exit(2);
+            }
+            Some(false) => failed.push(*id),
+            Some(true) => {}
         }
         println!("[{} done in {:.1?}]", id, t0.elapsed());
     }
@@ -43,4 +51,8 @@ fn main() {
         selected.len(),
         started.elapsed()
     );
+    if !failed.is_empty() {
+        eprintln!("verdict FAIL in: {}", failed.join(" "));
+        std::process::exit(1);
+    }
 }

@@ -11,8 +11,9 @@ use dwrs_stats::tv_distance;
 use crate::table::{f, Table};
 use crate::Scale;
 
-/// E4: empirical inclusion frequencies vs. exact probabilities.
-pub fn e4_inclusion(scale: Scale) {
+/// E4: empirical inclusion frequencies vs. exact probabilities; returns
+/// whether the verdict passed.
+pub fn e4_inclusion(scale: Scale) -> bool {
     let weights = [3.0, 1.0, 1.0, 5.0, 2.0, 4.0, 1.0, 1.0, 2.0, 10.0];
     let s = 3usize;
     let k = 3usize;
@@ -72,10 +73,7 @@ pub fn e4_inclusion(scale: Scale) {
         max_z_probe = max_z_probe.max(((emp - p) / se).abs());
     }
     println!("mid-stream (t={probe_t}): max |z| = {max_z_probe:.2}  [continuous validity, Def. 3]");
-    let verdict = if max_z < 4.5 && max_z_probe < 4.5 {
-        "PASS"
-    } else {
-        "FAIL"
-    };
-    println!("E4 verdict: {verdict}");
+    let pass = max_z < 4.5 && max_z_probe < 4.5;
+    println!("E4 verdict: {}", if pass { "PASS" } else { "FAIL" });
+    pass
 }

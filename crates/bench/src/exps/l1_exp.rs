@@ -20,7 +20,7 @@ fn unit_stream(n: u64, k: usize) -> Vec<(usize, Item)> {
 /// Experiment-scale constant for the duplication tracker: the paper's proof
 /// constant (`10·ln(1/δ)/ε²`) is kept for the accuracy experiment E12; the
 /// table experiment uses `2/ε²` to keep instances tractable while leaving
-/// every scaling law intact (documented in EXPERIMENTS.md).
+/// every scaling law intact.
 fn table_config(eps: f64, k: usize) -> L1Config {
     let mut cfg = L1Config::new(eps, 0.25, k);
     let s = ((2.0 / (eps * eps)).ceil() as usize).max(8);

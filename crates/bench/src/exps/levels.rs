@@ -11,8 +11,9 @@ use crate::table::{f, n, Table};
 use crate::Scale;
 
 /// E6: Lemma 1 — every released item is at most `1/(4s)` of released
-/// weight; level-set overhead accounting.
-pub fn e6_level_invariants(scale: Scale) {
+/// weight; level-set overhead accounting. Returns whether every stream's
+/// `ok` column is true.
+pub fn e6_level_invariants(scale: Scale) -> bool {
     let n_items = scale.pick(1 << 12, 1 << 15);
     let (k, s) = (8usize, 8usize);
     let mut table = Table::new(
@@ -44,19 +45,23 @@ pub fn e6_level_invariants(scale: Scale) {
         ("exploding eps=.05", exploding(0.05, 1e12, n_items)),
     ];
     let bound = 1.0 / (4.0 * s as f64);
+    let mut pass = true;
     for (name, items) in streams {
         let runner = run_swor(SworConfig::new(s, k), &items, Partition::RoundRobin, 64);
         let st = &runner.coordinator.stats;
+        let ok = st.max_release_fraction <= bound + 1e-12;
+        pass &= ok;
         table.row(&[
             name.into(),
             f(st.max_release_fraction),
             f(bound),
-            (st.max_release_fraction <= bound + 1e-12).to_string(),
+            ok.to_string(),
             n(runner.metrics.kind("early")),
             n(st.saturations),
         ]);
     }
     table.print();
+    pass
 }
 
 /// E15: ablation — level sets ON vs OFF, along two axes.

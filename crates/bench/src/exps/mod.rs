@@ -1,4 +1,4 @@
-//! Experiment implementations (see DESIGN.md §4 for the index).
+//! Experiment implementations (`run_experiment` maps each id to one).
 
 pub mod correctness;
 pub mod epochs;

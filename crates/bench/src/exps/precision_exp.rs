@@ -7,8 +7,9 @@ use dwrs_core::Rng;
 use crate::table::{f, Table};
 use crate::Scale;
 
-/// E8: mean bits per comparison across weight/threshold regimes.
-pub fn e8_bits(scale: Scale) {
+/// E8: mean bits per comparison across weight/threshold regimes; returns
+/// whether the verdict passed.
+pub fn e8_bits(scale: Scale) -> bool {
     let trials = scale.pick(20_000u32, 200_000u32);
     let mut rng = Rng::new(8);
     let mut table = Table::new(
@@ -31,8 +32,10 @@ pub fn e8_bits(scale: Scale) {
         table.row(&[f(w), f(theta), f(p), f(bits)]);
     }
     table.print();
+    let pass = worst <= 4.0;
     println!(
         "max mean bits = {worst:.3}  [Prop. 7: O(1) in expectation — {}]",
-        if worst <= 4.0 { "PASS" } else { "FAIL" }
+        if pass { "PASS" } else { "FAIL" }
     );
+    pass
 }

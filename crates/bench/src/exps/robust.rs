@@ -44,8 +44,9 @@ pub fn e21_partitioning(scale: Scale) {
     println!("[the adversary controls the split (Section 2.1); totals shift only by constants]");
 }
 
-/// E17: message inflation under delayed broadcasts.
-pub fn e17_delay(scale: Scale) {
+/// E17: message inflation under delayed broadcasts; returns whether every
+/// `sample_ok` check held.
+pub fn e17_delay(scale: Scale) -> bool {
     let n_items = scale.pick(1 << 12, 1 << 16);
     let (k, s) = (16usize, 16usize);
     let items = uniform_weights(n_items, 1.0, 2.0, 90);
@@ -62,6 +63,7 @@ pub fn e17_delay(scale: Scale) {
         ],
     );
     let mut base_total = 0u64;
+    let mut pass = true;
     for &latency in &[0u64, 8, 64, 512, 4096] {
         let cfg = SworConfig::new(s, k);
         let mut runner = if latency == 0 {
@@ -75,17 +77,19 @@ pub fn e17_delay(scale: Scale) {
         if latency == 0 {
             base_total = total;
         }
-        let sample = runner.coordinator.sample();
+        let sample_ok = runner.coordinator.sample().len() == s;
+        pass &= sample_ok;
         table.row(&[
             n(latency),
             n(runner.metrics.kind("early")),
             n(runner.metrics.kind("regular")),
             n(total),
             f(total as f64 / base_total as f64),
-            (sample.len() == s).to_string(),
+            sample_ok.to_string(),
         ]);
     }
     table.print();
     let _ = w;
     println!("[correctness is latency-independent (the sample is always the top-s of all generated keys); only message counts inflate]");
+    pass
 }

@@ -10,8 +10,9 @@ use crate::exps::util::swr_bound;
 use crate::table::{f, n, Table};
 use crate::Scale;
 
-/// E5: message counts across W, plus a marginal-distribution check.
-pub fn e5_swr(scale: Scale) {
+/// E5: message counts across W, plus a marginal-distribution check;
+/// returns whether the E5b verdict passed.
+pub fn e5_swr(scale: Scale) -> bool {
     let (k, s) = (16usize, 16usize);
     let mut table = Table::new(
         "E5a — weighted SWR messages vs W (k=16, s=16); Cor. 1: (k+s·ln s)·lnW/ln(2+k/s)",
@@ -75,8 +76,10 @@ pub fn e5_swr(scale: Scale) {
     let p = weights[3] / wtot;
     let se = (p * (1.0 - p) / draws as f64).sqrt();
     let z = (emp - p) / se;
+    let pass = z.abs() < 4.5;
     println!(
         "E5b marginal: P(slot = heaviest) empirical {emp:.4} vs exact {p:.4} (z = {z:.2}) — {}",
-        if z.abs() < 4.5 { "PASS" } else { "FAIL" }
+        if pass { "PASS" } else { "FAIL" }
     );
+    pass
 }

@@ -9,8 +9,9 @@ use dwrs_workloads::zipf_ranked;
 use crate::table::{f, n, Table};
 use crate::Scale;
 
-/// E18: window sampler vs fresh resampling of the window.
-pub fn e18_sliding_window(scale: Scale) {
+/// E18: window sampler vs fresh resampling of the window; returns whether
+/// the verdict passed.
+pub fn e18_sliding_window(scale: Scale) -> bool {
     let window = 64u64;
     let s = 4usize;
     let n_items = 256u64;
@@ -59,8 +60,7 @@ pub fn e18_sliding_window(scale: Scale) {
         sw.retained_len(),
         expect
     );
-    println!(
-        "E18 verdict: {}",
-        if z.abs() < 4.5 { "PASS" } else { "FAIL" }
-    );
+    let pass = z.abs() < 4.5;
+    println!("E18 verdict: {}", if pass { "PASS" } else { "FAIL" });
+    pass
 }

@@ -5,7 +5,8 @@
 pub enum Scale {
     /// Shrunk instances for smoke tests (seconds for the whole suite).
     Quick,
-    /// The sizes recorded in EXPERIMENTS.md (minutes for the whole suite).
+    /// The sizes the experiments are specified at (minutes for the whole
+    /// suite).
     Full,
 }
 

@@ -45,15 +45,12 @@ impl Table {
         };
         out.push_str(&fmt_row(&self.headers, &widths));
         out.push('\n');
-        let sep: String = {
-            let mut s = String::from("|-");
-            for w in &widths {
-                s.push_str(&"-".repeat(w + 1));
-                s.push_str("|-");
-            }
-            s.trim_end_matches("-").trim_end_matches("|-").to_string() + "|"
-        };
-        out.push_str(&sep);
+        // Each cell is padded by one space either side, as in `fmt_row`.
+        out.push('|');
+        for w in &widths {
+            out.push_str(&"-".repeat(w + 2));
+            out.push('|');
+        }
         out.push('\n');
         for row in &self.rows {
             out.push_str(&fmt_row(row, &widths));
@@ -99,6 +96,18 @@ mod tests {
         assert!(s.contains("demo"));
         assert!(s.contains("long_header"));
         assert_eq!(s.lines().filter(|l| l.starts_with('|')).count(), 4);
+    }
+
+    #[test]
+    fn separator_matches_the_header_row() {
+        let mut t = Table::new("demo", &["a", "long_header", "c"]);
+        t.row(&["1".into(), "2".into(), "3".into()]);
+        let s = t.render();
+        let lines: Vec<&str> = s.lines().filter(|l| l.starts_with('|')).collect();
+        let (header, sep) = (lines[0], lines[1]);
+        assert_eq!(sep.matches('|').count(), header.matches('|').count(), "{s}");
+        assert_eq!(sep.len(), header.len(), "{s}");
+        assert!(sep.chars().all(|c| c == '|' || c == '-'), "{sep}");
     }
 
     #[test]

@@ -115,7 +115,6 @@ commands:
                       --seed <seed>            (default 1)
                       --batch --queue          (attach-client batching)
                       --format {text|json}     (default text)
-                      --bench <path>  (append the JSON row to a file)
   workload     print a generated workload as CSV (id,weight)
                flags: --kind --n --seed
   track-l1     compare the L1 trackers on a unit stream
@@ -131,6 +130,34 @@ workload kinds: unit | uniform:<lo>,<hi> | zipf:<alpha> | zipf_iid:<alpha>
                 needs --materialize true); zipf_iid draws i.i.d. ranks
                 and streams at O(1) memory
 partitions:     roundrobin | random | single:<i> | skewed:<hot>";
+
+/// The flags each command accepts, space-separated and each documented in
+/// the command's section of [`USAGE`]; any other flag is an error, and a
+/// command not listed (`help`) takes none.
+pub(crate) const COMMAND_FLAGS: &[(&str, &str)] = &[
+    ("sample", "n k s workload seed partition latency"),
+    (
+        "run",
+        "engine topology query n k s workload seed partition batch queue down-poll-every \
+         format materialize groups sync-every",
+    ),
+    ("daemon", "listen seed queue"),
+    (
+        "attach",
+        "connect stream site query eof n k s workload seed partition batch down-poll-every",
+    ),
+    ("query", "connect stream kind window repeat format"),
+    ("metrics", "connect format events"),
+    ("top", "connect refresh iterations events"),
+    (
+        "load",
+        "connect stream writers s query rate n schedule query-workers faults seed batch \
+         queue format",
+    ),
+    ("workload", "kind n seed"),
+    ("track-l1", "n k eps seed"),
+    ("residual-hh", "n k eps delta top seed"),
+];
 
 /// Parse failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -179,6 +206,30 @@ impl Parsed {
             Some(v) => v
                 .parse()
                 .map_err(|_| ArgError(format!("--{key} expects a number, got '{v}'"))),
+        }
+    }
+
+    /// Integer flag with default that must be at least 1.
+    pub(crate) fn positive_or(&self, key: &str, default: u64) -> Result<u64, ArgError> {
+        match self.u64_or(key, default)? {
+            0 => Err(ArgError(format!("--{key} must be at least 1"))),
+            v => Ok(v),
+        }
+    }
+
+    /// Fails on any flag that is not in the space-separated `accepted`,
+    /// naming it.
+    pub(crate) fn check_flags(&self, accepted: &str) -> Result<(), ArgError> {
+        match self
+            .flags
+            .keys()
+            .find(|k| !accepted.split_whitespace().any(|a| a == k.as_str()))
+        {
+            None => Ok(()),
+            Some(k) => Err(ArgError(format!(
+                "unknown flag --{k} for '{}' (dwrs help lists its flags)",
+                self.command
+            ))),
         }
     }
 

@@ -26,28 +26,33 @@ use dwrs_stats::QuantileSketch;
 use dwrs_telemetry::{event_name, render_json, render_prometheus, HISTOGRAM_EPS};
 use dwrs_workloads as workloads;
 
-use crate::args::{ArgError, Parsed};
+use crate::args::{ArgError, Parsed, COMMAND_FLAGS};
 
-/// Runs the parsed command, writing output to `out`.
+/// Runs the parsed command, writing output to `out`. A flag the command
+/// does not accept (see `COMMAND_FLAGS`) fails before any work is done.
 pub fn dispatch<W: Write>(p: &Parsed, out: &mut W) -> Result<(), ArgError> {
-    match p.command.as_str() {
-        "sample" => cmd_sample(p, out),
-        "run" => cmd_run(p, out),
-        "daemon" => cmd_daemon(p, out),
-        "attach" => cmd_attach(p, out),
-        "query" => cmd_query(p, out),
-        "metrics" => cmd_metrics(p, out),
-        "top" => cmd_top(p, out),
-        "load" => cmd_load(p, out),
-        "workload" => cmd_workload(p, out),
-        "track-l1" => cmd_track_l1(p, out),
-        "residual-hh" => cmd_residual_hh(p, out),
-        "help" | "usage" => {
+    let command: fn(&Parsed, &mut W) -> Result<(), ArgError> = match p.command.as_str() {
+        "sample" => cmd_sample,
+        "run" => cmd_run,
+        "daemon" => cmd_daemon,
+        "attach" => cmd_attach,
+        "query" => cmd_query,
+        "metrics" => cmd_metrics,
+        "top" => cmd_top,
+        "load" => cmd_load,
+        "workload" => cmd_workload,
+        "track-l1" => cmd_track_l1,
+        "residual-hh" => cmd_residual_hh,
+        "help" | "usage" => |_, out| {
             writeln!(out, "{}", crate::args::USAGE).ok();
             Ok(())
-        }
-        other => Err(ArgError(format!("unknown command '{other}'"))),
-    }
+        },
+        other => return Err(ArgError(format!("unknown command '{other}'"))),
+    };
+    // A command missing from the table takes no flags.
+    let accepted = COMMAND_FLAGS.iter().find(|(c, _)| *c == p.command);
+    p.check_flags(accepted.map_or("", |(_, flags)| flags))?;
+    command(p, out)
 }
 
 /// Materializes a workload from a `kind[:params]` spec — the vec-backed
@@ -88,14 +93,25 @@ pub fn make_partition(spec: &str) -> Result<Partition, ArgError> {
     })
 }
 
+/// The `--partition` flag for `k` sites.
+fn partition_flag(p: &Parsed, k: usize) -> Result<Partition, ArgError> {
+    let partition = make_partition(&p.str_or("partition", "roundrobin"))?;
+    match partition {
+        Partition::SingleSite(i) if i >= k => Err(ArgError(format!(
+            "--partition single:{i} names a site outside --k {k}"
+        ))),
+        _ => Ok(partition),
+    }
+}
+
 fn cmd_sample<W: Write>(p: &Parsed, out: &mut W) -> Result<(), ArgError> {
     let n = p.u64_or("n", 100_000)? as usize;
-    let k = p.u64_or("k", 8)? as usize;
-    let s = p.u64_or("s", 16)? as usize;
+    let k = p.positive_or("k", 8)? as usize;
+    let s = p.positive_or("s", 16)? as usize;
     let seed = p.u64_or("seed", 42)?;
     let latency = p.u64_or("latency", 0)?;
+    let partition = partition_flag(p, k)?;
     let items = make_workload(&p.str_or("workload", "uniform:1,10"), n, seed ^ 0xA5)?;
-    let partition = make_partition(&p.str_or("partition", "roundrobin"))?;
     let total: f64 = items.iter().map(|i| i.weight).sum();
 
     let mut runner = if latency == 0 {
@@ -131,14 +147,11 @@ fn cmd_sample<W: Write>(p: &Parsed, out: &mut W) -> Result<(), ArgError> {
 /// threads/flat; `cmd_run` overrides them from its own flags.
 fn make_scenario(p: &Parsed) -> Result<Scenario, ArgError> {
     let n = p.magnitude_or("n", 1_000_000)?;
-    let k = p.u64_or("k", 8)? as usize;
-    if k == 0 {
-        return Err(ArgError("--k must be at least 1".into()));
-    }
+    let k = p.positive_or("k", 8)? as usize;
     let seed = p.u64_or("seed", 42)?;
-    let s = p.u64_or("s", 64)? as usize;
+    let s = p.positive_or("s", 64)? as usize;
     let workload = Workload::parse(&p.str_or("workload", "zipf_iid:1.1")).map_err(ArgError)?;
-    let partition = make_partition(&p.str_or("partition", "roundrobin"))?;
+    let partition = partition_flag(p, k)?;
     Ok(Scenario::new(EngineKind::Threads, k, s)
         .with_n(n)
         .with_seed(seed)
@@ -976,18 +989,6 @@ fn cmd_load<W: Write>(p: &Parsed, out: &mut W) -> Result<(), ArgError> {
         p.u64_or("queue", cfg.runtime.queue_capacity as u64)?.max(1) as usize;
 
     let report = dwrs_load::run_load(&cfg).map_err(|e| ArgError(format!("load failed: {e}")))?;
-
-    if let Some(path) = p.flags.get("bench") {
-        use std::io::Write as _;
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(|e| ArgError(format!("cannot open bench file '{path}': {e}")))?;
-        writeln!(f, "{}", report.to_json())
-            .map_err(|e| ArgError(format!("cannot append to '{path}': {e}")))?;
-    }
-
     if format == "json" {
         writeln!(out, "{}", report.to_json()).ok();
     } else {
@@ -1046,6 +1047,9 @@ fn cmd_load<W: Write>(p: &Parsed, out: &mut W) -> Result<(), ArgError> {
 
 fn cmd_workload<W: Write>(p: &Parsed, out: &mut W) -> Result<(), ArgError> {
     let n = p.magnitude_or("n", 1_000)?;
+    if n == 0 {
+        return Err(ArgError("--n must be at least 1".into()));
+    }
     let seed = p.u64_or("seed", 7)?;
     let workload = Workload::parse(&p.str_or("kind", "zipf:1.2")).map_err(ArgError)?;
     let source = workload
@@ -1062,7 +1066,7 @@ fn cmd_workload<W: Write>(p: &Parsed, out: &mut W) -> Result<(), ArgError> {
 
 fn cmd_track_l1<W: Write>(p: &Parsed, out: &mut W) -> Result<(), ArgError> {
     let n = p.u64_or("n", 65_536)?;
-    let k = p.u64_or("k", 16)? as usize;
+    let k = p.positive_or("k", 16)? as usize;
     let eps = p.f64_or("eps", 0.1)?;
     let seed = p.u64_or("seed", 1)?;
     if !(0.0..0.5).contains(&eps) || eps <= 0.0 {
@@ -1109,13 +1113,19 @@ fn cmd_track_l1<W: Write>(p: &Parsed, out: &mut W) -> Result<(), ArgError> {
 
 fn cmd_residual_hh<W: Write>(p: &Parsed, out: &mut W) -> Result<(), ArgError> {
     let n = p.u64_or("n", 20_000)? as usize;
-    let k = p.u64_or("k", 8)? as usize;
+    let k = p.positive_or("k", 8)? as usize;
     let eps = p.f64_or("eps", 0.2)?;
     let delta = p.f64_or("delta", 0.05)?;
-    let top = p.u64_or("top", 4)? as usize;
+    let top = p.positive_or("top", 4)? as usize;
     let seed = p.u64_or("seed", 3)?;
     if !(0.0..1.0).contains(&eps) || eps <= 0.0 {
         return Err(ArgError("--eps must be in (0, 1)".into()));
+    }
+    if !(0.0..1.0).contains(&delta) || delta <= 0.0 {
+        return Err(ArgError("--delta must be in (0, 1)".into()));
+    }
+    if n <= top {
+        return Err(ArgError(format!("--n must exceed --top {top}")));
     }
     let items = workloads::residual_skew(n, top, seed);
     let cfg = ResidualHhConfig::new(eps, delta, k);
@@ -1714,22 +1724,65 @@ mod tests {
 
     #[test]
     fn every_usage_command_dispatches() {
-        // The banner's command list and `dispatch` must not drift apart.
-        // Each command gets flags it rejects before doing any work (or
-        // lacks the --connect it requires), so nothing runs for real.
-        let commands: Vec<&str> = crate::args::USAGE
-            .lines()
-            .skip_while(|l| *l != "commands:")
-            .skip(1)
-            .take_while(|l| !l.is_empty())
-            .filter_map(|l| l.strip_prefix("  ").filter(|r| !r.starts_with(' ')))
-            .filter_map(|l| l.split_whitespace().next())
-            .collect();
-        assert!(commands.len() >= 10, "parsed {commands:?}");
-        for cmd in commands {
-            let (code, out) = run_cmd(&format!("{cmd} --n x --seed x --faults x"));
+        // The banner's commands, the flags each section names, `dispatch`
+        // and `COMMAND_FLAGS` must not drift apart. A flag no command
+        // takes fails before any work, so nothing runs for real.
+        type Flags = std::collections::BTreeSet<String>;
+        let mut usage: Vec<(&str, Flags)> = Vec::new();
+        let lines = crate::args::USAGE.lines().skip_while(|l| *l != "commands:");
+        for line in lines.skip(1).take_while(|l| !l.is_empty()) {
+            if let Some(head) = line.strip_prefix("  ").filter(|r| !r.starts_with(' ')) {
+                usage.push((head.split_whitespace().next().unwrap(), Flags::new()));
+            }
+            let (_, flags) = usage.last_mut().expect("a command line comes first");
+            for tail in line.split("--").skip(1) {
+                let name = tail.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'));
+                flags.insert(name.take(1).collect());
+            }
+        }
+        assert_eq!(usage.len(), COMMAND_FLAGS.len(), "{usage:?}");
+        for (cmd, documented) in usage {
+            let (_, accepted) = COMMAND_FLAGS.iter().find(|(c, _)| *c == cmd).unwrap();
+            let accepted: Flags = accepted.split_whitespace().map(String::from).collect();
+            assert_eq!(accepted, documented, "{cmd}: flags vs usage");
+            let (code, out) = run_cmd(&format!("{cmd} --no-such-flag x"));
             assert_eq!(code, 2, "{cmd}: {out}");
-            assert!(!out.contains("unknown command"), "{cmd}: {out}");
+            assert!(out.contains("unknown flag --no-such-flag"), "{cmd}: {out}");
+        }
+    }
+
+    #[test]
+    fn bad_flags_exit_2_naming_the_flag() {
+        for (cmd, flag) in [
+            ("run --n 1000 --bogus 1", "--bogus"),
+            ("run --n 1000 --engin epoll", "--engin"),
+            ("load --n 10 --bench out.json", "--bench"),
+            (
+                "attach --connect 127.0.0.1:1 --stream s --site 0 --queue 4",
+                "--queue",
+            ),
+            ("sample --k 0", "--k"),
+            ("sample --s 0", "--s"),
+            ("sample --n 10 --k 2 --partition single:2", "--partition"),
+            ("run --n 10 --k 2 --partition single:2", "--partition"),
+            ("residual-hh --k 0", "--k"),
+            ("residual-hh --top 0", "--top"),
+            ("residual-hh --n 4 --top 4", "--n"),
+            ("residual-hh --delta 0", "--delta"),
+            ("track-l1 --k 0", "--k"),
+            ("workload --n 0", "--n"),
+            // Checked before connecting: nothing listens on port 1.
+            (
+                "attach --connect 127.0.0.1:1 --stream s --site 0 --s 0",
+                "--s",
+            ),
+        ] {
+            let (code, out) = run_cmd(cmd);
+            assert_eq!(code, 2, "`{cmd}`: {out}");
+            assert!(
+                out.contains(&format!("{flag} ")),
+                "`{cmd}` names {flag}: {out}"
+            );
         }
     }
 

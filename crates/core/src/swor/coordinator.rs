@@ -258,10 +258,10 @@ impl SworCoordinator {
     /// than of how they were visited. Under delayed delivery (the threads
     /// and epoll engines) a single accepted key can jump `u` across several
     /// epochs at once; coalescing those into one message made identical
-    /// scenarios meter differently across engines (the 224-vs-232
-    /// down-message drift between streaming and materialized TCP runs), and
-    /// it under-counts against the paper's `O(log(εW))`-epochs analysis,
-    /// which charges each epoch its own broadcast.
+    /// scenarios meter differently across engines, and between streaming
+    /// and materialized runs of one engine, and it under-counts against
+    /// the paper's `O(log(εW))`-epochs analysis, which charges each epoch
+    /// its own broadcast.
     fn add_to_sample(&mut self, keyed: Keyed, out: &mut Vec<DownMsg>) {
         self.sample.offer(keyed);
         let new_epoch = epoch_of(self.sample.u(), self.r);

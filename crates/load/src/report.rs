@@ -95,9 +95,8 @@ impl LoadReport {
         self.violations.is_empty()
     }
 
-    /// Serializes the report as one single-line JSON object — the
-    /// `BENCH_load.json` row shape (one row per schedule × rate ×
-    /// chaos setting; see `docs/LOAD.md`).
+    /// Serializes the report as one single-line JSON object — what
+    /// `dwrs load --format json` prints (schema in `docs/LOAD.md`).
     pub fn to_json(&self) -> String {
         let latency = match &self.latency {
             None => "null".to_string(),

@@ -7,7 +7,7 @@
 //!
 //! The paper's cost metric is the number of messages, which is a counting
 //! property of the protocol and independent of physical transport — so an
-//! exact simulator is the faithful substrate (see DESIGN.md §5). The
+//! exact simulator is the faithful substrate. The
 //! simulator meters every upstream message and charges each coordinator
 //! broadcast `k` messages, exactly as the paper accounts them.
 //!

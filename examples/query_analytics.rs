@@ -44,7 +44,7 @@ fn main() {
     let eps = 0.1;
     let mut ours = {
         let mut cfg = L1Config::new(eps, 0.25, k);
-        // Experiment-scale constants (see EXPERIMENTS.md): lean sample size.
+        // Experiment-scale constants, not the proof's: lean sample size.
         cfg.sample_size_override = Some(200);
         cfg.dup_override = Some(1000);
         L1DupTracker::new(cfg, 2)

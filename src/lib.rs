@@ -48,7 +48,8 @@
 //! ```
 //!
 //! See `examples/` for full scenarios and `crates/bench` for the experiment
-//! harness regenerating the paper's tables (documented in EXPERIMENTS.md).
+//! harness regenerating the paper's tables (README.md, "Experiments and
+//! benchmarks").
 
 pub use dwrs_apps as apps;
 pub use dwrs_core as core;

@@ -1,8 +1,8 @@
 //! Doc-sync: `docs/LOAD.md` must document every schedule, every fault
-//! action, and every `BENCH_load.json` row key the harness actually
-//! emits, and the CLI usage banner must advertise the same catalogs —
-//! adding a schedule or widening the report without documenting it
-//! fails CI.
+//! action, and every key of the `--format json` report the harness
+//! actually emits, and the CLI usage banner must advertise the same
+//! catalogs — adding a schedule or widening the report without
+//! documenting it fails CI.
 
 use dwrs::load::{FAULT_NAMES, SCHEDULE_NAMES};
 
@@ -97,13 +97,13 @@ fn every_bench_row_key_is_documented() {
     let keys = bench_row_keys();
     assert!(
         keys.len() >= 17,
-        "BENCH_load.json row shrank unexpectedly: {keys:?}"
+        "the JSON report shrank unexpectedly: {keys:?}"
     );
     let guide = repo_file("docs/LOAD.md");
     for key in &keys {
         assert!(
             guide.contains(&format!("`{key}`")),
-            "docs/LOAD.md does not document the BENCH_load.json key '{key}'"
+            "docs/LOAD.md does not document the JSON report key '{key}'"
         );
     }
 }

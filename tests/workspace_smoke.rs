@@ -57,3 +57,45 @@ fn quickstart_scenario_runs() {
         runner.metrics.total()
     );
 }
+
+/// Every markdown file a comment names under `src/`, `crates/*/src`,
+/// `tests/` and `examples/` exists, as a path from the repository root.
+#[test]
+fn markdown_files_named_in_comments_exist() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut dirs = vec![root.join("src"), root.join("tests"), root.join("examples")];
+    for krate in std::fs::read_dir(root.join("crates")).expect("crates/") {
+        dirs.push(krate.expect("crate dir").path().join("src"));
+    }
+    let mut missing = Vec::new();
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).expect("source dir") {
+            let path = entry.expect("dir entry").path();
+            if path.is_dir() {
+                dirs.push(path);
+                continue;
+            }
+            if path.extension().is_none_or(|e| e != "rs") {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).expect("source file");
+            for (i, line) in text.lines().enumerate() {
+                let Some((_, comment)) = line.split_once("//") else {
+                    continue;
+                };
+                let words =
+                    comment.split(|c: char| !(c.is_ascii_alphanumeric() || "_./-".contains(c)));
+                for word in words.map(|w| w.trim_end_matches('.')) {
+                    if word.len() > 3 && word.ends_with(".md") && !root.join(word).is_file() {
+                        missing.push(format!("{}:{}: {word}", path.display(), i + 1));
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        missing.is_empty(),
+        "comments name missing files:\n{}",
+        missing.join("\n")
+    );
+}
