@@ -35,7 +35,7 @@ commands:
                                 true for every built-in workload)
                       --n --k --s --workload --seed --partition
                       --batch <msgs per upstream frame>   (default 64)
-                      --queue <up-queue bound in batches> (default 128)
+                      --queue <up-queue bound in batches> (default 32)
                       --down-poll-every <items between down-link polls>
                                                           (default 32;
                         lower = fresher thresholds, higher = throughput)

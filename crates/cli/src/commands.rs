@@ -160,11 +160,14 @@ fn make_scenario(p: &Parsed) -> Result<Scenario, ArgError> {
         .with_runtime(runtime_config(p)?))
 }
 
+/// The engine knobs: each flag defaults to the library's
+/// [`RuntimeConfig::default`], so a changed default reaches `dwrs run`.
 fn runtime_config(p: &Parsed) -> Result<RuntimeConfig, ArgError> {
+    let d = RuntimeConfig::default();
     Ok(RuntimeConfig::new()
-        .with_batch_max(p.u64_or("batch", 64)?.max(1) as usize)
-        .with_queue_capacity(p.u64_or("queue", 128)?.max(1) as usize)
-        .with_down_poll_every(p.u64_or("down-poll-every", 32)?.max(1) as u32))
+        .with_batch_max(p.u64_or("batch", d.batch_max as u64)? as usize)
+        .with_queue_capacity(p.u64_or("queue", d.queue_capacity as u64)? as usize)
+        .with_down_poll_every(p.u64_or("down-poll-every", u64::from(d.down_poll_every))? as u32))
 }
 
 /// `run`: every engine×topology combination routes through one
@@ -313,12 +316,15 @@ fn print_report<W: Write>(
                  \"n\":{n},\"k\":{k},\"s\":{s},\
                  \"elapsed_s\":{elapsed_s:.6},\"items_per_s\":{items_per_s:.1},\
                  \"sample_size\":{},\"messages\":{},\"up_messages\":{},\
-                 \"down_messages\":{},\"bytes\":{},\"streaming\":{streaming},\
+                 \"down_messages\":{},\"stale_regular\":{},\"stale_early\":{},\
+                 \"bytes\":{},\"streaming\":{streaming},\
                  \"invariants_ok\":{}{answer_json}{timeline_json},\"peak_rss_bytes\":{rss}}}",
                 report.sample.len(),
                 m.total(),
                 m.up_total,
                 m.down_total,
+                report.stale_regular,
+                report.stale_early,
                 m.total_bytes(),
                 report.invariants_ok(),
             )
@@ -330,7 +336,8 @@ fn print_report<W: Write>(
                  \"s\":{s},\"groups\":{groups},\"k_per_group\":{},\"sync_every\":{sync_every},\
                  \"elapsed_s\":{elapsed_s:.6},\"items_per_s\":{items_per_s:.1},\
                  \"sample_size\":{},\"messages\":{},\"up_messages\":{},\
-                 \"down_messages\":{},\"sync_messages\":{},\"syncs\":{},\"bytes\":{},\
+                 \"down_messages\":{},\"stale_regular\":{},\"stale_early\":{},\
+                 \"sync_messages\":{},\"syncs\":{},\"bytes\":{},\
                  \"streaming\":{streaming},\"invariants_ok\":{}{answer_json}\
                  {timeline_json},\"peak_rss_bytes\":{rss}}}",
                 k / groups,
@@ -338,6 +345,8 @@ fn print_report<W: Write>(
                 m.total(),
                 m.up_total,
                 m.down_total,
+                report.stale_regular,
+                report.stale_early,
                 m.kind("sync"),
                 report.syncs(),
                 m.total_bytes(),
@@ -446,6 +455,13 @@ fn print_report<W: Write>(
     for (kind, count) in &m.by_kind {
         writeln!(out, "  {kind:<16} {count}").ok();
     }
+    writeln!(
+        out,
+        "stale up-messages (sent from a state older than the coordinator's): \
+         {} regular, {} early",
+        report.stale_regular, report.stale_early
+    )
+    .ok();
     writeln!(out, "bytes on the wire: {}", m.total_bytes()).ok();
 }
 
@@ -454,9 +470,10 @@ fn print_report<W: Write>(
 /// SIGTERM/SIGINT, then reports every drained stream.
 fn cmd_daemon<W: Write>(p: &Parsed, out: &mut W) -> Result<(), ArgError> {
     let listen = p.str_or("listen", "127.0.0.1:0");
+    let d = DaemonConfig::default();
     let cfg = DaemonConfig {
-        seed: p.u64_or("seed", 42)?,
-        queue_capacity: p.u64_or("queue", 128)?.max(1) as usize,
+        seed: p.u64_or("seed", d.seed)?,
+        queue_capacity: p.u64_or("queue", d.queue_capacity as u64)?.max(1) as usize,
     };
     let daemon = Daemon::bind(listen.as_str(), cfg)
         .map_err(|e| ArgError(format!("cannot bind '{listen}': {e}")))?;
@@ -1783,6 +1800,35 @@ mod tests {
                 out.contains(&format!("{flag} ")),
                 "`{cmd}` names {flag}: {out}"
             );
+        }
+    }
+
+    #[test]
+    fn run_without_runtime_flags_uses_the_library_defaults() {
+        let p = parse_args(&["run".into(), "--n".into(), "10".into()]).unwrap();
+        assert_eq!(runtime_config(&p).unwrap(), RuntimeConfig::default());
+        assert_eq!(make_scenario(&p).unwrap().runtime, RuntimeConfig::default());
+        let p = parse_args(&["run".into(), "--queue".into(), "7".into()]).unwrap();
+        assert_eq!(runtime_config(&p).unwrap().queue_capacity, 7);
+    }
+
+    #[test]
+    fn usage_prints_the_library_runtime_defaults() {
+        // `USAGE` is a constant, so the defaults it prints are checked
+        // against the library's here instead of formatted from it.
+        let d = RuntimeConfig::default();
+        for (flag, value) in [
+            ("--batch <", d.batch_max as u64),
+            ("--queue <", d.queue_capacity as u64),
+            ("--down-poll-every <", u64::from(d.down_poll_every)),
+        ] {
+            let usage = crate::args::USAGE;
+            let after = &usage[usage.find(flag).expect(flag)..];
+            let default = after["(default ".len() + after.find("(default ").unwrap()..]
+                .split(|c: char| !c.is_ascii_digit())
+                .next()
+                .unwrap();
+            assert_eq!(default, value.to_string(), "{flag}");
         }
     }
 

@@ -60,6 +60,17 @@ pub struct CoordStats {
     /// Maximum over releases of `w / released_weight` at release time — the
     /// quantity Lemma 1 bounds by `1/(4s)`.
     pub max_release_fraction: f64,
+    /// *Stale* regular messages: a `Regular` whose key was at or below the
+    /// threshold of the last epoch broadcast when it arrived. A site that
+    /// held the coordinator's current state would not have sent it, so
+    /// lockstep SWOR with prompt delivery counts zero; the concurrent
+    /// engines' delayed delivery is what sends them.
+    pub stale_regular: u64,
+    /// *Stale* early messages: an `Early` for an already-saturated level
+    /// whose coordinator-drawn key was at or below that same threshold
+    /// (the sender had not yet seen the saturation broadcast, and the item
+    /// would not have cleared its filter either).
+    pub stale_early: u64,
 }
 
 /// Per-level bookkeeping: an O(log rs)-bit counter, the accumulated weight
@@ -140,6 +151,9 @@ pub struct SworCoordinator {
     withheld: Withheld,
     levels: HashMap<u32, LevelInfo>,
     epoch: Option<i64>,
+    /// The threshold of the last epoch broadcast (0 before the first):
+    /// what every site filters by once it has caught up.
+    threshold: f64,
     rng: Rng,
     /// Diagnostics counters.
     pub stats: CoordStats,
@@ -161,6 +175,7 @@ impl SworCoordinator {
             withheld: Withheld::new(s),
             levels: HashMap::new(),
             epoch: None,
+            threshold: 0.0,
             rng: Rng::new(seed),
             stats: CoordStats::default(),
         }
@@ -188,6 +203,9 @@ impl SworCoordinator {
             UpMsg::Early { item } => self.receive_early(item, out),
             UpMsg::Regular { item, key } => {
                 self.stats.regular_received += 1;
+                if key <= self.threshold {
+                    self.stats.stale_regular += 1;
+                }
                 // Regular items belong to already-saturated levels: they
                 // enter the Lemma 1 denominator whether or not accepted.
                 self.track_release(item.weight);
@@ -210,6 +228,9 @@ impl SworCoordinator {
             // the item as released immediately.
             self.track_release(item.weight);
             let keyed = assign_key(item, &mut self.rng);
+            if keyed.key <= self.threshold {
+                self.stats.stale_early += 1;
+            }
             self.add_to_sample(keyed, out);
             return;
         }
@@ -281,8 +302,9 @@ impl SworCoordinator {
                 self.epoch = new_epoch;
                 for epoch in first..=j {
                     self.stats.epoch_broadcasts += 1;
+                    self.threshold = epoch_threshold(epoch, self.r);
                     out.push(DownMsg::UpdateEpoch {
-                        threshold: epoch_threshold(epoch, self.r),
+                        threshold: self.threshold,
                     });
                 }
             }
@@ -408,6 +430,7 @@ impl SworCoordinator {
             withheld,
             levels,
             epoch: snap.epoch,
+            threshold: snap.epoch.map_or(0.0, |j| epoch_threshold(j, r)),
             rng: Rng::from_state(snap.rng_state),
             stats: snap.stats,
         }
@@ -630,6 +653,60 @@ mod tests {
             .collect();
         assert_eq!(thresholds, vec![16.0, 32.0, 64.0]);
         assert_eq!(coord.stats.epoch_broadcasts, 1 + 1 + 3);
+    }
+
+    #[test]
+    fn stale_messages_count_against_the_last_epoch_threshold() {
+        let cfg = small_cfg();
+        let cap = cfg.level_capacity() as u64;
+        let mut coord = SworCoordinator::new(cfg, 6);
+        let mut out = Vec::new();
+        let regular = |id, key| UpMsg::Regular {
+            item: Item::new(id, 1.0),
+            key,
+        };
+        // Before any epoch the threshold is 0: nothing is stale.
+        coord.receive(regular(1, 9.0), &mut out);
+        assert_eq!(coord.stats.stale_regular, 0);
+        // u = 5 -> epoch 2, threshold 4: keys at or below 4 are stale
+        // (rejected as well, since u ≥ the threshold); 4.5 is not stale
+        // but still loses to u.
+        coord.receive(regular(2, 5.0), &mut out);
+        for (id, key) in [(3, 4.0), (4, 0.5), (5, 4.5)] {
+            coord.receive(regular(id, key), &mut out);
+        }
+        assert_eq!(coord.stats.stale_regular, 2);
+        assert_eq!(coord.stats.regular_accepted, 2);
+        // Saturate level 0, then send it early messages, as a site that
+        // missed the saturation broadcast would: each whose key is at or
+        // below the current threshold is a stale early.
+        for i in 0..cap {
+            coord.receive(
+                UpMsg::Early {
+                    item: Item::new(100 + i, 1.0),
+                },
+                &mut out,
+            );
+        }
+        assert!(coord.is_level_saturated(0));
+        // The coordinator keys each of these with one draw from its RNG;
+        // a copy of that RNG predicts every key. Keys that enter the
+        // sample raise u, so the threshold moves as the loop runs.
+        let mut rng = Rng::from_state(coord.snapshot().rng_state);
+        let (mut below, mut above) = (0, 0);
+        for i in 0..200u64 {
+            let threshold = epoch_threshold(coord.epoch().expect("u passed 1"), 2.0);
+            let item = Item::new(1_000 + i, 1.0);
+            if assign_key(item, &mut rng).key <= threshold {
+                below += 1;
+            } else {
+                above += 1;
+            }
+            coord.receive(UpMsg::Early { item }, &mut out);
+        }
+        assert!(below > 0 && above > 0, "{below} keys below, {above} above");
+        assert_eq!(coord.stats.stale_early, below);
+        assert_eq!(coord.stats.stale_regular, 2);
     }
 
     #[test]

@@ -10,30 +10,39 @@
 //!   the input (synthetic generators, a CSV reader, or an in-memory vec
 //!   adapter). Generators synthesize items on demand; nothing is
 //!   materialized.
-//! * a **bounded sharded dispatcher** — a thread that pulls items off the
-//!   source, assigns each to a site via the scenario's
-//!   [`Partition`], and pushes fixed-size frames into per-site bounded
-//!   queues the engine's site threads consume. Peak buffered input is
-//!   `shards × (queue + 1) × frame` items (see [`DispatcherStats`]),
-//!   independent of stream length — O(batch × queue), not O(n).
+//! * a **bounded sharded dispatcher** — a thread that pulls *draws* off the
+//!   staged source (`Workload::staged`: each synthetic generator split
+//!   into a sequential draw and a pure per-item [`WeightMap`]), assigns
+//!   each to a site via the scenario's [`Partition`] (which never reads a
+//!   weight), and pushes fixed-size frames into per-site bounded queues.
+//!   Each queue's [`ShardSource`] finishes a frame's weights — the `powf`
+//!   or `exp` of the map — on the site thread (threads engine) or site
+//!   worker (epoll engine) that takes it off the queue, and sums them; the
+//!   driver adds the shard sums into [`RunReport::total_weight`]. So the
+//!   one serial thread only draws and partitions. Peak buffered input is
+//!   `shards × (QUEUE_FRAMES + 2) × FRAME_ITEMS` items (see
+//!   [`DispatcherStats`]), independent of stream length — O(batch ×
+//!   queue), not O(n).
 //! * [`Scenario`] + [`run_scenario`] — the single entry point: protocol
 //!   config, engine (lockstep | threads | epoll), topology (flat | tree),
 //!   workload, seed and partition in one value; the result is a uniform
-//!   [`RunReport`] (sample, per-tier metrics, invariant checks, wall
-//!   clock, throughput, dispatcher stats, peak-RSS estimate) whatever the
-//!   substrate.
+//!   [`RunReport`] (sample, per-tier metrics, stale-message counts,
+//!   invariant checks, wall clock, throughput, dispatcher stats, peak-RSS
+//!   estimate) whatever the substrate.
 //!
 //! ```text
-//!             ┌────────────┐   frames (≤ frame_items each)
-//!   Workload ─► dispatcher ├──► shard 0 queue ─► site thread 0 ─┐
-//!   (stream)  │  thread    ├──► shard 1 queue ─► site thread 1 ─┼─► engine
-//!             │ Partition  ├──► …                               │
-//!             └────────────┘      bounded: queue_frames each    ┘
+//!             ┌────────────┐  frames of draws   shard source: finish
+//!   Workload ─► dispatcher ├──► shard 0 queue ─► + sum weights ─► site 0 ─┐
+//!   (draws)   │  thread    ├──► shard 1 queue ─► + sum weights ─► site 1 ─┼─► engine
+//!             │ Partition  ├──► …                (on the site's thread)   │
+//!             └────────────┘  bounded: QUEUE_FRAMES each                  ┘
 //! ```
 //!
 //! The lockstep engine needs no dispatcher: the driver feeds the
-//! simulator directly from the source in global arrival order, at O(1)
-//! extra memory.
+//! simulator the composed stream ([`Staged::compose`], which is what
+//! [`Workload::source`] returns) in global arrival order, at O(1) extra
+//! memory. Lockstep therefore sums the total weight sequentially, and the
+//! concurrent engines' per-shard sums can differ from it by rounding.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -46,8 +55,8 @@ use dwrs_core::swor::{CoordStats, SworConfig};
 use dwrs_core::{Item, Keyed};
 use dwrs_sim::{CoordinatorNode, Metrics, Partition, Partitioner, Runner, SiteNode};
 use dwrs_workloads::source::{
-    lognormal_stream, pareto_stream, uniform_stream, unit_stream, zipf_stream, CsvSource,
-    ItemSource,
+    lognormal_staged, pareto_staged, uniform_staged, unit_stream, zipf_staged, CsvSource,
+    ItemSource, Staged, WeightMap,
 };
 
 use crate::config::RuntimeConfig;
@@ -276,32 +285,59 @@ impl Workload {
     }
 
     /// Resolves the description into a streaming source of (up to) `n`
-    /// items. Only the [`Workload::materializes`] variants occupy O(n)
-    /// memory; every other variant is O(1). Invalid distribution
-    /// parameters surface as `InvalidInput` errors rather than panics.
+    /// items: [`Staged::compose`] of the workload's staged form (see
+    /// `Workload::staged`). Only the [`Workload::materializes`] variants
+    /// occupy O(n) memory; every other variant is O(1). Invalid
+    /// distribution parameters surface as `InvalidInput` errors rather than
+    /// panics.
     pub fn source(&self, n: u64, seed: u64) -> std::io::Result<Box<dyn ItemSource>> {
+        Ok(Box::new(self.staged(n, seed)?.compose()))
+    }
+
+    /// Resolves the description into its two stages: a sequential stream
+    /// of draws and the pure [`WeightMap`] that finishes each into its
+    /// weight. The synthetic generators split where their per-item cost
+    /// does (a `powf` or `exp` after the draw); every other variant is its
+    /// own draw, with the identity map.
+    pub(crate) fn staged(&self, n: u64, seed: u64) -> std::io::Result<StagedSource> {
+        fn boxed(staged: Staged<impl ItemSource + 'static>) -> StagedSource {
+            Staged {
+                draws: Box::new(staged.draws),
+                map: staged.map,
+            }
+        }
+        fn identity(items: impl ItemSource + 'static) -> StagedSource {
+            Staged {
+                draws: Box::new(items),
+                map: WeightMap::Identity,
+            }
+        }
         self.validate()
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
         Ok(match self {
-            Workload::Unit => Box::new(unit_stream(n)),
-            Workload::Uniform { lo, hi } => Box::new(uniform_stream(n, *lo, *hi, seed)),
-            Workload::Zipf { alpha } => Box::new(zipf_stream(n, *alpha, seed)),
+            Workload::Unit => identity(unit_stream(n)),
+            Workload::Uniform { lo, hi } => boxed(uniform_staged(n, *lo, *hi, seed)),
+            Workload::Zipf { alpha } => boxed(zipf_staged(n, *alpha, seed)),
             Workload::ZipfRanked { alpha } => {
-                Box::new(dwrs_workloads::zipf_ranked(n as usize, *alpha, seed).into_iter())
+                identity(dwrs_workloads::zipf_ranked(n as usize, *alpha, seed).into_iter())
             }
-            Workload::Pareto { alpha, w_min } => Box::new(pareto_stream(n, *alpha, *w_min, seed)),
-            Workload::Lognormal { mu, sigma } => Box::new(lognormal_stream(n, *mu, *sigma, seed)),
+            Workload::Pareto { alpha, w_min } => boxed(pareto_staged(n, *alpha, *w_min, seed)),
+            Workload::Lognormal { mu, sigma } => boxed(lognormal_staged(n, *mu, *sigma, seed)),
             Workload::ResidualSkew { top } => {
-                Box::new(dwrs_workloads::residual_skew(n as usize, *top, seed).into_iter())
+                identity(dwrs_workloads::residual_skew(n as usize, *top, seed).into_iter())
             }
-            Workload::Csv(path) => Box::new(CsvSource::open(path)?),
-            Workload::Items(items) => Box::new(SharedItems {
+            Workload::Csv(path) => identity(CsvSource::open(path)?),
+            Workload::Items(items) => identity(SharedItems {
                 items: std::sync::Arc::clone(items),
                 next: 0,
             }),
         })
     }
 }
+
+/// A workload resolved into its draws and their weight map (see
+/// [`Workload::staged`]).
+pub(crate) type StagedSource = Staged<Box<dyn ItemSource>>;
 
 // ------------------------------------------------------------ scenario
 
@@ -465,6 +501,12 @@ impl Scenario {
         self.workload.source(self.n, self.seed ^ 0xA5)
     }
 
+    /// The same stream as [`Scenario::source`], staged (see
+    /// [`Workload::staged`]).
+    pub(crate) fn staged(&self) -> std::io::Result<StagedSource> {
+        self.workload.staged(self.n, self.seed ^ 0xA5)
+    }
+
     /// The seeded site assigner for this scenario's global stream (shared
     /// derivation; see [`Scenario::source`]).
     pub fn partitioner(&self) -> Partitioner {
@@ -515,12 +557,14 @@ impl Scenario {
 /// keeping each shard's resident window small: a frame is 64 KiB of items.
 pub const FRAME_ITEMS: usize = 4096;
 
-/// Per-shard dispatch queue bound, in frames. Deep enough to ride out
-/// scheduling jitter between the feeder and a site thread, shallow enough
-/// that the whole input-side window stays a few hundred KiB per shard —
-/// the dispatcher's memory is `shards × (QUEUE_FRAMES + 2) × FRAME_ITEMS`
-/// items whatever the stream length.
-pub const QUEUE_FRAMES: usize = 4;
+/// Per-shard dispatch queue bound, in frames. The sites, not the
+/// dispatcher, bound a run (the dispatcher only draws; see
+/// [`ShardSource`]), so the queues run full and their depth is resident
+/// memory, not slack: two frames ride out scheduling jitter between the
+/// feeder and a site thread, and the whole input-side window stays
+/// `shards × (QUEUE_FRAMES + 2) × FRAME_ITEMS` items — 256 KiB per shard —
+/// whatever the stream length.
+pub const QUEUE_FRAMES: usize = 2;
 
 /// What the dispatcher measured while feeding a run — the evidence for the
 /// bounded-memory invariant.
@@ -528,8 +572,13 @@ pub const QUEUE_FRAMES: usize = 4;
 pub struct DispatcherStats {
     /// Items pulled off the source and dispatched.
     pub items: u64,
-    /// Total weight of the dispatched items (the exact `W` that query
-    /// answers such as the L1 estimate are checked against).
+    /// Total weight of the dispatched items (the `W` that query answers
+    /// such as the L1 estimate are checked against). The dispatcher moves
+    /// only draws, so each shard source sums the weights it finishes, in
+    /// its arrival order, and the driver adds the shard sums in shard order
+    /// once the engine returns. It can therefore differ from lockstep's
+    /// sequential sum by rounding: by at most about `n·ε` relative
+    /// (ε = 2⁻⁵³).
     pub weight: f64,
     /// Frames shipped across all shards.
     pub frames: u64,
@@ -565,12 +614,43 @@ impl DispatcherStats {
 
 /// The consuming end of one shard queue: a streaming per-site input the
 /// engines drive their site loops from.
+///
+/// The queue carries *draws* (see [`WeightMap`]): the dispatcher moves
+/// them in stream order, and the shard source finishes each frame's
+/// weights on the consuming site thread (threads engine) or site worker
+/// (epoll engine) as it takes the frame off the queue. So the per-item
+/// weight map runs on k threads instead of the one dispatcher, and a raw
+/// draw never leaves the shard source.
 #[derive(Debug)]
 pub struct ShardSource {
     rx: mpsc::Receiver<Vec<Item>>,
     cur: std::vec::IntoIter<Item>,
+    map: WeightMap,
+    /// Sum of the weights finished so far, in arrival order.
+    weight: f64,
+    /// Where `weight` is published (as f64 bits) for the driver.
+    weight_out: Arc<AtomicU64>,
     in_flight: Arc<AtomicU64>,
     depth_gauge: Arc<dwrs_telemetry::Gauge>,
+}
+
+impl ShardSource {
+    /// Takes one frame of draws off the queue and finishes it: every
+    /// item's weight in one pass, added to the shard's running sum. The
+    /// one place a frame is finished, for both the blocking and the
+    /// nonblocking face, so no item is finished twice.
+    fn take_frame(&mut self, mut frame: Vec<Item>) -> Vec<Item> {
+        // ordering: Relaxed — occupancy statistic; the channel recv
+        // already synchronized the frame handoff.
+        let now = self.in_flight.fetch_sub(1, Ordering::Relaxed) - 1;
+        self.depth_gauge.set(now as i64);
+        self.weight = self.map.finish_frame(&mut frame, self.weight);
+        // ordering: Relaxed — the driver reads the sum only after the
+        // engine has joined this shard's consumer thread.
+        self.weight_out
+            .store(self.weight.to_bits(), Ordering::Relaxed);
+        frame
+    }
 }
 
 impl Iterator for ShardSource {
@@ -582,13 +662,7 @@ impl Iterator for ShardSource {
                 return Some(item);
             }
             match self.rx.recv() {
-                Ok(frame) => {
-                    // ordering: Relaxed — occupancy statistic; the channel
-                    // recv already synchronized the frame handoff.
-                    let now = self.in_flight.fetch_sub(1, Ordering::Relaxed) - 1;
-                    self.depth_gauge.set(now as i64);
-                    self.cur = frame.into_iter();
-                }
+                Ok(frame) => self.cur = self.take_frame(frame).into_iter(),
                 Err(mpsc::RecvError) => return None,
             }
         }
@@ -603,16 +677,12 @@ impl Iterator for ShardSource {
 impl ItemFeed for ShardSource {
     fn poll(&mut self) -> Feed {
         if self.cur.len() > 0 {
+            // Items `next` left behind were finished when their frame was
+            // taken.
             return Feed::Frame(self.cur.by_ref().collect());
         }
         match self.rx.try_recv() {
-            Ok(frame) => {
-                // ordering: Relaxed — as in `next`: the queue synchronizes
-                // the data, the counter is a metrics-only depth estimate.
-                let now = self.in_flight.fetch_sub(1, Ordering::Relaxed) - 1;
-                self.depth_gauge.set(now as i64);
-                Feed::Frame(frame)
-            }
+            Ok(frame) => Feed::Frame(self.take_frame(frame)),
             Err(mpsc::TryRecvError::Empty) => Feed::Pending,
             Err(mpsc::TryRecvError::Disconnected) => Feed::Done,
         }
@@ -631,22 +701,29 @@ struct Dispatcher {
 
 impl Dispatcher {
     /// Builds `shards` bounded queues of [`QUEUE_FRAMES`] frames each,
-    /// returning the feeder and the per-shard consuming ends.
-    fn new(shards: usize) -> (Self, Vec<ShardSource>) {
+    /// returning the feeder, the per-shard consuming ends (which finish
+    /// draws with `map`) and the slots they publish their weight sums in.
+    fn new(shards: usize, map: WeightMap) -> (Self, Vec<ShardSource>, Vec<Arc<AtomicU64>>) {
         let queue_frames = QUEUE_FRAMES;
         let in_flight = Arc::new(AtomicU64::new(0));
         let (frames_counter, depth_gauge) = crate::obs::dispatch_handles();
         let mut txs = Vec::with_capacity(shards);
         let mut rxs = Vec::with_capacity(shards);
+        let mut weights = Vec::with_capacity(shards);
         for _ in 0..shards {
             let (tx, rx) = mpsc::sync_channel(queue_frames.max(1));
+            let weight_out = Arc::new(AtomicU64::new(0f64.to_bits()));
             txs.push((tx, Vec::with_capacity(FRAME_ITEMS)));
             rxs.push(ShardSource {
                 rx,
                 cur: Vec::new().into_iter(),
+                map,
+                weight: 0.0,
+                weight_out: Arc::clone(&weight_out),
                 in_flight: Arc::clone(&in_flight),
                 depth_gauge: Arc::clone(&depth_gauge),
             });
+            weights.push(weight_out);
         }
         let stats = DispatcherStats {
             shards,
@@ -663,6 +740,7 @@ impl Dispatcher {
                 depth_gauge,
             },
             rxs,
+            weights,
         )
     }
 
@@ -696,16 +774,16 @@ impl Dispatcher {
         self.frames_counter.inc();
     }
 
-    /// Drains the source into the shard queues until EOF or until every
+    /// Drains the draws into the shard queues until EOF or until every
     /// receiver is gone. Runs on its own thread, concurrent with the
-    /// engine.
-    fn run(mut self, source: Box<dyn ItemSource>, mut partitioner: Partitioner) -> DispatcherStats {
-        for item in source {
+    /// engine. The partitioner never reads a weight, so it assigns draws
+    /// exactly as it would the finished items.
+    fn run(mut self, draws: Box<dyn ItemSource>, mut partitioner: Partitioner) -> DispatcherStats {
+        for draw in draws {
             let shard = partitioner.next_site();
             self.stats.items += 1;
-            self.stats.weight += item.weight;
             let (_, buf) = &mut self.shards[shard];
-            buf.push(item);
+            buf.push(draw);
             if buf.len() >= FRAME_ITEMS {
                 self.flush_shard(shard);
                 if self.stats.receiver_gone {
@@ -719,6 +797,46 @@ impl Dispatcher {
         // Dropping the senders closes every shard queue: the engines' site
         // loops observe end-of-stream and begin the shutdown handshake.
         self.stats
+    }
+}
+
+/// A running dispatcher thread plus the weight sums its shard sources
+/// publish.
+struct Dispatch {
+    feeder: thread::JoinHandle<DispatcherStats>,
+    weights: Vec<Arc<AtomicU64>>,
+}
+
+impl Dispatch {
+    /// Starts feeding the scenario's staged input into `k` shard queues,
+    /// returning the consuming ends in global site order.
+    fn start(sc: &Scenario, input: StagedSource) -> (Dispatch, Vec<ShardSource>) {
+        let (dispatcher, shards, weights) = Dispatcher::new(sc.k, input.map);
+        let partitioner = sc.partitioner();
+        let feeder = thread::spawn(move || dispatcher.run(input.draws, partitioner));
+        (Dispatch { feeder, weights }, shards)
+    }
+
+    /// Joins the dispatcher once the engine has returned, converting a
+    /// panicking source (e.g. a malformed CSV record) into a run error
+    /// instead of a silently truncated stream, and totals the shard
+    /// weight sums in shard order.
+    fn join(self) -> Result<DispatcherStats, RuntimeError> {
+        let mut stats = self
+            .feeder
+            .join()
+            .map_err(|e| match e.downcast_ref::<String>() {
+                Some(msg) => RuntimeError::Transport(format!("workload dispatcher failed: {msg}")),
+                None => RuntimeError::Transport("workload dispatcher thread panicked".into()),
+            })?;
+        stats.weight = self
+            .weights
+            .iter()
+            // ordering: Relaxed — the engine joined every consumer thread
+            // before returning, which ordered their stores before this.
+            .map(|w| f64::from_bits(w.load(Ordering::Relaxed)))
+            .fold(0.0, |total, w| total + w);
+        Ok(stats)
     }
 }
 
@@ -745,7 +863,10 @@ pub struct RunReport {
     /// Items actually streamed (synthetic workloads: the scenario's `n`;
     /// CSV / in-memory sources: their true length).
     pub items: u64,
-    /// Exact total weight of the streamed items.
+    /// Total weight of the streamed items: lockstep's sequential sum, or on
+    /// threads and epoll the shard sources' sums added in shard order (see
+    /// [`DispatcherStats::weight`]), which can differ from it by rounding
+    /// (at most about `n·ε` relative, ε = 2⁻⁵³).
     pub total_weight: f64,
     /// Wall-clock time of the run (dispatch + protocol + shutdown; for
     /// streaming workloads, generation overlaps inside this window).
@@ -776,6 +897,19 @@ pub struct RunReport {
     /// The coordinator's final epoch (flat swor-family runs; `None` for
     /// tree runs, whose root holds merged samples rather than epochs).
     pub final_epoch: Option<i64>,
+    /// Stale regular messages: regulars whose key was at or below the
+    /// threshold of the coordinator's last epoch broadcast when they
+    /// arrived (`CoordStats::stale_regular`; trees sum their group
+    /// aggregators). A site holding the coordinator's current state would
+    /// not have sent them, so lockstep SWOR and rhh runs count zero; the
+    /// concurrent engines' delayed delivery sends them. L1's duplicates can
+    /// count in lockstep too (one item's ℓ copies ship together), and the
+    /// sliding-window coordinator does not classify (always 0).
+    pub stale_regular: u64,
+    /// Stale early messages: earlies for an already-saturated level whose
+    /// coordinator-drawn key was at or below that threshold
+    /// (`CoordStats::stale_early`; summed like `stale_regular`).
+    pub stale_early: u64,
 }
 
 impl RunReport {
@@ -845,6 +979,7 @@ fn peak_rss_bytes() -> Option<u64> {
 
 /// Per-query context for the invariant checks.
 struct InvariantCtx<'a> {
+    engine: EngineKind,
     query: &'a Query,
     answer: &'a QueryAnswer,
     u: Option<f64>,
@@ -852,6 +987,8 @@ struct InvariantCtx<'a> {
     /// for the unified down-path accounting check.
     coord_stats: Option<CoordStats>,
     final_epoch: Option<i64>,
+    /// The run's `(stale_regular, stale_early)` counts.
+    stale: (u64, u64),
 }
 
 /// Checks the run-level invariants shared by every substrate; returns the
@@ -938,6 +1075,19 @@ fn check_invariants(
             }
         }
     }
+    // Prompt delivery leaves no site behind the coordinator, so a lockstep
+    // run sends no stale message — except L1, whose ℓ copies of one item
+    // ship together, ahead of the broadcasts the first copies cause.
+    if ctx.engine == EngineKind::Lockstep
+        && ctx.query.duplication().is_none()
+        && ctx.stale != (0, 0)
+    {
+        violations.push(format!(
+            "lockstep run counted {} stale regular and {} stale early messages; \
+             prompt delivery sends none",
+            ctx.stale.0, ctx.stale.1
+        ));
+    }
     if let Some(u) = ctx.u {
         if sample.iter().any(|kd| kd.key < u) {
             violations.push(format!("a sampled key fell below the threshold u = {u:e}"));
@@ -1000,12 +1150,12 @@ fn check_invariants(
 /// surface (CLI, benches, equivalence suites) routes through.
 pub fn run_scenario(sc: &Scenario) -> Result<RunReport, RuntimeError> {
     sc.validate().map_err(RuntimeError::InvalidScenario)?;
-    let source = sc
-        .source()
+    let input = sc
+        .staged()
         .map_err(|e| RuntimeError::InvalidScenario(format!("workload source: {e}")))?;
     match sc.topology {
-        Topology::Flat => run_flat(sc, source),
-        Topology::Tree { groups, sync_every } => run_tree(sc, source, groups, sync_every),
+        Topology::Flat => run_flat(sc, input),
+        Topology::Tree { groups, sync_every } => run_tree(sc, input, groups, sync_every),
     }
 }
 
@@ -1015,12 +1165,13 @@ pub fn run_scenario(sc: &Scenario) -> Result<RunReport, RuntimeError> {
 pub(crate) type DriveResult<Out> = Result<(u64, f64, Out, Option<DispatcherStats>), RuntimeError>;
 
 /// Drives a flat deployment of arbitrary protocol nodes on the scenario's
-/// engine: the lockstep simulator consumes the stream directly (O(1)
-/// extra memory, plus the end-of-stream [`SiteNode::finish`] pass); the
-/// concurrent engines stream it through the bounded dispatcher.
+/// engine: the lockstep simulator consumes the composed stream directly
+/// (O(1) extra memory, plus the end-of-stream [`SiteNode::finish`] pass);
+/// the concurrent engines stream the draws through the bounded dispatcher
+/// and finish them in their shard sources.
 pub(crate) fn drive_flat<S, C>(
     sc: &Scenario,
-    source: Box<dyn ItemSource>,
+    input: StagedSource,
     sites: Vec<S>,
     coordinator: C,
 ) -> DriveResult<RunOutput<S, C>>
@@ -1035,7 +1186,7 @@ where
             let mut partitioner = sc.partitioner();
             let mut runner = Runner::new(coordinator, sites);
             let (mut items, mut weight) = (0u64, 0.0f64);
-            for item in source {
+            for item in input.compose() {
                 weight += item.weight;
                 runner.step(partitioner.next_site(), item);
                 items += 1;
@@ -1049,26 +1200,22 @@ where
             Ok((items, weight, out, None))
         }
         EngineKind::Threads => {
-            let (dispatcher, shards) = Dispatcher::new(sc.k);
-            let partitioner = sc.partitioner();
-            let feeder = thread::spawn(move || dispatcher.run(source, partitioner));
+            let (dispatch, shards) = Dispatch::start(sc, input);
             let result = run_threads(sites, coordinator, shards, &sc.runtime);
-            let dstats = join_feeder(feeder)?;
+            let dstats = dispatch.join()?;
             let out = result?;
             Ok((dstats.items, dstats.weight, out, Some(dstats)))
         }
         EngineKind::Epoll => {
             // Same bounded dispatcher, but the shard queues feed the event
             // loops through their nonblocking [`ItemFeed`] face.
-            let (dispatcher, shards) = Dispatcher::new(sc.k);
-            let partitioner = sc.partitioner();
-            let feeder = thread::spawn(move || dispatcher.run(source, partitioner));
+            let (dispatch, shards) = Dispatch::start(sc, input);
             let feeds: Vec<Box<dyn ItemFeed>> = shards
                 .into_iter()
                 .map(|shard| Box::new(shard) as Box<dyn ItemFeed>)
                 .collect();
             let result = run_epoll(sites, coordinator, feeds, &sc.runtime);
-            let dstats = join_feeder(feeder)?;
+            let dstats = dispatch.join()?;
             let out = result?;
             Ok((dstats.items, dstats.weight, out, Some(dstats)))
         }
@@ -1080,7 +1227,7 @@ where
 /// factories the concurrent engines use.
 pub(crate) fn drive_tree<S, A>(
     sc: &Scenario,
-    source: Box<dyn ItemSource>,
+    input: StagedSource,
     groups: usize,
     sync_every: u64,
     mut mk_site: impl FnMut(usize, usize) -> S,
@@ -1110,7 +1257,7 @@ where
                 })
                 .collect();
             let mut tree = LockstepTree::new(s_eff, sync_every, runners);
-            for item in source {
+            for item in input.compose() {
                 let site = partitioner.next_site();
                 weight += item.weight;
                 tree.observe(site / k_per_group, site % k_per_group, item);
@@ -1119,9 +1266,7 @@ where
             Ok((items, weight, tree.finish(), None))
         }
         EngineKind::Threads => {
-            let (dispatcher, shards) = Dispatcher::new(sc.k);
-            let partitioner = sc.partitioner();
-            let feeder = thread::spawn(move || dispatcher.run(source, partitioner));
+            let (dispatch, shards) = Dispatch::start(sc, input);
             // Regroup the flat shard list into per-group blocks (shard
             // order is global site order, which is group-major).
             let mut it = shards.into_iter();
@@ -1137,14 +1282,12 @@ where
                 grouped,
                 &sc.runtime,
             );
-            let dstats = join_feeder(feeder)?;
+            let dstats = dispatch.join()?;
             let out = result?;
             Ok((dstats.items, dstats.weight, out, Some(dstats)))
         }
         EngineKind::Epoll => {
-            let (dispatcher, shards) = Dispatcher::new(sc.k);
-            let partitioner = sc.partitioner();
-            let feeder = thread::spawn(move || dispatcher.run(source, partitioner));
+            let (dispatch, shards) = Dispatch::start(sc, input);
             // Group-major regroup as above, shard queues as nonblocking
             // feeds into the shared tree reactor.
             let mut it = shards.into_iter();
@@ -1157,14 +1300,14 @@ where
                 })
                 .collect();
             let result = run_tree_epoll(s_eff, &topo, mk_site, mk_aggregator, grouped, &sc.runtime);
-            let dstats = join_feeder(feeder)?;
+            let dstats = dispatch.join()?;
             let out = result?;
             Ok((dstats.items, dstats.weight, out, Some(dstats)))
         }
     }
 }
 
-fn run_flat(sc: &Scenario, source: Box<dyn ItemSource>) -> Result<RunReport, RuntimeError> {
+fn run_flat(sc: &Scenario, input: StagedSource) -> Result<RunReport, RuntimeError> {
     let FlatOutcome {
         items,
         weight,
@@ -1176,14 +1319,17 @@ fn run_flat(sc: &Scenario, source: Box<dyn ItemSource>) -> Result<RunReport, Run
         final_epoch,
         dispatcher,
         answer,
-    } = run_query_flat(sc, source)?;
+    } = run_query_flat(sc, input)?;
     let s_eff = sc.query.sample_size(sc.s);
+    let stale = coord_stats.map_or((0, 0), |st| (st.stale_regular, st.stale_early));
     let ctx = InvariantCtx {
+        engine: sc.engine,
         query: &sc.query,
         answer: &answer,
         u,
         coord_stats,
         final_epoch,
+        stale,
     };
     let violations = check_invariants(&sample, &metrics, items, s_eff, sc.k, &ctx, None);
     Ok(RunReport {
@@ -1204,12 +1350,14 @@ fn run_flat(sc: &Scenario, source: Box<dyn ItemSource>) -> Result<RunReport, Run
         peak_rss_bytes: peak_rss_bytes(),
         violations,
         final_epoch,
+        stale_regular: stale.0,
+        stale_early: stale.1,
     })
 }
 
 fn run_tree(
     sc: &Scenario,
-    source: Box<dyn ItemSource>,
+    input: StagedSource,
     groups: usize,
     sync_every: u64,
 ) -> Result<RunReport, RuntimeError> {
@@ -1221,14 +1369,19 @@ fn run_tree(
         out,
         dispatcher,
         answer,
-    } = run_query_tree(sc, source, groups, sync_every)?;
+    } = run_query_tree(sc, input, groups, sync_every)?;
     let s_eff = sc.query.sample_size(sc.s);
+    let stale = out.group_stats.iter().fold((0, 0), |(r, e), st| {
+        (r + st.stale_regular, e + st.stale_early)
+    });
     let ctx = InvariantCtx {
+        engine: sc.engine,
         query: &sc.query,
         answer: &answer,
         u: None,
         coord_stats: None,
         final_epoch: None,
+        stale,
     };
     let violations = check_invariants(
         &out.root_sample,
@@ -1257,24 +1410,15 @@ fn run_tree(
         peak_rss_bytes: peak_rss_bytes(),
         violations,
         final_epoch: None,
-    })
-}
-
-/// Joins the dispatcher thread, converting a panicking source (e.g. a
-/// malformed CSV record) into a run error instead of a silently truncated
-/// stream.
-fn join_feeder(
-    feeder: thread::JoinHandle<DispatcherStats>,
-) -> Result<DispatcherStats, RuntimeError> {
-    feeder.join().map_err(|e| match e.downcast_ref::<String>() {
-        Some(msg) => RuntimeError::Transport(format!("workload dispatcher failed: {msg}")),
-        None => RuntimeError::Transport("workload dispatcher thread panicked".into()),
+        stale_regular: stale.0,
+        stale_early: stale.1,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dwrs_workloads::source::zipf_stream;
 
     fn key_bits(sample: &[Keyed]) -> Vec<(u64, u64)> {
         sample
@@ -1379,6 +1523,37 @@ mod tests {
         let report = run_scenario(&sc).expect("empty stream runs");
         assert_eq!(report.items, 0);
         assert!(report.sample.is_empty());
+        // A shape that passes validation can still overflow mid-stream:
+        // pareto:0.01 maps u to u^-100, which is infinite for u < 8e-4
+        // (about 30 of these 40k items). On threads and epoll the shard
+        // source finishing such a frame fails its site; the run must
+        // return an error, flat and tree, and not hang.
+        let overflowing = Workload::parse("pareto:0.01").unwrap();
+        assert!(overflowing.validate().is_ok());
+        for engine in [EngineKind::Threads, EngineKind::Epoll] {
+            for topology in [
+                Topology::Flat,
+                Topology::Tree {
+                    groups: 2,
+                    sync_every: 1_000,
+                },
+            ] {
+                let sc = Scenario::new(engine, 4, 8)
+                    .with_n(40_000)
+                    .with_workload(overflowing.clone())
+                    .with_topology(topology);
+                let (tx, rx) = mpsc::channel();
+                thread::spawn(move || tx.send(run_scenario(&sc).map(|r| r.items)));
+                let result = rx
+                    .recv_timeout(Duration::from_secs(60))
+                    .unwrap_or_else(|_| panic!("{engine} {topology:?}: run hung"));
+                let err = result.expect_err("an overflowing weight must fail the run");
+                assert!(
+                    matches!(err, RuntimeError::SitePanicked(_)),
+                    "{engine} {topology:?}: {err}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1464,22 +1639,107 @@ mod tests {
         }
     }
 
+    /// Every synthetic workload: the four whose weights the shard sources
+    /// finish, plus unit and the materialized rank permutation (identity
+    /// map).
+    fn synthetic_workloads() -> [Workload; 6] {
+        [
+            Workload::Unit,
+            Workload::Uniform { lo: 1.0, hi: 9.0 },
+            Workload::Zipf { alpha: 1.1 },
+            Workload::ZipfRanked { alpha: 1.1 },
+            Workload::Pareto {
+                alpha: 1.2,
+                w_min: 1.0,
+            },
+            Workload::Lognormal {
+                mu: 1.0,
+                sigma: 1.0,
+            },
+        ]
+    }
+
     #[test]
     fn level_sets_off_makes_engines_bit_identical() {
         // With every key site-drawn, the sample is a deterministic
-        // function of the scenario seed: lockstep and threads must agree
-        // bit for bit (the cross-engine determinism the proptest suite
-        // exercises at scale).
-        let base = Scenario::new(EngineKind::Lockstep, 3, 6)
-            .with_n(5_000)
-            .with_workload(Workload::Uniform { lo: 1.0, hi: 9.0 })
-            .with_level_sets(false)
-            .with_seed(1234);
-        let lockstep = run_scenario(&base).expect("lockstep");
-        let mut threads_sc = base.clone();
-        threads_sc.engine = EngineKind::Threads;
-        let threads = run_scenario(&threads_sc).expect("threads");
-        assert_eq!(key_bits(&lockstep.sample), key_bits(&threads.sample));
+        // function of the scenario seed: lockstep, which reads the
+        // composed stream, and threads and epoll, whose shard sources
+        // finish the dispatched draws, must agree bit for bit, flat and
+        // tree, on every synthetic workload (the cross-engine determinism
+        // the proptest suite exercises at scale). Their total weights,
+        // summed per shard, stay within rounding of lockstep's sequential
+        // sum. 40k items over 4 shards is several frames per shard.
+        for workload in synthetic_workloads() {
+            for topology in [
+                Topology::Flat,
+                Topology::Tree {
+                    groups: 2,
+                    sync_every: 5_000,
+                },
+            ] {
+                let base = Scenario::new(EngineKind::Lockstep, 4, 6)
+                    .with_n(40_000)
+                    .with_workload(workload.clone())
+                    .with_topology(topology)
+                    .with_level_sets(false)
+                    .with_seed(1234);
+                let lockstep = run_scenario(&base).expect("lockstep");
+                for engine in [EngineKind::Threads, EngineKind::Epoll] {
+                    let mut sc = base.clone();
+                    sc.engine = engine;
+                    let run = run_scenario(&sc).expect("concurrent run");
+                    let what = format!("{workload:?} {topology:?} {engine}");
+                    assert_eq!(key_bits(&lockstep.sample), key_bits(&run.sample), "{what}");
+                    assert_eq!(run.items, lockstep.items, "{what}");
+                    let rel =
+                        (run.total_weight - lockstep.total_weight).abs() / lockstep.total_weight;
+                    assert!(rel <= 1e-12, "{what}: total weight off by {rel:e}");
+                    let d = run.dispatcher.expect("dispatcher stats");
+                    assert_eq!(d.weight, run.total_weight, "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn shard_source_finishes_each_item_once_through_next_and_poll() {
+        // Zipf's map is not idempotent: finishing an item twice, or
+        // handing out a raw draw, changes its weight.
+        let n = 2 * FRAME_ITEMS as u64 + 500;
+        let want: Vec<Item> = zipf_stream(n, 1.1, 5).collect();
+        let staged = zipf_staged(n, 1.1, 5);
+        let (dispatcher, mut shards, weights) = Dispatcher::new(1, staged.map);
+        let partitioner = Partitioner::new(Partition::RoundRobin, 1, 0);
+        let draws: Box<dyn ItemSource> = Box::new(staged.draws);
+        let feeder = thread::spawn(move || dispatcher.run(draws, partitioner));
+        let mut shard = shards.pop().unwrap();
+        let mut got: Vec<Item> = shard.by_ref().take(100).collect();
+        loop {
+            match shard.poll() {
+                // The rest of the frame `next` started, then the second.
+                Feed::Frame(frame) => got.extend(frame),
+                Feed::Pending => thread::yield_now(),
+                Feed::Done => unreachable!("the third frame is still queued"),
+            }
+            if got.len() == 2 * FRAME_ITEMS {
+                break;
+            }
+        }
+        got.extend(shard.by_ref());
+        assert!(matches!(shard.poll(), Feed::Done));
+        let stats = feeder.join().unwrap();
+        assert_eq!(stats.frames, 3);
+        let bits = |items: &[Item]| -> Vec<(u64, u64)> {
+            items
+                .iter()
+                .map(|it| (it.id, it.weight.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&got), bits(&want));
+        let sum = want.iter().fold(0.0, |acc, it| acc + it.weight);
+        // ordering: Relaxed — the shard source lives on this thread.
+        let published = f64::from_bits(weights[0].load(Ordering::Relaxed));
+        assert_eq!(published.to_bits(), sum.to_bits());
     }
 
     #[test]

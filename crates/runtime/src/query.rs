@@ -28,9 +28,8 @@ use dwrs_core::rng::mix;
 use dwrs_core::swor::CoordStats;
 use dwrs_core::{Item, Keyed};
 use dwrs_sim::{swor_coordinator, swor_site, tree_group_seed};
-use dwrs_workloads::source::ItemSource;
 
-use crate::driver::{drive_flat, drive_tree, DispatcherStats, Scenario};
+use crate::driver::{drive_flat, drive_tree, DispatcherStats, Scenario, StagedSource};
 use crate::engine::RuntimeError;
 use crate::tree::TreeOutput;
 
@@ -254,7 +253,7 @@ pub fn window_site_seed(seed: u64, i: usize) -> u64 {
 /// Executes a flat (single-coordinator) scenario for its query.
 pub(crate) fn run_query_flat(
     sc: &Scenario,
-    source: Box<dyn ItemSource>,
+    input: StagedSource,
 ) -> Result<FlatOutcome, RuntimeError> {
     let t0 = Instant::now();
     let s_eff = sc.query.sample_size(sc.s);
@@ -263,7 +262,7 @@ pub(crate) fn run_query_flat(
             let cfg = sc.swor_config_with(s_eff, sc.k);
             let sites: Vec<_> = (0..sc.k).map(|i| swor_site(&cfg, sc.seed, i)).collect();
             let coordinator = swor_coordinator(cfg, sc.seed);
-            let (items, weight, out, dispatcher) = drive_flat(sc, source, sites, coordinator)?;
+            let (items, weight, out, dispatcher) = drive_flat(sc, input, sites, coordinator)?;
             let elapsed = t0.elapsed();
             let sample = out.coordinator.sample();
             let answer = match sc.query {
@@ -290,7 +289,7 @@ pub(crate) fn run_query_flat(
                 .map(|i| L1Site::new(&cfg, ell, l1_site_seed(sc.seed, i)))
                 .collect();
             let coordinator = swor_coordinator(cfg, sc.seed);
-            let (items, weight, out, dispatcher) = drive_flat(sc, source, sites, coordinator)?;
+            let (items, weight, out, dispatcher) = drive_flat(sc, input, sites, coordinator)?;
             let elapsed = t0.elapsed();
             let sample = out.coordinator.sample();
             let answer = l1_answer(s_eff, ell, l1_u(&sample, s_eff), weight);
@@ -312,7 +311,7 @@ pub(crate) fn run_query_flat(
                 .map(|i| WindowSite::new(s_eff, window, window_site_seed(sc.seed, i)))
                 .collect();
             let coordinator = WindowCoordinator::new(s_eff, window);
-            let (items, weight, out, dispatcher) = drive_flat(sc, source, sites, coordinator)?;
+            let (items, weight, out, dispatcher) = drive_flat(sc, input, sites, coordinator)?;
             let elapsed = t0.elapsed();
             Ok(FlatOutcome {
                 items,
@@ -344,7 +343,7 @@ pub(crate) struct TreeOutcome {
 /// Executes a tree (groups + aggregators + root) scenario for its query.
 pub(crate) fn run_query_tree(
     sc: &Scenario,
-    source: Box<dyn ItemSource>,
+    input: StagedSource,
     groups: usize,
     sync_every: u64,
 ) -> Result<TreeOutcome, RuntimeError> {
@@ -355,7 +354,7 @@ pub(crate) fn run_query_tree(
     let (items, weight, mut out, dispatcher) = match sc.query {
         Query::Swor | Query::ResidualHh { .. } => drive_tree(
             sc,
-            source,
+            input,
             groups,
             sync_every,
             |gi, i| swor_site(&group_cfg, tree_group_seed(sc.seed, gi), i),
@@ -366,7 +365,7 @@ pub(crate) fn run_query_tree(
             let ell = sc.query.duplication().expect("l1 has a duplication factor");
             drive_tree(
                 sc,
-                source,
+                input,
                 groups,
                 sync_every,
                 |gi, i| {
@@ -382,7 +381,7 @@ pub(crate) fn run_query_tree(
         }
         Query::SlidingWindow { window } => drive_tree(
             sc,
-            source,
+            input,
             groups,
             sync_every,
             |gi, i| {

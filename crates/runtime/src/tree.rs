@@ -124,6 +124,11 @@ pub struct GroupStats {
     pub max_unsynced: u64,
     /// Largest single-frame item window received from a site.
     pub max_frame_items: u64,
+    /// Stale regular messages the group's aggregator received (see
+    /// [`SampleSource::stale_counts`]).
+    pub stale_regular: u64,
+    /// Stale early messages the group's aggregator received.
+    pub stale_early: u64,
 }
 
 /// Everything a completed tree run hands back.
@@ -152,11 +157,23 @@ pub struct TreeOutput {
 pub trait SampleSource {
     /// The node's current keyed sample (its top-`s`).
     fn keyed_sample(&self) -> Vec<Keyed>;
+
+    /// The node's stale up-message counts so far, `(regular, early)`:
+    /// messages a site holding the node's current state would not have
+    /// sent (see `CoordStats::stale_regular`). Zero for protocols that do
+    /// not classify their messages.
+    fn stale_counts(&self) -> (u64, u64) {
+        (0, 0)
+    }
 }
 
 impl SampleSource for SworCoordinator {
     fn keyed_sample(&self) -> Vec<Keyed> {
         self.sample()
+    }
+
+    fn stale_counts(&self) -> (u64, u64) {
+        (self.stats.stale_regular, self.stats.stale_early)
     }
 }
 
@@ -331,6 +348,7 @@ where
     // shutdown stays ordered even if a future root gains a down path.
     while root.down.recv().is_ok() {}
     record_thread_metrics(&metrics);
+    (stats.stale_regular, stats.stale_early) = node.stale_counts();
     Ok((metrics, stats))
 }
 
@@ -576,6 +594,8 @@ where
         for gi in 0..g {
             self.groups[gi].finish();
             self.sync_group(gi);
+            let st = &mut self.stats[gi];
+            (st.stale_regular, st.stale_early) = self.groups[gi].coordinator.stale_counts();
         }
         let mut metrics = Metrics::new();
         for runner in &self.groups {

@@ -410,6 +410,36 @@ mod tests {
     }
 
     #[test]
+    fn delayed_delivery_sends_pinned_stale_counts() {
+        // The deterministic model of the concurrent engines' stale
+        // messages: broadcasts reach sites `latency` rounds late, so sites
+        // keep sending from thresholds and saturation bits the coordinator
+        // has moved past. Prompt delivery sends none; delayed delivery's
+        // counts are a pure function of the seed, pinned here.
+        let cfg = SworConfig::new(16, 8);
+        let run = |latency: Option<u64>| {
+            let mut rng = dwrs_core::Rng::new(3);
+            let stream = (0..40_000u64).map(|i| {
+                let w = (40_000.0 / (1 + rng.range(40_000)) as f64).powf(1.1);
+                ((i % 8) as usize, Item::new(i, w.max(1.0)))
+            });
+            let mut r = build_swor(cfg.clone(), 21);
+            if let Some(l) = latency {
+                r = r.with_latency(l);
+            }
+            r.run(stream);
+            let st = r.coordinator.stats;
+            (st.stale_regular, st.stale_early, r.metrics.up_total)
+        };
+        // (stale regular, stale early, up-messages): every message above
+        // prompt delivery's count is a stale one, to within a few.
+        assert_eq!(run(None), (0, 0, 1_472));
+        assert_eq!(run(Some(0)), (0, 0, 1_472));
+        assert_eq!(run(Some(64)), (40, 34, 1_544));
+        assert_eq!(run(Some(1_024)), (112, 881, 2_460));
+    }
+
+    #[test]
     fn delayed_swor_remains_correct() {
         // With a large broadcast latency, sites keep stale thresholds; the
         // sample must still be exactly the top-s of all generated keys —

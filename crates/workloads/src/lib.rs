@@ -17,7 +17,8 @@ pub use basic::{uniform_weights, unit};
 pub use hard::{exploding, l1_unit_epochs, weighted_epochs};
 pub use skewed::{few_heavy, lognormal, pareto, residual_skew, zipf_ranked, Placement};
 pub use source::{
-    lognormal_stream, pareto_stream, uniform_stream, unit_stream, zipf_stream, CsvSource,
-    ItemSource,
+    lognormal_staged, lognormal_stream, pareto_staged, pareto_stream, uniform_staged,
+    uniform_stream, unit_stream, zipf_staged, zipf_stream, CsvSource, ItemSource, Staged,
+    WeightMap,
 };
 pub use trace::query_log;

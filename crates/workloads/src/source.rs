@@ -8,6 +8,12 @@
 //! through a bounded dispatcher whose resident footprint is
 //! O(chunk × queue), independent of stream length.
 //!
+//! Each synthetic generator comes in two spellings with one definition:
+//! `*_staged` hands out its sequential draws and the pure [`WeightMap`]
+//! that finishes each draw into a weight, and `*_stream` is the two
+//! composed. A consumer that splits the stream across threads can move
+//! the draws and finish the weights in parallel without changing a bit.
+//!
 //! Where a streaming generator can reproduce its materializing sibling
 //! exactly (same per-item formula, same RNG consumption order), it does:
 //! [`uniform_stream`], [`pareto_stream`] and [`lognormal_stream`] yield
@@ -34,6 +40,109 @@ pub trait ItemSource: Iterator<Item = Item> + Send {}
 
 impl<T: Iterator<Item = Item> + Send> ItemSource for T {}
 
+/// The pure second stage of a staged workload: maps one raw draw, carried
+/// in [`Item::weight`], to the item's weight.
+///
+/// The draws consume the seeded [`Rng`], so they must be made in stream
+/// order; the map reads nothing but its draw, so it may run anywhere, in
+/// any order — the `dwrs-runtime` driver runs it on the site threads.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum WeightMap {
+    /// The draw is the weight (unit, CSV, in-memory and materialized
+    /// workloads).
+    Identity,
+    /// `zipf_iid`: a rank `r` in `1..=n`, held as an exact `f64`, maps to
+    /// `(n/r)^alpha`, clamped to ≥ 1.
+    Zipf {
+        /// Stream length `n`.
+        n: f64,
+        /// Skew exponent.
+        alpha: f64,
+    },
+    /// Pareto: `u` in `(0, 1)` maps to `w_min·u^(−1/alpha)`.
+    Pareto {
+        /// Tail exponent.
+        alpha: f64,
+        /// Scale (minimum weight).
+        w_min: f64,
+    },
+    /// Log-normal: a standard normal `z` maps to `exp(mu + sigma·z)`,
+    /// clamped to ≥ 1e-9.
+    Lognormal {
+        /// Location parameter.
+        mu: f64,
+        /// Shape parameter.
+        sigma: f64,
+    },
+    /// Uniform: `u` in `[0, 1)` maps to `lo + (hi − lo)·u`.
+    Uniform {
+        /// Lower weight bound.
+        lo: f64,
+        /// Upper weight bound.
+        hi: f64,
+    },
+}
+
+impl WeightMap {
+    /// The weight of one draw.
+    #[inline]
+    fn weight(self, draw: f64) -> f64 {
+        match self {
+            WeightMap::Identity => draw,
+            WeightMap::Zipf { n, alpha } => (n / draw).powf(alpha).max(1.0),
+            WeightMap::Pareto { alpha, w_min } => w_min * draw.powf(-1.0 / alpha),
+            WeightMap::Lognormal { mu, sigma } => (mu + sigma * draw).exp().max(1e-9),
+            WeightMap::Uniform { lo, hi } => lo + (hi - lo) * draw,
+        }
+    }
+
+    /// Finishes one drawn item.
+    ///
+    /// # Panics
+    /// Panics, as [`Item::new`] does, if the weight is not positive and
+    /// finite (a pareto or lognormal shape extreme enough to overflow).
+    #[inline]
+    pub fn finish(self, draw: Item) -> Item {
+        Item::new(draw.id, self.weight(draw.weight))
+    }
+
+    /// Finishes a frame of drawn items in place, in one pass, adding each
+    /// finished weight to `sum` in order; returns the new sum.
+    #[inline]
+    pub fn finish_frame(self, frame: &mut [Item], mut sum: f64) -> f64 {
+        for item in frame {
+            *item = self.finish(*item);
+            sum += item.weight;
+        }
+        sum
+    }
+}
+
+/// A drawn item: its id and a raw draw, which need not be a valid weight
+/// (a normal draw may be negative), so [`Item::new`]'s check waits for
+/// [`WeightMap::finish`].
+fn draw(id: u64, value: f64) -> Item {
+    Item { id, weight: value }
+}
+
+/// A workload split into its sequential draws and the [`WeightMap`] that
+/// finishes them; [`Staged::compose`] is the workload's item stream.
+#[derive(Debug)]
+pub struct Staged<D> {
+    /// Items in stream order whose `weight` field holds the raw draw.
+    pub draws: D,
+    /// Maps each draw to its weight.
+    pub map: WeightMap,
+}
+
+impl<D: ItemSource> Staged<D> {
+    /// The finished item stream: each draw mapped to its weight.
+    pub fn compose(self) -> impl ItemSource {
+        let map = self.map;
+        self.draws.map(move |draw| map.finish(draw))
+    }
+}
+
 /// `n` unit-weight items with ids `0..n`, streamed.
 pub fn unit_stream(n: u64) -> impl ItemSource {
     (0..n).map(Item::unit)
@@ -42,9 +151,17 @@ pub fn unit_stream(n: u64) -> impl ItemSource {
 /// `n` items with weights uniform in `[lo, hi)`, streamed. Yields the same
 /// items as [`crate::uniform_weights`] for the same seed.
 pub fn uniform_stream(n: u64, lo: f64, hi: f64, seed: u64) -> impl ItemSource {
+    uniform_staged(n, lo, hi, seed).compose()
+}
+
+/// [`uniform_stream`] as draws `u = rng.f64()` and their [`WeightMap`].
+pub fn uniform_staged(n: u64, lo: f64, hi: f64, seed: u64) -> Staged<impl ItemSource> {
     assert!(lo > 0.0 && hi > lo, "need 0 < lo < hi");
     let mut rng = Rng::new(seed);
-    (0..n).map(move |i| Item::new(i, rng.f64_range(lo, hi)))
+    Staged {
+        draws: (0..n).map(move |i| draw(i, rng.f64())),
+        map: WeightMap::Uniform { lo, hi },
+    }
 }
 
 /// `n` items with i.i.d. Zipf-by-rank weights, streamed: each item draws a
@@ -52,32 +169,51 @@ pub fn uniform_stream(n: u64, lo: f64, hi: f64, seed: u64) -> impl ItemSource {
 /// ≥ 1). Same marginal distribution as [`crate::zipf_ranked`], without the
 /// O(n) rank permutation (see the module docs).
 pub fn zipf_stream(n: u64, alpha: f64, seed: u64) -> impl ItemSource {
+    zipf_staged(n, alpha, seed).compose()
+}
+
+/// [`zipf_stream`] as draws `r = 1 + rng.range(n)` and their [`WeightMap`].
+pub fn zipf_staged(n: u64, alpha: f64, seed: u64) -> Staged<impl ItemSource> {
     assert!(alpha > 0.0);
     let mut rng = Rng::new(seed);
     // n = 0 is simply the empty stream (the closure never runs).
-    (0..n).map(move |i| {
-        let r = 1 + rng.range(n);
-        Item::new(i, (n as f64 / r as f64).powf(alpha).max(1.0))
-    })
+    Staged {
+        draws: (0..n).map(move |i| draw(i, (1 + rng.range(n)) as f64)),
+        map: WeightMap::Zipf { n: n as f64, alpha },
+    }
 }
 
 /// `n` i.i.d. Pareto(α) weights with scale `w_min`, streamed. Yields the
 /// same items as [`crate::pareto`] for the same seed.
 pub fn pareto_stream(n: u64, alpha: f64, w_min: f64, seed: u64) -> impl ItemSource {
+    pareto_staged(n, alpha, w_min, seed).compose()
+}
+
+/// [`pareto_stream`] as draws `u = rng.open01()` and their [`WeightMap`].
+pub fn pareto_staged(n: u64, alpha: f64, w_min: f64, seed: u64) -> Staged<impl ItemSource> {
     assert!(alpha > 0.0 && w_min > 0.0);
     let mut rng = Rng::new(seed);
-    (0..n).map(move |i| {
-        let u = rng.open01();
-        Item::new(i, w_min * u.powf(-1.0 / alpha))
-    })
+    Staged {
+        draws: (0..n).map(move |i| draw(i, rng.open01())),
+        map: WeightMap::Pareto { alpha, w_min },
+    }
 }
 
 /// `n` i.i.d. log-normal weights, streamed. Yields the same items as
 /// [`crate::lognormal`] for the same seed.
 pub fn lognormal_stream(n: u64, mu: f64, sigma: f64, seed: u64) -> impl ItemSource {
+    lognormal_staged(n, mu, sigma, seed).compose()
+}
+
+/// [`lognormal_stream`] as draws `z = rng.normal()` and their
+/// [`WeightMap`].
+pub fn lognormal_staged(n: u64, mu: f64, sigma: f64, seed: u64) -> Staged<impl ItemSource> {
     assert!(sigma >= 0.0);
     let mut rng = Rng::new(seed);
-    (0..n).map(move |i| Item::new(i, (mu + sigma * rng.normal()).exp().max(1e-9)))
+    Staged {
+        draws: (0..n).map(move |i| draw(i, rng.normal())),
+        map: WeightMap::Lognormal { mu, sigma },
+    }
 }
 
 /// Streams `id,weight` records from a CSV file (the format `dwrs workload`
@@ -172,6 +308,67 @@ mod tests {
             lognormal_stream(n as u64, 0.5, 1.0, seed).collect::<Vec<_>>(),
             crate::lognormal(n, 0.5, 1.0, seed)
         );
+    }
+
+    fn bits(items: &[Item]) -> Vec<(u64, u64)> {
+        items
+            .iter()
+            .map(|it| (it.id, it.weight.to_bits()))
+            .collect()
+    }
+
+    /// Draws finished frame by frame, as a consumer that moved them would.
+    fn finished_in_frames<D: ItemSource>(staged: Staged<D>, frame: usize) -> Vec<Item> {
+        let mut draws: Vec<Item> = staged.draws.collect();
+        let mut sum = 0.0;
+        for chunk in draws.chunks_mut(frame) {
+            sum = staged.map.finish_frame(chunk, sum);
+        }
+        let direct: f64 = draws.iter().map(|it| it.weight).fold(0.0, |a, w| a + w);
+        assert_eq!(sum.to_bits(), direct.to_bits(), "running sum in order");
+        draws
+    }
+
+    #[test]
+    fn staged_draws_finish_to_the_stream_bit_for_bit() {
+        for seed in [3, 77] {
+            for n in [0u64, 1, 1_000] {
+                let check = |name: &str, staged: Vec<Item>, stream: Vec<Item>| {
+                    assert_eq!(staged.len() as u64, n, "{name} seed {seed}");
+                    assert_eq!(bits(&staged), bits(&stream), "{name} seed {seed} n {n}");
+                };
+                check(
+                    "uniform",
+                    finished_in_frames(uniform_staged(n, 2.0, 5.0, seed), 7),
+                    uniform_stream(n, 2.0, 5.0, seed).collect(),
+                );
+                check(
+                    "zipf",
+                    finished_in_frames(zipf_staged(n, 1.1, seed), 7),
+                    zipf_stream(n, 1.1, seed).collect(),
+                );
+                check(
+                    "pareto",
+                    finished_in_frames(pareto_staged(n, 1.2, 1.5, seed), 7),
+                    pareto_stream(n, 1.2, 1.5, seed).collect(),
+                );
+                check(
+                    "lognormal",
+                    finished_in_frames(lognormal_staged(n, 0.5, 1.0, seed), 7),
+                    lognormal_stream(n, 0.5, 1.0, seed).collect(),
+                );
+                // zipf_iid has no materializing sibling: pin it to the
+                // per-item formula it has always used.
+                let mut rng = Rng::new(seed);
+                let formula: Vec<Item> = (0..n)
+                    .map(|i| {
+                        let r = 1 + rng.range(n);
+                        Item::new(i, (n as f64 / r as f64).powf(1.1).max(1.0))
+                    })
+                    .collect();
+                check("zipf formula", formula, zipf_stream(n, 1.1, seed).collect());
+            }
+        }
     }
 
     #[test]
