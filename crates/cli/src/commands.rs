@@ -587,6 +587,12 @@ fn cmd_attach<W: Write>(p: &Parsed, out: &mut W) -> Result<(), ArgError> {
              through attach; use 'zipf_iid:{alpha}'"
         )));
     }
+    // The Create frame carries k and s as u32: refuse what would not fit
+    // instead of truncating it into another stream's shape.
+    let wire = |flag: &str, v: usize| {
+        u32::try_from(v).map_err(|_| ArgError(format!("--{flag} {v} exceeds {}", u32::MAX)))
+    };
+    let (k, s) = (wire("k", sc.k)?, wire("s", sc.s)?);
     // Create the stream first (idempotent), over a short-lived control
     // connection.
     let mut ctrl = CtrlClient::connect(connect.as_str())
@@ -594,8 +600,8 @@ fn cmd_attach<W: Write>(p: &Parsed, out: &mut W) -> Result<(), ArgError> {
     let created = ctrl
         .request(&CtrlMsg::Create {
             stream: stream.clone(),
-            k: sc.k as u32,
-            s: sc.s as u32,
+            k,
+            s,
             query: spec.clone(),
         })
         .map_err(|e| ArgError(format!("create failed: {e}")))?;
@@ -1595,6 +1601,14 @@ mod tests {
         let (code, out) = run_cmd("attach --connect 127.0.0.1:1 --stream s --site 0 --eof maybe");
         assert_eq!(code, 2);
         assert!(out.contains("--eof"), "{out}");
+        // k and s travel as u32 in the Create frame: no silent truncation.
+        for flag in ["k", "s"] {
+            let (code, out) = run_cmd(&format!(
+                "attach --connect 127.0.0.1:1 --stream s --site 0 --{flag} 5000000000"
+            ));
+            assert_eq!(code, 2);
+            assert!(out.contains(&format!("--{flag} 5000000000")), "{out}");
+        }
         let (code, out) = run_cmd("query --stream s --kind stats");
         assert_eq!(code, 2);
         assert!(out.contains("--connect"), "{out}");

@@ -172,7 +172,7 @@ pub enum CtrlMsg {
     },
     /// Drains every stream and stops the daemon.
     Shutdown,
-    /// Scrapes the daemon's telemetry: global registry samples plus one
+    /// Scrapes the daemon's telemetry: its registry samples plus one
     /// [`StreamMetrics`] per live stream, each captured through the
     /// stream's own command queue (the same consistent cut live queries
     /// get).
@@ -454,7 +454,7 @@ pub struct MetricsReport {
     /// Streams created over the daemon's lifetime (a counter; `streams`
     /// holds only the live ones).
     pub streams_created: u64,
-    /// Global registry contents, sorted by name.
+    /// The daemon's registry contents, sorted by name.
     pub samples: Vec<MetricSample>,
     /// Daemon-level trace events (accepts, ctrl errors, shutdown),
     /// oldest first.

@@ -46,20 +46,21 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use dwrs_core::ctrl::{
-    CtrlMsg, CtrlResp, LiveQueryKind, LiveSnapshot, MetricsReport, StreamMetrics,
+    snapshot_len, CtrlMsg, CtrlResp, LiveQueryKind, LiveSnapshot, MetricsReport, StreamMetrics,
 };
-use dwrs_core::framed::{FrameCodec, FramedReader, FramedWriter};
+use dwrs_core::framed::{FrameCodec, FramedReader, FramedWriter, MAX_FRAME_LEN};
 use dwrs_core::swor::levels::epoch_threshold;
 use dwrs_core::swor::{DownMsg, SworConfig, SworCoordinator, UpMsg};
 use dwrs_core::{Item, Keyed};
 use dwrs_sim::{swor_coordinator, CoordinatorNode, Meter, Metrics, Outbox, SiteNode};
 use dwrs_stats::QuantileSketch;
 use dwrs_telemetry::{
-    global, summarize, Counter, Gauge, Histogram, TraceKind, TraceRing, DEFAULT_RING_CAPACITY,
-    METRIC_BROADCAST_EVENTS_TOTAL, METRIC_CONNECTIONS_TOTAL, METRIC_CTRL_ERRORS_TOTAL,
-    METRIC_DOWN_MESSAGES_TOTAL, METRIC_ITEMS_TOTAL, METRIC_LIVE_QUERIES_TOTAL,
-    METRIC_QUERY_LATENCY_NS, METRIC_SCRAPES_TOTAL, METRIC_SITES_ATTACHED, METRIC_STREAMS_ACTIVE,
-    METRIC_UP_MESSAGES_TOTAL, METRIC_WIRE_BYTES_TOTAL,
+    summarize, Counter, Gauge, Histogram, Telemetry, TraceKind, TraceRing, DEFAULT_RING_CAPACITY,
+    HISTOGRAM_EPS, METRIC_BROADCAST_EVENTS_TOTAL, METRIC_CONNECTIONS_TOTAL,
+    METRIC_CTRL_ERRORS_TOTAL, METRIC_DOWN_MESSAGES_TOTAL, METRIC_ITEMS_TOTAL,
+    METRIC_LIVE_QUERIES_TOTAL, METRIC_QUERY_LATENCY_NS, METRIC_SCRAPES_TOTAL,
+    METRIC_SITES_ATTACHED, METRIC_STREAMS_ACTIVE, METRIC_UP_MESSAGES_TOTAL,
+    METRIC_WIRE_BYTES_TOTAL,
 };
 
 use crate::config::RuntimeConfig;
@@ -87,6 +88,21 @@ impl Default for DaemonConfig {
             queue_capacity: 128,
         }
     }
+}
+
+/// Most site slots one stream may declare. A stream allocates its slot
+/// state up front — a down link, a slot state and an items watermark per
+/// slot, about 25 bytes each, so 25 MiB at this limit — and a `Create`
+/// asking for more is refused before anything is allocated.
+const MAX_STREAM_SITES: u32 = 1 << 20;
+
+/// Largest effective sample size a stream may have: the full snapshot of
+/// such a stream (epoch present) still fits one control frame, so
+/// `current-sample` and the final drain can always be answered.
+fn max_sample_size() -> usize {
+    let entry = snapshot_len(1, true) - snapshot_len(0, true);
+    // One tag byte precedes the snapshot in a `CtrlResp::Answer` frame.
+    (MAX_FRAME_LEN as usize - 1 - snapshot_len(0, true)) / entry
 }
 
 /// Derives a stream's coordinator seed from the daemon seed and the
@@ -189,33 +205,60 @@ impl CmdSender {
     }
 }
 
-/// Global-registry handles a stream processor updates, resolved once at
-/// stream creation so the hot loop never touches the registry lock.
+/// The registry counters that mirror a stream's `Metrics` totals, in
+/// [`StreamCtrs::fold`]'s order.
+const METERED: [&str; 4] = [
+    METRIC_UP_MESSAGES_TOTAL,
+    METRIC_DOWN_MESSAGES_TOTAL,
+    METRIC_WIRE_BYTES_TOTAL,
+    METRIC_BROADCAST_EVENTS_TOTAL,
+];
+
+/// The daemon-registry handles a stream processor updates, resolved once
+/// at stream creation so the hot loop never touches the registry lock.
 struct StreamCtrs {
+    /// The owning daemon's telemetry (its trace ring records drains).
+    telemetry: Arc<Telemetry>,
     items: Arc<Counter>,
-    up_msgs: Arc<Counter>,
-    down_msgs: Arc<Counter>,
-    wire_bytes: Arc<Counter>,
-    broadcasts: Arc<Counter>,
     live_queries: Arc<Counter>,
     sites_attached: Arc<Gauge>,
     streams_active: Arc<Gauge>,
     latency: Arc<Histogram>,
+    metered: [Arc<Counter>; 4],
+    /// What [`StreamCtrs::fold`] has added to `metered` so far.
+    folded: [u64; 4],
 }
 
 impl StreamCtrs {
-    fn new() -> Self {
-        let reg = &global().registry;
+    fn new(telemetry: &Arc<Telemetry>) -> Self {
+        let reg = &telemetry.registry;
         Self {
+            telemetry: Arc::clone(telemetry),
             items: reg.counter(METRIC_ITEMS_TOTAL),
-            up_msgs: reg.counter(METRIC_UP_MESSAGES_TOTAL),
-            down_msgs: reg.counter(METRIC_DOWN_MESSAGES_TOTAL),
-            wire_bytes: reg.counter(METRIC_WIRE_BYTES_TOTAL),
-            broadcasts: reg.counter(METRIC_BROADCAST_EVENTS_TOTAL),
             live_queries: reg.counter(METRIC_LIVE_QUERIES_TOTAL),
             sites_attached: reg.gauge(METRIC_SITES_ATTACHED),
             streams_active: reg.gauge(METRIC_STREAMS_ACTIVE),
             latency: reg.histogram(METRIC_QUERY_LATENCY_NS),
+            metered: METERED.map(|name| reg.counter(name)),
+            folded: [0; 4],
+        }
+    }
+
+    /// Adds whatever the stream metered since the last fold to the
+    /// registry. Called after every command, so data frames and attach
+    /// replays alike reach the scrape.
+    fn fold(&mut self, m: &Metrics) {
+        let now = [
+            m.up_total,
+            m.down_total,
+            m.up_bytes + m.down_bytes,
+            m.broadcast_events,
+        ];
+        for ((ctr, now), folded) in self.metered.iter().zip(now).zip(&mut self.folded) {
+            if now > *folded {
+                ctr.add(now - *folded);
+                *folded = now;
+            }
         }
     }
 }
@@ -240,18 +283,17 @@ struct StreamState {
     slot_items: Vec<u64>,
     metrics: Metrics,
     /// This stream's structured-event ring (lifecycle, epochs,
-    /// saturations), sharing the process-wide epoch so event timestamps
-    /// are comparable across streams.
+    /// saturations), sharing its daemon's telemetry epoch so event
+    /// timestamps are comparable across streams.
     trace: TraceRing,
-    /// Per-stream live-query service latencies (nanoseconds).
+    /// Per-stream live-query service latencies (nanoseconds); its count
+    /// is the stream's live queries answered so far.
     latency: QuantileSketch,
-    /// Live queries answered so far.
-    queries: u64,
     /// Bound of the processor's command queue.
     queue_capacity: u32,
     /// Shared occupancy counter for the command queue (see [`CmdSender`]).
     depth: Arc<AtomicU64>,
-    /// Cached global-registry handles.
+    /// Cached daemon-registry handles.
     ctrs: StreamCtrs,
 }
 
@@ -442,14 +484,6 @@ fn stream_processor(mut st: StreamState, rx: mpsc::Receiver<StreamCmd>) {
             }
             StreamCmd::Up { site, msgs, items } => {
                 st.slot_items[site] += items;
-                // Global counters are frame-granular: one snapshot of the
-                // per-stream Metrics before the frame, deltas added after.
-                let before = (
-                    st.metrics.up_total,
-                    st.metrics.down_total,
-                    st.metrics.up_bytes + st.metrics.down_bytes,
-                    st.metrics.broadcast_events,
-                );
                 for msg in msgs {
                     st.metrics
                         .count_up(msg.kind(), msg.units(), msg.wire_bytes());
@@ -457,14 +491,6 @@ fn stream_processor(mut st: StreamState, rx: mpsc::Receiver<StreamCmd>) {
                     route_live(&mut outbox, &mut st.downs, &mut st.metrics, &st.trace);
                 }
                 st.ctrs.items.add(items);
-                st.ctrs.up_msgs.add(st.metrics.up_total - before.0);
-                st.ctrs.down_msgs.add(st.metrics.down_total - before.1);
-                st.ctrs
-                    .wire_bytes
-                    .add(st.metrics.up_bytes + st.metrics.down_bytes - before.2);
-                st.ctrs
-                    .broadcasts
-                    .add(st.metrics.broadcast_events - before.3);
             }
             StreamCmd::Eof { site } => {
                 if st.slots[site] == SlotState::Attached {
@@ -495,7 +521,6 @@ fn stream_processor(mut st: StreamState, rx: mpsc::Receiver<StreamCmd>) {
                 st.latency.observe(nanos);
                 st.ctrs.latency.observe(nanos);
                 st.ctrs.live_queries.inc();
-                st.queries += 1;
             }
             StreamCmd::Drain { reply } => {
                 drain_reply = Some(reply);
@@ -511,12 +536,15 @@ fn stream_processor(mut st: StreamState, rx: mpsc::Receiver<StreamCmd>) {
                     // a metrics report; no ordering relationship is needed.
                     queue_depth: st.depth.load(Ordering::Relaxed) as u32,
                     queue_capacity: st.queue_capacity,
-                    queries: st.queries,
+                    queries: st.latency.count(),
                     latency: summarize(&mut st.latency),
                     events: st.trace.snapshot(events as usize),
                 });
             }
         }
+        // Registry totals are command-granular: whatever this command
+        // metered is folded in before the next command is served.
+        st.ctrs.fold(&st.metrics);
         if let Some(reply) = drain_reply.take() {
             if st.drain_complete() {
                 for site in 0..st.downs.len() {
@@ -529,7 +557,7 @@ fn stream_processor(mut st: StreamState, rx: mpsc::Receiver<StreamCmd>) {
                 });
                 let items: u64 = st.slot_items.iter().sum();
                 st.trace.record(TraceKind::Drain, 0, items);
-                global().trace.record(TraceKind::Drain, 0, items);
+                st.ctrs.telemetry.trace.record(TraceKind::Drain, 0, items);
                 st.ctrs.streams_active.add(-1);
                 let _ = reply.send(snap);
                 return;
@@ -561,8 +589,10 @@ struct Shared {
     drained: Mutex<Vec<(String, LiveSnapshot)>>,
     /// Total streams ever created (drained streams stay counted).
     streams_created: AtomicU64,
-    /// When the daemon bound its listener, for scrape uptime.
-    started: Instant,
+    /// This daemon's registry and daemon-level trace ring, created at
+    /// bind, so its epoch marks the daemon's start. Every recorder in the
+    /// daemon writes here and nowhere else.
+    telemetry: Arc<Telemetry>,
 }
 
 /// A running sampling daemon.
@@ -631,7 +661,7 @@ impl Daemon {
             streams: Mutex::new(HashMap::new()),
             drained: Mutex::new(Vec::new()),
             streams_created: AtomicU64::new(0),
-            started: Instant::now(),
+            telemetry: Arc::new(Telemetry::new()),
         });
         let join = thread::spawn({
             let shared = Arc::clone(&shared);
@@ -691,7 +721,8 @@ fn shutdown_impl(shared: &Shared, addr: SocketAddr) -> Vec<(String, LiveSnapshot
     let was_accepting = shared.accepting.swap(false, Ordering::AcqRel);
     if was_accepting {
         let streams_left = shared.streams.lock().unwrap().len() as u64;
-        global().trace.record(TraceKind::Shutdown, streams_left, 0);
+        let trace = &shared.telemetry.trace;
+        trace.record(TraceKind::Shutdown, streams_left, 0);
     }
     let handles: Vec<(String, StreamHandle)> = {
         let mut streams = shared.streams.lock().unwrap();
@@ -732,7 +763,8 @@ fn listener_loop(listener: TcpListener, shared: Arc<Shared>, addr: SocketAddr) {
                 // off briefly, then keep serving.
                 if crate::reactor::is_fd_exhausted(&e) {
                     let limit = crate::reactor::current_nofile_limit();
-                    global().trace.record(TraceKind::FdExhausted, limit, 0);
+                    let trace = &shared.telemetry.trace;
+                    trace.record(TraceKind::FdExhausted, limit, 0);
                     thread::sleep(Duration::from_millis(50));
                 }
                 continue;
@@ -753,6 +785,20 @@ fn create_stream(
 ) -> Result<&'static str, String> {
     let query = Query::parse(spec)?;
     query.validate()?;
+    // Refuse sizes the daemon cannot serve before allocating anything: a
+    // huge `k` or `s` would abort the whole process in an allocation.
+    if k > MAX_STREAM_SITES {
+        return Err(format!(
+            "k {k} exceeds the limit of {MAX_STREAM_SITES} site slots per stream"
+        ));
+    }
+    let s_eff = query.sample_size(s as usize);
+    if s_eff > max_sample_size() {
+        return Err(format!(
+            "effective sample size {s_eff} exceeds {}, the most entries one snapshot frame carries",
+            max_sample_size()
+        ));
+    }
     // ordering: Acquire — pairs with the AcqRel swap in shutdown_impl. The
     // check is advisory (the race against a concurrent shutdown is closed
     // by the `streams` mutex both paths take), so Acquire is enough.
@@ -764,7 +810,6 @@ fn create_stream(
         return Ok("exists");
     }
     let k_us = k as usize;
-    let s_eff = query.sample_size(s as usize);
     let ell = query.duplication().unwrap_or(1);
     let rhh_output = match query {
         Query::ResidualHh { eps, delta } => {
@@ -784,9 +829,9 @@ fn create_stream(
     );
     let queue_capacity = shared.cfg.queue_capacity.max(1);
     let depth = Arc::new(AtomicU64::new(0));
-    let trace = TraceRing::with_epoch(DEFAULT_RING_CAPACITY, global().epoch());
+    let trace = TraceRing::with_epoch(DEFAULT_RING_CAPACITY, shared.telemetry.epoch());
     trace.record(TraceKind::Create, k.into(), s_eff as u64);
-    let ctrs = StreamCtrs::new();
+    let ctrs = StreamCtrs::new(&shared.telemetry);
     ctrs.streams_active.add(1);
     // ordering: Relaxed — lifetime counter read only by metrics reports;
     // fetch_add atomicity alone keeps the count exact.
@@ -804,8 +849,7 @@ fn create_stream(
         slot_items: vec![0; k_us],
         metrics: Metrics::new(),
         trace,
-        latency: Histogram::local_sketch(),
-        queries: 0,
+        latency: QuantileSketch::new(HISTOGRAM_EPS),
         queue_capacity: queue_capacity as u32,
         depth: Arc::clone(&depth),
         ctrs,
@@ -836,20 +880,20 @@ fn stream_cmd(shared: &Shared, name: &str) -> Option<CmdSender> {
 /// daemon-level trace ring with the request's wire tag
 /// ([`CtrlMsg::tag`]), so an operator can see *which* request kind was
 /// refused.
-fn note_ctrl_error(tag: u8) {
-    let t = global();
+fn note_ctrl_error(shared: &Shared, tag: u8) {
+    let t = &shared.telemetry;
     t.registry.counter(METRIC_CTRL_ERRORS_TOTAL).inc();
     t.trace.record(TraceKind::CtrlError, u64::from(tag), 0);
 }
 
-/// Assembles one [`MetricsReport`]: the global registry snapshot and
+/// Assembles one [`MetricsReport`]: the daemon's registry snapshot and
 /// daemon-level trace tail, plus one per-stream section answered through
 /// each stream's own command queue — the same serialization as live
 /// queries, so every section is consistent with the frames that preceded
 /// it. Streams mid-drain are skipped (their processor no longer serves
 /// the queue).
 fn scrape(shared: &Shared, events: u32) -> MetricsReport {
-    let t = global();
+    let t = &shared.telemetry;
     t.registry.counter(METRIC_SCRAPES_TOTAL).inc();
     let senders: Vec<CmdSender> = shared
         .streams
@@ -868,9 +912,12 @@ fn scrape(shared: &Shared, events: u32) -> MetricsReport {
         }
     }
     streams.sort_by(|a, b| a.stream.cmp(&b.stream));
+    // The telemetry epoch is the daemon's bind time, so the report clock
+    // is its uptime.
+    let now = t.now_nanos();
     MetricsReport {
-        now_nanos: t.now_nanos(),
-        uptime_nanos: shared.started.elapsed().as_nanos() as u64,
+        now_nanos: now,
+        uptime_nanos: now,
         // ordering: Relaxed — statistics snapshot; a report racing a
         // concurrent create may miss it, which is inherent to scraping.
         streams_created: shared.streams_created.load(Ordering::Relaxed),
@@ -885,7 +932,7 @@ fn scrape(shared: &Shared, events: u32) -> MetricsReport {
 fn handle_connection(shared: Arc<Shared>, addr: SocketAddr, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     {
-        let t = global();
+        let t = &shared.telemetry;
         let conns = t.registry.counter(METRIC_CONNECTIONS_TOTAL);
         conns.inc();
         t.trace.record(TraceKind::Connection, conns.get(), 0);
@@ -921,33 +968,17 @@ fn handle_connection(shared: Arc<Shared>, addr: SocketAddr, stream: TcpStream) {
             },
             CtrlMsg::Attach { stream: name, site } => {
                 let site = site as usize;
-                let Some(cmd) = stream_cmd(&shared, &name) else {
-                    note_ctrl_error(req_tag);
-                    if writer
-                        .write_msg(&CtrlResp::Err {
-                            msg: format!("no such stream {name:?}"),
-                        })
-                        .is_err()
-                    {
-                        return;
-                    }
-                    continue;
-                };
-                let (rtx, rrx) = mpsc::sync_channel(1);
-                if cmd.send(StreamCmd::Reserve { site, reply: rtx }).is_err() {
-                    note_ctrl_error(req_tag);
-                    if writer
-                        .write_msg(&CtrlResp::Err {
-                            msg: format!("stream {name:?} is draining"),
-                        })
-                        .is_err()
-                    {
-                        return;
-                    }
-                    continue;
-                }
-                match rrx.recv() {
-                    Ok(Ok((resumed, items))) => {
+                let draining = || format!("stream {name:?} is draining");
+                let reserved = stream_cmd(&shared, &name)
+                    .ok_or_else(|| format!("no such stream {name:?}"))
+                    .and_then(|cmd| {
+                        let (rtx, rrx) = mpsc::sync_channel(1);
+                        let reserve = StreamCmd::Reserve { site, reply: rtx };
+                        cmd.send(reserve).map_err(|_| draining())?;
+                        Ok((cmd, rrx.recv().map_err(|_| draining())??))
+                    });
+                match reserved {
+                    Ok((cmd, (resumed, items))) => {
                         let ack = CtrlResp::Attached {
                             site: site as u32,
                             resumed,
@@ -969,10 +1000,7 @@ fn handle_connection(shared: Arc<Shared>, addr: SocketAddr, stream: TcpStream) {
                         site_data_loop(&mut reader, site, &cmd);
                         return;
                     }
-                    Ok(Err(msg)) => CtrlResp::Err { msg },
-                    Err(_) => CtrlResp::Err {
-                        msg: format!("stream {name:?} is draining"),
-                    },
+                    Err(msg) => CtrlResp::Err { msg },
                 }
             }
             CtrlMsg::Query {
@@ -1042,7 +1070,7 @@ fn handle_connection(shared: Arc<Shared>, addr: SocketAddr, stream: TcpStream) {
             }
         };
         if matches!(resp, CtrlResp::Err { .. }) {
-            note_ctrl_error(req_tag);
+            note_ctrl_error(&shared, req_tag);
         }
         if writer.write_msg(&resp).is_err() {
             return;
@@ -1597,6 +1625,35 @@ mod tests {
             .unwrap(),
             CtrlResp::Err { .. }
         ));
+        // Sizes the daemon cannot serve are refused with the limit named,
+        // before any allocation, and the daemon keeps serving: each
+        // refusal is followed by a request that succeeds.
+        let max_s = max_sample_size();
+        assert_eq!(max_s, 43_686);
+        let max_k = MAX_STREAM_SITES as usize;
+        for (k, s, query, limit) in [
+            (1, 4_000_000_000, "swor", max_s),
+            (1, max_s as u32 + 1, "swor", max_s),
+            (1, 8, "l1:1e-4", max_s),
+            (4_000_000_000, 8, "swor", max_k),
+            (MAX_STREAM_SITES + 1, 8, "swor", max_k),
+        ] {
+            match ctrl.create("big", k, s, query).unwrap() {
+                CtrlResp::Err { msg } => assert!(msg.contains(&limit.to_string()), "{msg}"),
+                other => panic!("k {k}, s {s}, {query}: {other:?}"),
+            }
+            assert!(ctrl.snapshot("s1", LiveQueryKind::Stats, 0).is_ok());
+        }
+        // At the limit, the full sample still fits one frame.
+        ctrl.create("wide", 1, max_s as u32, "swor").unwrap();
+        let site = swor_site(&SworConfig::new(max_s, 1), 9, 0);
+        let rcfg = RuntimeConfig::default();
+        let mut c = AttachClient::attach(d.local_addr(), "wide", 0, site, &rcfg).unwrap();
+        c.feed((0..max_s as u64 + 1_000).map(Item::unit)).unwrap();
+        c.finish().unwrap();
+        let snap = ctrl.snapshot("wide", LiveQueryKind::CurrentSample, 0);
+        assert_eq!(snap.unwrap().sample.len(), max_s);
+        assert_eq!(ctrl.drain_stream("wide").unwrap().sample.len(), max_s);
         d.shutdown();
     }
 

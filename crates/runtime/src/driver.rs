@@ -631,7 +631,6 @@ pub struct ShardSource {
     /// Where `weight` is published (as f64 bits) for the driver.
     weight_out: Arc<AtomicU64>,
     in_flight: Arc<AtomicU64>,
-    depth_gauge: Arc<dwrs_telemetry::Gauge>,
 }
 
 impl ShardSource {
@@ -642,8 +641,7 @@ impl ShardSource {
     fn take_frame(&mut self, mut frame: Vec<Item>) -> Vec<Item> {
         // ordering: Relaxed — occupancy statistic; the channel recv
         // already synchronized the frame handoff.
-        let now = self.in_flight.fetch_sub(1, Ordering::Relaxed) - 1;
-        self.depth_gauge.set(now as i64);
+        self.in_flight.fetch_sub(1, Ordering::Relaxed);
         self.weight = self.map.finish_frame(&mut frame, self.weight);
         // ordering: Relaxed — the driver reads the sum only after the
         // engine has joined this shard's consumer thread.
@@ -695,8 +693,6 @@ struct Dispatcher {
     shards: Vec<(mpsc::SyncSender<Vec<Item>>, Vec<Item>)>,
     in_flight: Arc<AtomicU64>,
     stats: DispatcherStats,
-    frames_counter: Arc<dwrs_telemetry::Counter>,
-    depth_gauge: Arc<dwrs_telemetry::Gauge>,
 }
 
 impl Dispatcher {
@@ -706,7 +702,6 @@ impl Dispatcher {
     fn new(shards: usize, map: WeightMap) -> (Self, Vec<ShardSource>, Vec<Arc<AtomicU64>>) {
         let queue_frames = QUEUE_FRAMES;
         let in_flight = Arc::new(AtomicU64::new(0));
-        let (frames_counter, depth_gauge) = crate::obs::dispatch_handles();
         let mut txs = Vec::with_capacity(shards);
         let mut rxs = Vec::with_capacity(shards);
         let mut weights = Vec::with_capacity(shards);
@@ -721,7 +716,6 @@ impl Dispatcher {
                 weight: 0.0,
                 weight_out: Arc::clone(&weight_out),
                 in_flight: Arc::clone(&in_flight),
-                depth_gauge: Arc::clone(&depth_gauge),
             });
             weights.push(weight_out);
         }
@@ -736,8 +730,6 @@ impl Dispatcher {
                 shards: txs,
                 in_flight,
                 stats,
-                frames_counter,
-                depth_gauge,
             },
             rxs,
             weights,
@@ -755,12 +747,11 @@ impl Dispatcher {
         // overcounts by at most the one frame this (single) feeder has in
         // flight — the slack `in_flight_bound` accounts for.
         // ordering: Relaxed — the bounded channel provides the handoff
-        // ordering; this counter only feeds the depth gauge and peak stat.
+        // ordering; this counter only feeds the peak stat.
         let now = self.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
         if now > self.stats.peak_in_flight_frames {
             self.stats.peak_in_flight_frames = now;
         }
-        self.depth_gauge.set(now as i64);
         // A send blocks when the shard queue is full — that bounded-queue
         // backpressure is exactly what caps resident memory.
         if tx.send(frame).is_err() {
@@ -771,7 +762,6 @@ impl Dispatcher {
             return;
         }
         self.stats.frames += 1;
-        self.frames_counter.inc();
     }
 
     /// Drains the draws into the shard queues until EOF or until every

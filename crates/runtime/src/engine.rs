@@ -39,7 +39,6 @@ use dwrs_core::Item;
 use dwrs_sim::{CoordinatorNode, Meter, Metrics, Outbox, SiteNode};
 
 use crate::config::RuntimeConfig;
-use crate::obs::{record_thread_metrics, FlushMeter};
 use crate::transport::{
     channel_wiring, CoordEndpoint, DownSender, SiteEndpoint, TransportError, UpFrame,
 };
@@ -148,9 +147,6 @@ where
     up.reserve_hint(batch_max);
     let down_poll_every = down_poll_every.max(1);
     let mut metrics = Metrics::new();
-    // Telemetry is flush-granular: zero work per item, a few relaxed
-    // atomics plus two local-sketch pushes per flush (see crate::obs).
-    let mut meter = FlushMeter::new();
     let mut batch: Vec<S::Up> = Vec::with_capacity(batch_max);
     let mut items_pending = 0u64;
     let mut until_poll = 0u32;
@@ -165,7 +161,6 @@ where
         site.observe(item, &mut batch);
         items_pending += 1;
         if batch.len() >= batch_max {
-            meter.on_flush(batch.len(), items_pending);
             flush(
                 &mut *up,
                 &mut batch,
@@ -184,7 +179,6 @@ where
     site.finish(&mut batch);
     while batch.len() > batch_max {
         let rest = batch.split_off(batch_max);
-        meter.on_flush(batch.len(), items_pending);
         flush(
             &mut *up,
             &mut batch,
@@ -193,9 +187,6 @@ where
             &mut metrics,
         )?;
         batch = rest;
-    }
-    if !batch.is_empty() {
-        meter.on_flush(batch.len(), items_pending);
     }
     flush(
         &mut *up,
@@ -208,7 +199,6 @@ where
     // residual item count anyway so downstream watermarks (hierarchical
     // sync cadence) cover the whole stream before `Eof`.
     if items_pending > 0 {
-        meter.on_items(items_pending);
         up.send(UpFrame::Batch {
             msgs: Vec::new(),
             items: items_pending,
@@ -223,8 +213,6 @@ where
     while let Ok(msg) = down.recv() {
         site.receive(&msg);
     }
-    meter.finish();
-    record_thread_metrics(&metrics);
     Ok(metrics)
 }
 
@@ -294,7 +282,6 @@ where
         d.close();
     }
     drop(downs);
-    record_thread_metrics(&metrics);
     match fault {
         Some(e) => Err(RuntimeError::Transport(e)),
         None => Ok(metrics),

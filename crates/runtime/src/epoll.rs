@@ -73,7 +73,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use dwrs_core::framed::FrameCodec;
 use dwrs_core::merge::merge_samples;
@@ -83,7 +83,6 @@ use dwrs_sim::{CoordinatorNode, Metrics, NoDown, SiteNode};
 
 use crate::config::RuntimeConfig;
 use crate::engine::{coordinator_loop, flush, RunOutput, RuntimeError};
-use crate::obs::{record_thread_metrics, FlushMeter, ReactorMeter};
 use crate::reactor::{
     current_nofile_limit, is_fd_exhausted, raise_nofile_limit, wake_pair, PollEvent, Poller,
     RecvBuf, SendBuf, WakeRx, Waker, WAKE_TOKEN,
@@ -333,7 +332,6 @@ struct SiteTask<S: SiteNode> {
     items_pending: u64,
     until_poll: u32,
     metrics: Metrics,
-    meter: FlushMeter,
     phase: Phase,
     /// Readiness hints from the worker's poller (level-triggered, so a
     /// stale `true` costs one `WouldBlock` syscall, never a lost event).
@@ -374,7 +372,6 @@ where
             items_pending: 0,
             until_poll: 0,
             metrics: Metrics::new(),
-            meter: FlushMeter::new(),
             phase: Phase::Streaming,
             read_ready: true,
             write_ready: true,
@@ -430,7 +427,6 @@ where
                     progress = true;
                     budget -= 1;
                     if self.batch.len() >= batch_max {
-                        self.meter.on_flush(self.batch.len(), self.items_pending);
                         self.flush_batch(batch_max)?;
                     }
                 }
@@ -466,16 +462,11 @@ where
         self.site.finish(&mut self.batch);
         while self.batch.len() > batch_max {
             let rest = self.batch.split_off(batch_max);
-            self.meter.on_flush(self.batch.len(), self.items_pending);
             self.flush_batch(batch_max)?;
             self.batch = rest;
         }
-        if !self.batch.is_empty() {
-            self.meter.on_flush(self.batch.len(), self.items_pending);
-        }
         self.flush_batch(batch_max)?;
         if self.items_pending > 0 {
-            self.meter.on_items(self.items_pending);
             let items = std::mem::take(&mut self.items_pending);
             let mut up = BufUp {
                 buf: &mut self.send,
@@ -581,10 +572,8 @@ where
         }
     }
 
-    /// Clean completion: fold telemetry, record this task's metrics.
+    /// Clean completion: record this task's metrics.
     fn complete(&mut self) {
-        self.meter.finish();
-        record_thread_metrics(&self.metrics);
         let metrics = std::mem::replace(&mut self.metrics, Metrics::new());
         self.result = Some(Ok(metrics));
         self.phase = Phase::Done;
@@ -593,7 +582,6 @@ where
     /// Failure path: tear the connection down so the peer fails fast.
     fn fail(&mut self, e: RuntimeError) {
         let _ = self.stream.shutdown(Shutdown::Both);
-        self.meter.finish();
         self.result = Some(Err(e));
         self.phase = Phase::Done;
     }
@@ -697,12 +685,8 @@ where
         // A failed registration only costs parked tasks the poll timeout.
         let _ = p.register(wake_rx.raw_fd(), WAKE_TOKEN, true, false);
     }
-    let mut meter = ReactorMeter::new();
     let mut events: Vec<PollEvent> = Vec::new();
-    let mut events_since_wait = 0usize;
-    let mut busy = Duration::ZERO;
     loop {
-        let t0 = Instant::now();
         let mut progress = false;
         let mut all_done = true;
         for (i, t) in tasks.iter_mut().enumerate() {
@@ -724,19 +708,15 @@ where
                 }
             }
             if let Some(p) = poller.as_ref() {
-                update_interest(t, p, i as u64, &mut meter);
+                update_interest(t, p, i as u64);
             }
         }
         if all_done {
             break;
         }
-        busy += t0.elapsed();
         if progress {
             continue;
         }
-        meter.on_service(events_since_wait, busy.as_nanos() as u64);
-        events_since_wait = 0;
-        busy = Duration::ZERO;
         match poller.as_ref() {
             Some(p) => {
                 events.clear();
@@ -769,7 +749,6 @@ where
                         }
                     }
                 }
-                events_since_wait += events.len();
             }
             // No epoll instance (creation failed): degrade to a timed
             // spin. The hints are normally re-armed only by poll events,
@@ -782,7 +761,6 @@ where
             }
         }
     }
-    meter.finish();
     tasks
         .into_iter()
         .map(|t| {
@@ -810,7 +788,7 @@ fn rearm_all<S: SiteNode>(tasks: &mut [SiteTask<S>]) {
 }
 
 /// Reconciles a task's poller registration with its desired interest set.
-fn update_interest<S>(t: &mut SiteTask<S>, poller: &Poller, token: u64, meter: &mut ReactorMeter)
+fn update_interest<S>(t: &mut SiteTask<S>, poller: &Poller, token: u64)
 where
     S: SiteNode,
     S::Up: FrameCodec + Send,
@@ -821,7 +799,6 @@ where
         None => {
             if t.registered && poller.deregister(t.stream.as_raw_fd()).is_ok() {
                 t.registered = false;
-                meter.on_registered(-1);
             }
         }
         Some((r, w)) => {
@@ -831,11 +808,7 @@ where
             let ok = if t.registered {
                 poller.modify(t.stream.as_raw_fd(), token, r, w).is_ok()
             } else {
-                let ok = poller.register(t.stream.as_raw_fd(), token, r, w).is_ok();
-                if ok {
-                    meter.on_registered(1);
-                }
-                ok
+                poller.register(t.stream.as_raw_fd(), token, r, w).is_ok()
             };
             if ok {
                 t.registered = true;
@@ -1145,7 +1118,6 @@ fn coord_reactor<U: FrameCodec>(
     poller
         .register(wake_rx.raw_fd(), WAKE_TOKEN, true, false)
         .map_err(|e| io_runtime_err("registering coordinator waker", &e))?;
-    let mut meter = ReactorMeter::new();
     for (i, c) in conns.iter_mut().enumerate() {
         poller
             .register(c.stream.as_raw_fd(), i as u64, true, false)
@@ -1153,7 +1125,6 @@ fn coord_reactor<U: FrameCodec>(
         c.registered = true;
         c.reg_read = true;
         c.reg_write = false;
-        meter.on_registered(1);
     }
     let mut live = conns.len();
     let mut events: Vec<PollEvent> = Vec::new();
@@ -1163,10 +1134,9 @@ fn coord_reactor<U: FrameCodec>(
         // wakeups impossible (see `WakeRx::drain`), but a periodic pass
         // over the connections is cheap insurance that queued down
         // sends/closes are picked up even if a wakeup ever went missing.
-        let n = poller
+        poller
             .wait(&mut events, 250)
             .map_err(|e| io_runtime_err("coordinator epoll_wait", &e))?;
-        let t0 = Instant::now();
         let mut woke = false;
         for ev in &events {
             if ev.token == WAKE_TOKEN {
@@ -1209,8 +1179,8 @@ fn coord_reactor<U: FrameCodec>(
                 flush_conn_downs(c);
             }
             if c.up_done && c.write_shut {
-                if c.registered && poller.deregister(c.stream.as_raw_fd()).is_ok() {
-                    meter.on_registered(-1);
+                if c.registered {
+                    let _ = poller.deregister(c.stream.as_raw_fd());
                 }
                 c.registered = false;
                 c.dead = true;
@@ -1225,7 +1195,6 @@ fn coord_reactor<U: FrameCodec>(
             if !want_r && !want_w {
                 if c.registered && poller.deregister(c.stream.as_raw_fd()).is_ok() {
                     c.registered = false;
-                    meter.on_registered(-1);
                 }
                 continue;
             }
@@ -1234,13 +1203,9 @@ fn coord_reactor<U: FrameCodec>(
                     .modify(c.stream.as_raw_fd(), i as u64, want_r, want_w)
                     .is_ok()
             } else {
-                let ok = poller
+                poller
                     .register(c.stream.as_raw_fd(), i as u64, want_r, want_w)
-                    .is_ok();
-                if ok {
-                    meter.on_registered(1);
-                }
-                ok
+                    .is_ok()
             };
             if ok {
                 c.registered = true;
@@ -1248,9 +1213,7 @@ fn coord_reactor<U: FrameCodec>(
                 c.reg_write = want_w;
             }
         }
-        meter.on_service(n, t0.elapsed().as_nanos() as u64);
     }
-    meter.finish();
     Ok(())
 }
 
@@ -1614,6 +1577,7 @@ mod tests {
     use super::*;
     use dwrs_core::swor::wire::WireError;
     use dwrs_sim::{Meter, Outbox};
+    use std::time::Instant;
 
     /// The engine unit tests' toy protocol, given a wire encoding (u64 LE)
     /// so it can cross the framed transport: sites forward every item id;

@@ -52,11 +52,12 @@
 //! through a bounded sharded dispatcher — O(batch × queue) resident
 //! memory, never O(n) — returning a uniform [`RunReport`].
 //!
-//! Every layer reports into the `dwrs-telemetry` registry (frame-granular
-//! counters, dispatcher depth gauges, sketch-backed latency histograms)
-//! and the daemon additionally keeps per-stream trace rings, all
-//! scrapeable live over the control socket (`CtrlMsg::Metrics`) while
-//! streams run — see the Telemetry sections of `docs/DAEMON.md` and
+//! A batch run reports through its [`RunReport`] alone: message and byte
+//! counts, per-group sync stats and dispatcher stats, exact per run.
+//! Each [`daemon::Daemon`] owns one `dwrs-telemetry` registry (counters,
+//! gauges, a sketch-backed query-latency histogram) plus per-stream trace
+//! rings, scrapeable live over the control socket (`CtrlMsg::Metrics`)
+//! while streams run — see the Telemetry sections of `docs/DAEMON.md` and
 //! `docs/ARCHITECTURE.md`.
 //!
 //! # Example
@@ -87,7 +88,6 @@ pub mod daemon;
 pub mod driver;
 pub mod engine;
 pub mod epoll;
-pub(crate) mod obs;
 pub mod query;
 pub mod reactor;
 pub mod tcp;

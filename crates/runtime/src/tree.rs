@@ -77,7 +77,6 @@ use dwrs_sim::{CoordinatorNode, Meter, Metrics, NoDown, Outbox, SiteNode};
 use crate::config::RuntimeConfig;
 use crate::driver::EngineKind;
 use crate::engine::{route, site_loop, RuntimeError};
-use crate::obs::{record_thread_metrics, tree_syncs_counter};
 use crate::transport::{channel_wiring, CoordEndpoint, SiteEndpoint, TransportError, UpFrame};
 
 /// Shape of a two-level fan-in deployment.
@@ -277,8 +276,6 @@ where
     let mut metrics = Metrics::new();
     let mut outbox = Outbox::new();
     let mut stats = GroupStats::default();
-    // Resolved once; each sync is then a single relaxed atomic add.
-    let syncs_counter = tree_syncs_counter();
     let mut pending = 0u64;
     let mut done = 0usize;
     let mut fault: Option<String> = None;
@@ -304,7 +301,6 @@ where
                         &mut metrics,
                     )?;
                     stats.syncs += 1;
-                    syncs_counter.inc();
                 }
             }
             Ok((_, UpFrame::Eof)) => done += 1,
@@ -340,14 +336,12 @@ where
         &mut metrics,
     )?;
     stats.syncs += 1;
-    syncs_counter.inc();
     root.up.send(UpFrame::Eof)?;
     root.up.close();
     drop(root.up);
     // Drain the (empty) root→aggregator path until the root closes it, so
     // shutdown stays ordered even if a future root gains a down path.
     while root.down.recv().is_ok() {}
-    record_thread_metrics(&metrics);
     (stats.stale_regular, stats.stale_early) = node.stale_counts();
     Ok((metrics, stats))
 }

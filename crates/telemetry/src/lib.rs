@@ -6,17 +6,15 @@
 //! exposition rendering (Prometheus text / JSON) for the daemon's
 //! `TAG_METRICS` control frame.
 //!
-//! The design mirrors how the engines already account messages: hot paths
-//! record into thread-local state (an `Arc<Counter>` handle, a local
-//! [`dwrs_stats::QuantileSketch`]) and fold into shared state at batch
-//! boundaries,
-//! exactly like per-thread `Metrics` merging into a run total. A scrape
-//! reads relaxed atomics and short-lived mutexes — it never stalls the
-//! data plane.
+//! Recorders resolve each metric once into an `Arc` handle and then touch
+//! only relaxed atomics (or, for a histogram, one short mutex per
+//! observation). A scrape reads the same atomics and mutexes — it never
+//! stalls the data plane.
 //!
-//! Process-wide instrumentation goes through [`global()`], so the engine
-//! site/coordinator loops, the sharded dispatcher and the tree tiers can
-//! meter themselves without threading a handle through every signature.
+//! There is no process-wide instance: each owner (a daemon) creates its
+//! own [`Telemetry`] and records into it, so two owners in one process
+//! never mix their series. Batch engine runs report through their
+//! `RunReport` instead.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -31,17 +29,15 @@ pub use registry::{summarize, Counter, Gauge, Histogram, Registry, HISTOGRAM_EPS
 pub use render::{render_json, render_prometheus};
 pub use trace::{event_name, TraceKind, TraceRing, DEFAULT_RING_CAPACITY};
 
-use std::sync::OnceLock;
 use std::time::Instant;
 
-/// One process's telemetry: the shared registry, the process-level trace
-/// ring, and the monotonic epoch every nanosecond timestamp is relative
-/// to.
+/// One owner's telemetry: the registry, the owner-level trace ring, and
+/// the monotonic epoch every nanosecond timestamp is relative to.
 #[derive(Debug)]
 pub struct Telemetry {
     /// The metric registry.
     pub registry: Registry,
-    /// Process/daemon-level events (connections, ctrl errors, shutdown).
+    /// Owner-level events (connections, ctrl errors, shutdown).
     pub trace: TraceRing,
     epoch: Instant,
 }
@@ -75,27 +71,9 @@ impl Default for Telemetry {
     }
 }
 
-/// The process-wide telemetry instance, created on first use. Engine
-/// loops, the dispatcher and the daemon all record here; the daemon's
-/// scrape handler snapshots it into a `MetricsReport`.
-pub fn global() -> &'static Telemetry {
-    static GLOBAL: OnceLock<Telemetry> = OnceLock::new();
-    GLOBAL.get_or_init(Telemetry::new)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn global_is_stable_and_ticks() {
-        let t1 = global();
-        let t2 = global();
-        assert!(std::ptr::eq(t1, t2));
-        let a = t1.now_nanos();
-        let b = t1.now_nanos();
-        assert!(b >= a);
-    }
 
     #[test]
     fn fresh_instances_are_isolated() {

@@ -1,12 +1,14 @@
 //! The stable metric-name catalog.
 //!
-//! Every series the runtime emits is named here, once, so operators can
+//! Every series a daemon emits is named here, once, so operators can
 //! grep dashboards against a single table and the doc-sync test
-//! (`tests/daemon_docs.rs`) can assert `docs/DAEMON.md` documents each.
+//! (`tests/daemon_docs.rs`) can assert `docs/DAEMON.md` documents exactly
+//! these. Each daemon records into its own registry; batch engine runs
+//! report through `RunReport` instead.
 //! Names follow the Prometheus convention: `dwrs_` prefix, `_total` suffix
-//! for counters, unit suffix (`_ns`, `_items`) for histograms.
+//! for counters, unit suffix (`_ns`) for histograms.
 
-/// Items observed by site loops and daemon stream processors.
+/// Items ingested by the daemon's stream processors.
 pub const METRIC_ITEMS_TOTAL: &str = "dwrs_items_total";
 /// Site → coordinator protocol messages sent.
 pub const METRIC_UP_MESSAGES_TOTAL: &str = "dwrs_up_messages_total";
@@ -16,13 +18,7 @@ pub const METRIC_DOWN_MESSAGES_TOTAL: &str = "dwrs_down_messages_total";
 pub const METRIC_WIRE_BYTES_TOTAL: &str = "dwrs_wire_bytes_total";
 /// Epoch/saturation broadcast events at the coordinator.
 pub const METRIC_BROADCAST_EVENTS_TOTAL: &str = "dwrs_broadcast_events_total";
-/// Site-side batch flushes (one per drained outbox).
-pub const METRIC_SITE_FLUSHES_TOTAL: &str = "dwrs_site_flushes_total";
-/// Tree-topology inter-tier sync rounds.
-pub const METRIC_TREE_SYNCS_TOTAL: &str = "dwrs_tree_syncs_total";
-/// Frames handed to sites by the sharded dispatcher.
-pub const METRIC_DISPATCH_FRAMES_TOTAL: &str = "dwrs_dispatch_frames_total";
-/// Live queries answered by stream processors (drains included).
+/// Live queries answered by stream processors (drains not included).
 pub const METRIC_LIVE_QUERIES_TOTAL: &str = "dwrs_live_queries_total";
 /// Control requests refused with `CtrlResp::Err`.
 pub const METRIC_CTRL_ERRORS_TOTAL: &str = "dwrs_ctrl_errors_total";
@@ -34,22 +30,6 @@ pub const METRIC_SCRAPES_TOTAL: &str = "dwrs_metrics_scrapes_total";
 pub const METRIC_STREAMS_ACTIVE: &str = "dwrs_streams_active";
 /// Site slots currently attached across all streams.
 pub const METRIC_SITES_ATTACHED: &str = "dwrs_sites_attached";
-/// Frames in flight inside the sharded dispatcher right now.
-pub const METRIC_DISPATCH_QUEUE_DEPTH: &str = "dwrs_dispatch_queue_depth";
-/// Distribution of items per dispatched/ingested frame.
-pub const METRIC_FRAME_ITEMS: &str = "dwrs_frame_items";
-/// Distribution of nanoseconds between consecutive site flushes
-/// (flush cadence).
-pub const METRIC_FLUSH_INTERVAL_NS: &str = "dwrs_flush_interval_ns";
 /// Distribution of live-query service latency in nanoseconds, measured
 /// from dequeue to answer inside the stream processor.
 pub const METRIC_QUERY_LATENCY_NS: &str = "dwrs_query_latency_ns";
-/// Connections currently registered across all reactor event loops
-/// (`epoll` engine site/coordinator loops and the daemon data plane).
-pub const METRIC_REACTOR_REGISTERED_FDS: &str = "dwrs_reactor_registered_fds";
-/// Readiness events delivered by `epoll_wait` across all reactor loops.
-pub const METRIC_REACTOR_EVENTS_TOTAL: &str = "dwrs_reactor_events_total";
-/// Distribution of nanoseconds a reactor loop spends servicing one wake
-/// (reads, frame decode, protocol dispatch, write flushes) before it
-/// blocks in `epoll_wait` again.
-pub const METRIC_REACTOR_SERVICE_NS: &str = "dwrs_reactor_service_ns";

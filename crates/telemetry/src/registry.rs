@@ -4,9 +4,8 @@
 //! (getting an `Arc` handle) and then work on atomics. Counters and gauges
 //! are single `AtomicU64`/`AtomicI64` cells with relaxed ordering — a
 //! scrape is a statistical read, not a synchronization point. Histograms
-//! wrap the mergeable [`QuantileSketch`]; high-rate producers keep a local
-//! sketch and fold it in at batch boundaries via [`Histogram::merge_local`],
-//! exactly how per-thread `Metrics` fold into a run total today.
+//! wrap the mergeable [`QuantileSketch`] behind a mutex, taken once per
+//! observation: fine at per-query rates, not for per-item producers.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -55,16 +54,10 @@ pub struct Gauge {
 }
 
 impl Gauge {
-    /// Sets the level.
-    pub fn set(&self, v: i64) {
-        // ordering: Relaxed — gauges carry no payload besides the value
-        // itself; readers never infer other memory state from a level.
-        self.v.store(v, Ordering::Relaxed);
-    }
-
     /// Moves the level by `d` (may be negative).
     pub fn add(&self, d: i64) {
-        // ordering: Relaxed — same statistics-only contract as `set`.
+        // ordering: Relaxed — gauges carry no payload besides the value
+        // itself; readers never infer other memory state from a level.
         self.v.fetch_add(d, Ordering::Relaxed);
     }
 
@@ -88,33 +81,10 @@ impl Histogram {
         }
     }
 
-    /// Records one observation. Takes the lock — fine for per-flush or
-    /// per-query rates; per-item producers should batch through
-    /// [`Histogram::merge_local`] instead.
+    /// Records one observation. Takes the lock — fine for per-query
+    /// rates.
     pub fn observe(&self, v: f64) {
         self.sketch.lock().expect("histogram poisoned").observe(v);
-    }
-
-    /// Folds a thread-local sketch in and clears it, so a producer pays
-    /// for the lock once per batch instead of once per observation. The
-    /// local sketch must use [`HISTOGRAM_EPS`] (see
-    /// [`Histogram::local_sketch`]).
-    pub fn merge_local(&self, local: &mut QuantileSketch) {
-        if local.is_empty() {
-            return;
-        }
-        self.sketch.lock().expect("histogram poisoned").merge(local);
-        local.clear();
-    }
-
-    /// A fresh thread-local sketch compatible with [`Histogram::merge_local`].
-    pub fn local_sketch() -> QuantileSketch {
-        QuantileSketch::new(HISTOGRAM_EPS)
-    }
-
-    /// Observations folded in so far.
-    pub fn count(&self) -> u64 {
-        self.sketch.lock().expect("histogram poisoned").count()
     }
 
     /// The current percentile digest; `None` while empty.
@@ -235,35 +205,42 @@ mod tests {
         // Same name → same cell.
         assert_eq!(r.counter("c").get(), 5);
         let g = r.gauge("g");
-        g.set(7);
+        g.add(7);
         g.add(-3);
         assert_eq!(r.gauge("g").get(), 4);
     }
 
     #[test]
     fn histogram_digest_and_local_merge() {
+        // A plain sketch at `HISTOGRAM_EPS` (the daemon keeps one per
+        // stream beside the registry histogram) digests like the registry
+        // histogram, also when built from two merged halves.
         let r = Registry::new();
         let h = r.histogram("h");
-        for i in 1..=100 {
+        let mut halves = [
+            QuantileSketch::new(HISTOGRAM_EPS),
+            QuantileSketch::new(HISTOGRAM_EPS),
+        ];
+        for i in 1..=200 {
             h.observe(i as f64);
+            halves[(i > 100) as usize].observe(i as f64);
         }
-        let mut local = Histogram::local_sketch();
-        for i in 101..=200 {
-            local.observe(i as f64);
-        }
-        h.merge_local(&mut local);
-        assert!(local.is_empty(), "merge_local clears the local sketch");
+        let [mut local, upper] = halves;
+        local.merge(&upper);
         let s = h.summary().expect("non-empty");
-        assert_eq!(s.count, 200);
-        assert_eq!(s.max, 200.0);
-        assert!((s.p50 - 100.0).abs() <= 200.0 * HISTOGRAM_EPS + 1.0);
+        let l = summarize(&mut local).expect("non-empty");
+        assert_eq!((s.count, s.max), (200, 200.0));
+        assert_eq!((l.count, l.max), (200, 200.0));
+        for p50 in [s.p50, l.p50] {
+            assert!((p50 - 100.0).abs() <= 200.0 * HISTOGRAM_EPS + 1.0);
+        }
     }
 
     #[test]
     fn snapshot_is_sorted_and_typed() {
         let r = Registry::new();
         r.counter("b_count").inc();
-        r.gauge("a_gauge").set(2);
+        r.gauge("a_gauge").add(2);
         r.histogram("c_hist").observe(1.0);
         r.histogram("d_empty");
         let snap = r.snapshot();

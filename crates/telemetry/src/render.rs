@@ -50,7 +50,7 @@ fn push_summary(out: &mut String, name: &str, labels: &str, h: &HistSummary) {
     out.push_str(&format!("{name}_count{brace} {}\n", h.count));
 }
 
-/// Prometheus exposition text: the global registry, daemon lifetime
+/// Prometheus exposition text: the daemon's registry, daemon lifetime
 /// gauges, and per-stream series labeled `stream="<name>"`.
 pub fn render_prometheus(report: &MetricsReport) -> String {
     let mut out = String::new();

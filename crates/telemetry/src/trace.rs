@@ -165,11 +165,6 @@ impl TraceRing {
         }
     }
 
-    /// A ring with its own epoch (now) and [`DEFAULT_RING_CAPACITY`].
-    pub fn new() -> Self {
-        Self::with_epoch(DEFAULT_RING_CAPACITY, Instant::now())
-    }
-
     /// Records one event, overwriting the oldest slot when full. Returns
     /// the event's sequence number. No allocation once the ring has
     /// wrapped; before that, slots are appended into preallocated space.
@@ -195,11 +190,6 @@ impl TraceRing {
         seq
     }
 
-    /// Total events ever recorded (snapshot gaps below this mean wrap).
-    pub fn recorded(&self) -> u64 {
-        self.inner.lock().expect("trace ring poisoned").seq
-    }
-
     /// Copies out the newest `last` events, oldest first.
     pub fn snapshot(&self, last: usize) -> Vec<TraceEvent> {
         let inner = self.inner.lock().expect("trace ring poisoned");
@@ -217,12 +207,6 @@ impl TraceRing {
             out.push(inner.buf[(start + i) % len.max(1)]);
         }
         out
-    }
-}
-
-impl Default for TraceRing {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -249,7 +233,6 @@ mod tests {
             let seq = ring.record(TraceKind::Attach, i, 0);
             assert_eq!(seq, i);
         }
-        assert_eq!(ring.recorded(), 10);
         let snap = ring.snapshot(16);
         let seqs: Vec<u64> = snap.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, [6, 7, 8, 9], "newest capacity-many, oldest first");

@@ -5,6 +5,8 @@
 //! enforces in CI, so this test and the lint can never disagree about
 //! what counts as a wire tag.
 
+use std::collections::BTreeSet;
+
 use dwrs::core::ctrl::{LiveQueryKind, SNAPSHOT_ENTRY_BYTES};
 
 fn repo_file(rel: &str) -> String {
@@ -94,18 +96,17 @@ fn metric_names() -> Vec<String> {
 
 #[test]
 fn every_metric_name_is_documented() {
-    let names = metric_names();
-    assert!(
-        names.len() >= 18,
-        "metric name inventory shrank unexpectedly: {names:?}"
-    );
-    let guide = repo_file("docs/DAEMON.md");
-    for name in &names {
-        assert!(
-            guide.contains(&format!("`{name}`")),
-            "docs/DAEMON.md does not document the {name} metric"
-        );
-    }
+    // Both directions: a series the code names but the "Metric names"
+    // table lacks fails, and so does a row for a series the code no
+    // longer names.
+    let names: BTreeSet<String> = metric_names().into_iter().collect();
+    let rows: BTreeSet<String> = repo_file("docs/DAEMON.md")
+        .lines()
+        .filter_map(|row| row.strip_prefix("| `dwrs_")?.split_once('`'))
+        .map(|(rest, _)| format!("dwrs_{rest}"))
+        .collect();
+    assert!(!names.is_empty(), "no metric names parsed from names.rs");
+    assert_eq!(rows, names, "docs/DAEMON.md and names.rs disagree");
 }
 
 #[test]

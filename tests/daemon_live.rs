@@ -3,6 +3,7 @@
 //! as a process), a site reconnect preserves sample validity, and
 //! `TAG_METRICS` scrapes are monotone mid-run and agree with final totals.
 
+use std::ops::Range;
 use std::thread;
 use std::time::Duration;
 
@@ -160,18 +161,25 @@ fn two_streams_answer_live_queries_while_running() {
 
 /// Satellite of the telemetry layer: `TAG_METRICS` scrapes answered
 /// while a stream runs must be monotone (the per-stream items watermark
-/// and query counter never go backwards, the report clock advances) and
-/// the final scrape must agree exactly with the drain snapshot's totals.
-/// All assertions are on the per-stream `StreamMetrics` section — the
-/// registry is process-global and shared with the other tests in this
-/// binary, so global counters are not comparable here.
+/// and query counter never go backwards, the report clock advances), the
+/// final scrape must agree exactly with the drain snapshot's totals, and
+/// the daemon-wide registry must too — it belongs to this daemon alone,
+/// so a second daemon in the same process reports none of its series.
+/// Site 0 detaches and reattaches after a level saturated, so the
+/// registry must also count the replayed unicasts.
 #[test]
 fn metrics_scrapes_are_monotone_and_match_final_totals() {
-    use dwrs::telemetry::TraceKind;
+    use dwrs::telemetry::{
+        TraceKind, METRIC_BROADCAST_EVENTS_TOTAL, METRIC_CONNECTIONS_TOTAL,
+        METRIC_DOWN_MESSAGES_TOTAL, METRIC_ITEMS_TOTAL, METRIC_LIVE_QUERIES_TOTAL,
+        METRIC_QUERY_LATENCY_NS, METRIC_SCRAPES_TOTAL, METRIC_SITES_ATTACHED,
+        METRIC_STREAMS_ACTIVE, METRIC_UP_MESSAGES_TOTAL, METRIC_WIRE_BYTES_TOTAL,
+    };
 
     let per_site = 4_000u64;
     let k = 2usize;
     let daemon = Daemon::bind("127.0.0.1:0", DaemonConfig::default()).expect("bind");
+    let other = Daemon::bind("127.0.0.1:0", DaemonConfig::default()).expect("bind a second");
     let addr = daemon.local_addr();
     let mut ctrl = CtrlClient::connect(addr).expect("ctrl");
     ctrl.create("tele", k as u32, 8, "swor").expect("create");
@@ -179,7 +187,7 @@ fn metrics_scrapes_are_monotone_and_match_final_totals() {
 
     let mut feeders = Vec::new();
     for i in 0..k {
-        let client = AttachClient::attach(
+        let mut client = AttachClient::attach(
             addr,
             "tele",
             i,
@@ -188,7 +196,19 @@ fn metrics_scrapes_are_monotone_and_match_final_totals() {
         )
         .expect("attach");
         feeders.push(thread::spawn(move || {
-            feed_chunked(client, i, k as u64, per_site)
+            if i > 0 {
+                return feed_chunked(client, i, k as u64, per_site);
+            }
+            // Half the share, a detach, a reattach, the rest. Level 0
+            // saturates within the first few dozen unit items, so the
+            // reattach replays that state as unicasts.
+            let ids = |r: Range<u64>| r.map(|t| Item::unit(t * k as u64));
+            client.feed(ids(0..per_site / 2)).expect("feed");
+            let (site, _) = client.detach().expect("detach");
+            let mut client = AttachClient::attach(addr, "tele", 0, site, &rcfg).expect("reattach");
+            assert!(client.resumed());
+            client.feed(ids(per_site / 2..per_site)).expect("feed");
+            client.finish().expect("finish");
         }));
     }
 
@@ -260,13 +280,50 @@ fn metrics_scrapes_are_monotone_and_match_final_totals() {
         assert!(w[0].nanos <= w[1].nanos, "trace time not monotone");
     }
 
+    // The reattach came after a saturation, so it replayed one.
+    let seq = |kind: TraceKind| sec.events.iter().find(|e| e.code == kind.as_u8());
+    let order = (seq(TraceKind::Saturation), seq(TraceKind::Reconnect));
+    assert!(
+        matches!(order, (Some(s), Some(r)) if s.seq < r.seq),
+        "{order:?}"
+    );
+
     // Drain and cross-check: the scrape saw the same watermark the drain
     // snapshot reports, i.e. the telemetry path and the sampling path
     // agree on the final totals.
     let fin = ctrl.drain_stream("tele").expect("drain");
     assert_eq!(fin.items, sec.items);
     assert_eq!(u64::from(fin.sites_eof), u64::from(sec.sites_eof));
+
+    // The daemon-wide registry holds exactly this daemon's totals.
+    let report = ctrl.metrics(0).expect("post-drain scrape");
+    for (name, want) in [
+        (METRIC_ITEMS_TOTAL, 2 * per_site),
+        (METRIC_UP_MESSAGES_TOTAL, fin.up_msgs),
+        (METRIC_DOWN_MESSAGES_TOTAL, fin.down_msgs),
+        (METRIC_WIRE_BYTES_TOTAL, fin.up_bytes + fin.down_bytes),
+        (METRIC_BROADCAST_EVENTS_TOTAL, fin.broadcast_events),
+        (METRIC_LIVE_QUERIES_TOTAL, queries_issued),
+        (METRIC_QUERY_LATENCY_NS, queries_issued),
+        (METRIC_SITES_ATTACHED, 0),
+        (METRIC_STREAMS_ACTIVE, 0),
+    ] {
+        let got = report.samples.iter().find(|m| m.name == name);
+        assert_eq!(got.map(|m| m.value), Some(want as f64), "{name}");
+    }
     daemon.shutdown();
+
+    // The second daemon saw one connection and one scrape: its own.
+    let mut other_ctrl = CtrlClient::connect(other.local_addr()).expect("ctrl");
+    let report = other_ctrl.metrics(16).expect("scrape");
+    let names: Vec<&str> = report.samples.iter().map(|m| m.name.as_str()).collect();
+    assert_eq!(names, [METRIC_CONNECTIONS_TOTAL, METRIC_SCRAPES_TOTAL]);
+    assert!(report.samples.iter().all(|m| m.value == 1.0), "{report:?}");
+    assert_eq!(report.streams_created, 0);
+    assert!(report.streams.is_empty());
+    let codes: Vec<u8> = report.events.iter().map(|e| e.code).collect();
+    assert_eq!(codes, [TraceKind::Connection.as_u8()]);
+    other.shutdown();
 }
 
 #[test]
