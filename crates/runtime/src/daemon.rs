@@ -64,7 +64,7 @@ use dwrs_telemetry::{
 };
 
 use crate::config::RuntimeConfig;
-use crate::engine::flush;
+use crate::engine::SiteCore;
 use crate::query::Query;
 use crate::tcp::{decode_up, down_reader, tcp_batch_sender, tcp_down_sender};
 use crate::transport::{BatchSender, UpFrame};
@@ -1284,23 +1284,19 @@ impl RetryPolicy {
 /// A site attached to a daemon stream: the client half of the data plane.
 ///
 /// Wraps any [`SiteNode`] whose messages are wire-codable and drives it
-/// with the engine's own discipline — upstream batching with
-/// [`RuntimeConfig::batch_max`], downstream broadcasts polled every
+/// through the engines' own site driver (`SiteCore`): upstream batching
+/// with [`RuntimeConfig::batch_max`], downstream broadcasts polled every
 /// [`RuntimeConfig::down_poll_every`] items, flush → `Eof` → drain on
-/// [`AttachClient::finish`]. [`AttachClient::detach`] leaves the slot
-/// resumable instead, so a later attach continues the same stream
-/// (validity is preserved: the daemon replays threshold state on
-/// reattach, and the key-space filter is monotone).
+/// [`AttachClient::finish`]. The client keeps only the transport: its TCP
+/// up sender and the channel its down-reader thread fills.
+/// [`AttachClient::detach`] leaves the slot resumable instead, so a later
+/// attach continues the same stream (validity is preserved: the daemon
+/// replays threshold state on reattach, and the key-space filter is
+/// monotone).
 pub struct AttachClient<S: SiteNode> {
-    site: S,
+    core: SiteCore<S>,
     up: Box<dyn BatchSender<S::Up>>,
     down: mpsc::Receiver<S::Down>,
-    batch: Vec<S::Up>,
-    items_pending: u64,
-    until_poll: u32,
-    down_poll_every: u32,
-    batch_max: usize,
-    metrics: Metrics,
     resumed: bool,
     prior_items: u64,
 }
@@ -1419,15 +1415,9 @@ where
     /// Marries the site state to a claimed slot link.
     fn assemble(site: S, link: SlotLink<S>, cfg: &RuntimeConfig) -> AttachClient<S> {
         AttachClient {
-            site,
+            core: SiteCore::new(site, cfg),
             up: link.up,
             down: link.down,
-            batch: Vec::with_capacity(cfg.batch_max),
-            items_pending: 0,
-            until_poll: 0,
-            down_poll_every: cfg.down_poll_every.max(1),
-            batch_max: cfg.batch_max,
-            metrics: Metrics::new(),
             resumed: link.resumed,
             prior_items: link.prior_items,
         }
@@ -1448,24 +1438,12 @@ where
     /// engine's site loop, incrementally.
     pub fn feed(&mut self, items: impl IntoIterator<Item = Item>) -> Result<(), RuntimeError> {
         for item in items {
-            if self.until_poll == 0 {
-                self.until_poll = self.down_poll_every;
+            if self.core.poll_due() {
                 while let Ok(msg) = self.down.try_recv() {
-                    self.site.receive(&msg);
+                    self.core.site.receive(&msg);
                 }
             }
-            self.until_poll -= 1;
-            self.site.observe(item, &mut self.batch);
-            self.items_pending += 1;
-            if self.batch.len() >= self.batch_max {
-                flush(
-                    &mut *self.up,
-                    &mut self.batch,
-                    &mut self.items_pending,
-                    self.batch_max,
-                    &mut self.metrics,
-                )?;
-            }
+            self.core.observe(item, &mut *self.up)?;
         }
         Ok(())
     }
@@ -1474,55 +1452,7 @@ where
     /// close → drain remaining broadcasts. Returns the site and this
     /// client's metrics. The slot cannot be reattached afterwards.
     pub fn finish(self) -> Result<(S, Metrics), RuntimeError> {
-        let AttachClient {
-            mut site,
-            mut up,
-            down,
-            mut batch,
-            mut items_pending,
-            batch_max,
-            mut metrics,
-            ..
-        } = self;
-        // The closing burst can exceed batch_max (it is not item-driven):
-        // ship it in batch-sized chunks, as the engine's site loop does.
-        site.finish(&mut batch);
-        while batch.len() > batch_max {
-            let rest = batch.split_off(batch_max);
-            flush(
-                &mut *up,
-                &mut batch,
-                &mut items_pending,
-                batch_max,
-                &mut metrics,
-            )?;
-            batch = rest;
-        }
-        flush(
-            &mut *up,
-            &mut batch,
-            &mut items_pending,
-            batch_max,
-            &mut metrics,
-        )?;
-        if items_pending > 0 {
-            // Residual watermark: items observed since the last flush that
-            // produced no messages still advance the stream's progress.
-            up.send(UpFrame::Batch {
-                msgs: Vec::new(),
-                items: items_pending,
-            })
-            .map_err(|e| RuntimeError::Transport(e.to_string()))?;
-        }
-        up.send(UpFrame::Eof)
-            .map_err(|e| RuntimeError::Transport(e.to_string()))?;
-        up.close();
-        drop(up);
-        // The daemon closes this slot's down link on Eof; drain to it.
-        while let Ok(msg) = down.recv() {
-            site.receive(&msg);
-        }
-        Ok((site, metrics))
+        self.close(true)
     }
 
     /// Kills the link the way a crashing site process would: the socket
@@ -1531,16 +1461,12 @@ where
     /// down-drain is attempted. The daemon observes the dead connection
     /// and marks the slot detached (resumable); a replacement incarnation
     /// can then reattach. Returns the site state as of the crash —
-    /// callers simulating a real crash usually discard it.
-    ///
-    /// Prefer this over merely dropping the client for crash simulation:
-    /// the down-reader thread holds its own handle to the socket, so a
-    /// plain drop sends no FIN and leaves the daemon considering the slot
-    /// attached until it next pushes a broadcast down the dead link.
+    /// callers simulating a real crash usually discard it. Dropping the
+    /// client has the same effect on the slot, minus the returned state.
     pub fn abort(self) -> S {
-        let AttachClient { site, mut up, .. } = self;
+        let AttachClient { core, mut up, .. } = self;
         up.abort();
-        site
+        core.site
     }
 
     /// Detaches, leaving the slot resumable: flush → residual watermark →
@@ -1548,37 +1474,31 @@ where
     /// frame boundary and marks the slot detached; a later
     /// [`AttachClient::attach`] on the same slot resumes it.
     pub fn detach(self) -> Result<(S, Metrics), RuntimeError> {
+        self.close(false)
+    }
+
+    /// The shared tail of [`AttachClient::finish`] (`eof`) and
+    /// [`AttachClient::detach`]: ship the rest, half-close, and drain the
+    /// broadcasts until the daemon closes the down link, which it does on
+    /// `Eof` and on detach alike.
+    fn close(self, eof: bool) -> Result<(S, Metrics), RuntimeError> {
         let AttachClient {
-            mut site,
+            mut core,
             mut up,
             down,
-            mut batch,
-            mut items_pending,
-            batch_max,
-            mut metrics,
             ..
         } = self;
-        flush(
-            &mut *up,
-            &mut batch,
-            &mut items_pending,
-            batch_max,
-            &mut metrics,
-        )?;
-        if items_pending > 0 {
-            up.send(UpFrame::Batch {
-                msgs: Vec::new(),
-                items: items_pending,
-            })
-            .map_err(|e| RuntimeError::Transport(e.to_string()))?;
+        if eof {
+            core.finish(&mut *up)?;
+        } else {
+            core.detach(&mut *up)?;
         }
         up.close();
         drop(up);
-        // The daemon closes the down link on detach; drain to it.
         while let Ok(msg) = down.recv() {
-            site.receive(&msg);
+            core.site.receive(&msg);
         }
-        Ok((site, metrics))
+        Ok((core.site, core.metrics))
     }
 }
 
@@ -1732,6 +1652,33 @@ mod tests {
         let fin = ctrl.drain_stream("s").unwrap();
         assert_eq!(fin.items, 700);
         assert_eq!(fin.sample.len(), 4);
+        d.shutdown();
+    }
+
+    #[test]
+    fn dropped_client_detaches_so_drain_answers() {
+        // Callers drop a client whenever `feed` fails or they panic. The
+        // down-reader thread holds a second handle to the socket, so the
+        // daemon heard the drop only once the dropped up sender shut the
+        // socket down itself; before that, the slot stayed Attached and
+        // the drain waited for it.
+        let d = daemon();
+        let addr = d.local_addr();
+        let mut ctrl = CtrlClient::connect(addr).unwrap();
+        ctrl.create("s", 1, 4, "swor").unwrap();
+        let site = swor_site(&SworConfig::new(4, 1), 2, 0);
+        let mut c = AttachClient::attach(addr, "s", 0, site, &RuntimeConfig::default()).unwrap();
+        c.feed((0..10_000).map(Item::unit)).unwrap();
+        drop(c);
+        let (tx, rx) = mpsc::channel();
+        let drain = thread::spawn(move || {
+            let _ = tx.send(ctrl.drain_stream("s").map(|snap| snap.sites_attached));
+        });
+        let attached = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("drain hung on the dropped client's slot");
+        drain.join().expect("drain thread");
+        assert_eq!(attached.unwrap(), 0);
         d.shutdown();
     }
 

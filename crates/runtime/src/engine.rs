@@ -3,8 +3,10 @@
 //! Each site runs its partition of the stream on its own OS thread; the
 //! coordinator runs on another. Threads communicate only through a
 //! [`crate::transport`] wiring of in-process channels. The coordinator
-//! loop and the site loop's flush are shared with the epoll engine
-//! ([`crate::epoll`]) and the fan-in tree ([`crate::tree`]).
+//! loop is shared with the epoll engine ([`crate::epoll`]) and the fan-in
+//! tree ([`crate::tree`]), and every site driver (this engine's, the epoll
+//! engine's site task and the daemon's attach client) runs its items
+//! through one `SiteCore`.
 //!
 //! # Deadlock freedom
 //!
@@ -40,7 +42,7 @@ use dwrs_sim::{CoordinatorNode, Meter, Metrics, Outbox, SiteNode};
 
 use crate::config::RuntimeConfig;
 use crate::transport::{
-    channel_wiring, CoordEndpoint, DownSender, SiteEndpoint, TransportError, UpFrame,
+    channel_wiring, BatchSender, CoordEndpoint, DownSender, SiteEndpoint, TransportError, UpFrame,
 };
 
 /// Why a runtime run failed.
@@ -125,122 +127,160 @@ pub struct RunOutput<S, C> {
     pub metrics: Metrics,
 }
 
-/// Drives one site over its endpoint: returns the final site state and the
-/// thread-local upstream metrics.
-///
-/// Downstream messages are applied in windows of `down_poll_every` items
-/// ahead of `observe`, mirroring the lockstep runner's delayed-delivery
-/// mode: the protocols tolerate stale thresholds by design (correctness is
-/// unaffected; only message counts may inflate).
+/// One site's half of the protocol, without its transport: the site, its
+/// open batch, the items observed since the last frame, the down-poll
+/// countdown and the up-path [`Metrics`]. Every site driver (the threads
+/// engine's [`site_loop`], the epoll engine's site task and the daemon's
+/// attach client) runs its items through one of these, so the rule for
+/// when a batch ships lives here alone; each caller keeps only its up
+/// sender and its down link.
+pub(crate) struct SiteCore<S: SiteNode> {
+    pub(crate) site: S,
+    batch: Vec<S::Up>,
+    items_pending: u64,
+    until_poll: u32,
+    down_poll_every: u32,
+    batch_max: usize,
+    pub(crate) metrics: Metrics,
+}
+
+impl<S: SiteNode> SiteCore<S> {
+    /// Wraps `site`, with `batch_max` and `down_poll_every` clamped to at
+    /// least 1.
+    pub(crate) fn new(site: S, cfg: &RuntimeConfig) -> SiteCore<S> {
+        let batch_max = cfg.batch_max.max(1);
+        SiteCore {
+            site,
+            batch: Vec::with_capacity(batch_max),
+            items_pending: 0,
+            until_poll: 0,
+            down_poll_every: cfg.down_poll_every.max(1),
+            batch_max,
+            metrics: Metrics::new(),
+        }
+    }
+
+    /// Called once per item, before [`SiteCore::observe`]: true before the
+    /// first item and then every `down_poll_every` items, when the caller
+    /// applies whatever its down link holds. Downstream messages thus land
+    /// in windows of items, mirroring the lockstep runner's
+    /// delayed-delivery mode: the protocols tolerate stale thresholds by
+    /// design (correctness is unaffected; only message counts may
+    /// inflate).
+    #[inline]
+    pub(crate) fn poll_due(&mut self) -> bool {
+        let due = self.until_poll == 0;
+        if due {
+            self.until_poll = self.down_poll_every;
+        }
+        self.until_poll -= 1;
+        due
+    }
+
+    /// Observes one item and ships the batch once it holds `batch_max`
+    /// messages.
+    #[inline]
+    pub(crate) fn observe(
+        &mut self,
+        item: Item,
+        up: &mut dyn BatchSender<S::Up>,
+    ) -> Result<(), TransportError> {
+        self.site.observe(item, &mut self.batch);
+        self.items_pending += 1;
+        if self.batch.len() >= self.batch_max {
+            self.flush(up)?;
+        }
+        Ok(())
+    }
+
+    /// Ships the open batch together with the item count of its window,
+    /// metering each message by the paper's accounting (`units` wire
+    /// messages, exact `wire_bytes`). The batch is drained in place:
+    /// encoding transports keep its allocation alive across flushes;
+    /// channel transports move the storage with the messages, so capacity
+    /// is restored here for the next window.
+    fn flush(&mut self, up: &mut dyn BatchSender<S::Up>) -> Result<(), TransportError> {
+        if self.batch.is_empty() {
+            return Ok(());
+        }
+        for msg in self.batch.iter() {
+            self.metrics
+                .count_up(msg.kind(), msg.units(), msg.wire_bytes());
+        }
+        let items = std::mem::take(&mut self.items_pending);
+        up.send_batch(&mut self.batch, items)?;
+        if self.batch.capacity() < self.batch_max {
+            self.batch.reserve(self.batch_max - self.batch.len());
+        }
+        Ok(())
+    }
+
+    /// Ships the open batch, then a message-free frame carrying the items
+    /// observed since: the stream's tail may have produced no messages,
+    /// and downstream watermarks (the daemon's progress, a tree's sync
+    /// cadence) must still cover every item. Sends no `Eof`, so the
+    /// daemon's attach client can leave its slot resumable.
+    pub(crate) fn detach(&mut self, up: &mut dyn BatchSender<S::Up>) -> Result<(), TransportError> {
+        self.flush(up)?;
+        if self.items_pending > 0 {
+            up.send(UpFrame::Batch {
+                msgs: Vec::new(),
+                items: std::mem::take(&mut self.items_pending),
+            })?;
+        }
+        Ok(())
+    }
+
+    /// Ends the stream: the site's closing burst (e.g. the sliding-window
+    /// site ships its retained candidate set; per-item protocols add
+    /// nothing), then [`SiteCore::detach`], then `Eof`. The burst is not
+    /// item-driven and can exceed `batch_max`, so it ships in batch-sized
+    /// chunks: one oversized flush would overflow the framed transports'
+    /// `MAX_FRAME_LEN` cap.
+    pub(crate) fn finish(&mut self, up: &mut dyn BatchSender<S::Up>) -> Result<(), TransportError> {
+        self.site.finish(&mut self.batch);
+        while self.batch.len() > self.batch_max {
+            let rest = self.batch.split_off(self.batch_max);
+            self.flush(up)?;
+            self.batch = rest;
+        }
+        self.detach(up)?;
+        up.send(UpFrame::Eof)
+    }
+}
+
+/// Drives one site over its channel endpoint and returns the final site
+/// state with the thread's upstream metrics.
 pub(crate) fn site_loop<S, I>(
-    site: &mut S,
+    site: S,
     endpoint: SiteEndpoint<S::Up, S::Down>,
     items: I,
-    batch_max: usize,
-    down_poll_every: u32,
-) -> Result<Metrics, RuntimeError>
+    cfg: &RuntimeConfig,
+) -> Result<(S, Metrics), RuntimeError>
 where
     S: SiteNode,
     I: IntoIterator<Item = Item>,
 {
     let SiteEndpoint { mut up, down, .. } = endpoint;
-    up.reserve_hint(batch_max);
-    let down_poll_every = down_poll_every.max(1);
-    let mut metrics = Metrics::new();
-    let mut batch: Vec<S::Up> = Vec::with_capacity(batch_max);
-    let mut items_pending = 0u64;
-    let mut until_poll = 0u32;
+    let mut core = SiteCore::new(site, cfg);
     for item in items {
-        if until_poll == 0 {
-            until_poll = down_poll_every;
+        if core.poll_due() {
             while let Ok(msg) = down.try_recv() {
-                site.receive(&msg);
+                core.site.receive(&msg);
             }
         }
-        until_poll -= 1;
-        site.observe(item, &mut batch);
-        items_pending += 1;
-        if batch.len() >= batch_max {
-            flush(
-                &mut *up,
-                &mut batch,
-                &mut items_pending,
-                batch_max,
-                &mut metrics,
-            )?;
-        }
+        core.observe(item, &mut *up)?;
     }
-    // End-of-stream protocols assemble their closing messages here (e.g.
-    // the sliding-window site ships its retained candidate set); per-item
-    // protocols leave the batch untouched. The closing burst can exceed
-    // `batch_max` (it is not item-driven), so ship it in batch-sized
-    // chunks — a single oversized flush would overflow the framed
-    // transport's MAX_FRAME_LEN cap.
-    site.finish(&mut batch);
-    while batch.len() > batch_max {
-        let rest = batch.split_off(batch_max);
-        flush(
-            &mut *up,
-            &mut batch,
-            &mut items_pending,
-            batch_max,
-            &mut metrics,
-        )?;
-        batch = rest;
-    }
-    flush(
-        &mut *up,
-        &mut batch,
-        &mut items_pending,
-        batch_max,
-        &mut metrics,
-    )?;
-    // The tail of the stream may have produced no messages; ship the
-    // residual item count anyway so downstream watermarks (hierarchical
-    // sync cadence) cover the whole stream before `Eof`.
-    if items_pending > 0 {
-        up.send(UpFrame::Batch {
-            msgs: Vec::new(),
-            items: items_pending,
-        })?;
-    }
-    up.send(UpFrame::Eof)?;
+    core.finish(&mut *up)?;
     up.close();
     // Phase 1 complete: release the up sender so the coordinator's queue
     // disconnects even if a sibling site is stuck, then drain the down link
     // until the coordinator closes it (phase 3).
     drop(up);
     while let Ok(msg) = down.recv() {
-        site.receive(&msg);
+        core.site.receive(&msg);
     }
-    Ok(metrics)
-}
-
-/// Ships the accumulated batch together with the item count of its flush
-/// window, metering each message by the paper's accounting (`units` wire
-/// messages, exact `wire_bytes`). The batch vector is drained in place:
-/// encoding transports keep its allocation alive across flushes; channel
-/// transports move the storage with the messages, so capacity is restored
-/// here for the next window.
-pub(crate) fn flush<U: Meter>(
-    up: &mut dyn crate::transport::BatchSender<U>,
-    batch: &mut Vec<U>,
-    items_pending: &mut u64,
-    batch_max: usize,
-    metrics: &mut Metrics,
-) -> Result<(), TransportError> {
-    if batch.is_empty() {
-        return Ok(());
-    }
-    for msg in batch.iter() {
-        metrics.count_up(msg.kind(), msg.units(), msg.wire_bytes());
-    }
-    let items = std::mem::take(items_pending);
-    up.send_batch(batch, items)?;
-    if batch.capacity() < batch_max {
-        batch.reserve(batch_max - batch.len());
-    }
-    Ok(())
+    Ok((core.site, core.metrics))
 }
 
 /// Drives the coordinator until every site reached `Eof` (or disconnected),
@@ -336,16 +376,11 @@ where
     assert!(k >= 1, "need at least one site");
     assert_eq!(streams.len(), k, "one stream partition per site");
     let (site_eps, coord_ep) = channel_wiring(k, cfg.queue_capacity);
-    let batch_max = cfg.batch_max.max(1);
 
     let (coord_res, site_res) = thread::scope(|scope| {
         let mut site_handles = Vec::with_capacity(k);
-        let down_poll_every = cfg.down_poll_every.max(1);
-        for ((mut site, ep), items) in sites.into_iter().zip(site_eps).zip(streams) {
-            site_handles.push(scope.spawn(move || {
-                let metrics = site_loop(&mut site, ep, items, batch_max, down_poll_every)?;
-                Ok::<_, RuntimeError>((site, metrics))
-            }));
+        for ((site, ep), items) in sites.into_iter().zip(site_eps).zip(streams) {
+            site_handles.push(scope.spawn(move || site_loop(site, ep, items, cfg)));
         }
         let coord_handle = scope.spawn(move || {
             let metrics = coordinator_loop(&mut coordinator, coord_ep)?;
@@ -627,5 +662,145 @@ mod tests {
         // correct sample, just more traffic.
         let deep = swor_on_threads(n, 4, &RuntimeConfig::default());
         assert_eq!(deep.coordinator.sample().len(), 8);
+    }
+
+    /// Emits `Up(id)` for every item below `quiet_from` whose id is a
+    /// multiple of `every`, and `burst` messages (ids from 1000) at
+    /// `finish`.
+    #[derive(Debug)]
+    struct ScriptSite {
+        every: u64,
+        quiet_from: u64,
+        burst: u64,
+    }
+    impl SiteNode for ScriptSite {
+        type Up = Up;
+        type Down = Down;
+        fn observe(&mut self, item: Item, out: &mut Vec<Up>) {
+            if item.id < self.quiet_from && item.id.is_multiple_of(self.every) {
+                out.push(Up(item.id));
+            }
+        }
+        fn receive(&mut self, _msg: &Down) {}
+        fn finish(&mut self, out: &mut Vec<Up>) {
+            out.extend((1000..1000 + self.burst).map(Up));
+        }
+    }
+
+    /// Records each up frame as `msgs/items` (a message-free frame is the
+    /// residual watermark) or `eof`, and the message ids in order.
+    #[derive(Default)]
+    struct Recorder {
+        frames: Vec<String>,
+        ids: Vec<u64>,
+    }
+    impl BatchSender<Up> for Recorder {
+        fn send(&mut self, frame: UpFrame<Up>) -> Result<(), TransportError> {
+            match frame {
+                UpFrame::Batch { msgs, items } => {
+                    self.frames.push(format!("{}/{items}", msgs.len()));
+                    self.ids.extend(msgs.iter().map(|m| m.0));
+                }
+                UpFrame::Eof => self.frames.push("eof".into()),
+                UpFrame::Fault(e) => self.frames.push(format!("fault {e}")),
+            }
+            Ok(())
+        }
+    }
+
+    /// Runs items `0..n` through a [`SiteCore`] the way every caller does
+    /// (`poll_due`, then `observe`; `finish` at the end) and returns the
+    /// recorded frames, the message ids, and the items before which a down
+    /// poll was due.
+    fn drive(cfg: &RuntimeConfig, site: ScriptSite, n: u64) -> (Vec<String>, Vec<u64>, Vec<u64>) {
+        let mut core = SiteCore::new(site, cfg);
+        let mut up = Recorder::default();
+        let mut polls = Vec::new();
+        for id in 0..n {
+            if core.poll_due() {
+                polls.push(id);
+            }
+            core.observe(Item::unit(id), &mut up).unwrap();
+        }
+        core.finish(&mut up).unwrap();
+        assert_eq!(
+            core.metrics.up_total,
+            up.ids.len() as u64,
+            "every message metered"
+        );
+        (up.frames, up.ids, polls)
+    }
+
+    /// `(frame, repeats)` runs, expanded.
+    fn frames(runs: &[(&str, usize)]) -> Vec<String> {
+        runs.iter()
+            .flat_map(|&(f, times)| std::iter::repeat_n(f.to_string(), times))
+            .collect()
+    }
+
+    #[test]
+    fn site_core_pins_frames_and_poll_cadence() {
+        // Each case runs two streams. "burst": a message on every even id
+        // of 0..40 and a closing burst of 2·batch_max + 1, which ships in
+        // chunks. "quiet": a message on each of the first 2·batch_max
+        // items and 5 silent ones after, which ends in the residual
+        // watermark frame. A struct literal reaches SiteCore unclamped:
+        // (0, 0) must run as (1, 1), where batch_max 0 used to spin
+        // forever in the attach client's closing burst.
+        let literal = RuntimeConfig {
+            batch_max: 0,
+            down_poll_every: 0,
+            ..RuntimeConfig::default()
+        };
+        let one = RuntimeConfig::new()
+            .with_batch_max(1)
+            .with_down_poll_every(1);
+        let one_burst = frames(&[("1/1", 1), ("1/2", 19), ("1/1", 1), ("1/0", 2), ("eof", 1)]);
+        let one_quiet = frames(&[("1/1", 2), ("0/5", 1), ("eof", 1)]);
+        let cases = [
+            (one, one_burst.clone(), one_quiet.clone(), 1),
+            (literal, one_burst, one_quiet, 1),
+            (
+                RuntimeConfig::new()
+                    .with_batch_max(3)
+                    .with_down_poll_every(5),
+                frames(&[("3/5", 1), ("3/6", 5), ("3/5", 1), ("3/0", 2), ("eof", 1)]),
+                frames(&[("3/3", 2), ("0/5", 1), ("eof", 1)]),
+                5,
+            ),
+            (
+                RuntimeConfig::new()
+                    .with_batch_max(64)
+                    .with_down_poll_every(32),
+                frames(&[("64/40", 1), ("64/0", 1), ("21/0", 1), ("eof", 1)]),
+                frames(&[("64/64", 2), ("0/5", 1), ("eof", 1)]),
+                32,
+            ),
+        ];
+        for (cfg, want_burst, want_quiet, poll_every) in cases {
+            let bm = cfg.batch_max.max(1) as u64;
+            let site = ScriptSite {
+                every: 2,
+                quiet_from: u64::MAX,
+                burst: 2 * bm + 1,
+            };
+            let (got, ids, polls) = drive(&cfg, site, 40);
+            assert_eq!(got, want_burst, "{cfg:?}: burst frames");
+            let want_ids: Vec<u64> = (0..40).step_by(2).chain(1000..1000 + 2 * bm + 1).collect();
+            assert_eq!(ids, want_ids, "{cfg:?}: burst message order");
+            let want_polls: Vec<u64> = (0..40).step_by(poll_every).collect();
+            assert_eq!(polls, want_polls, "{cfg:?}: burst polls");
+
+            let site = ScriptSite {
+                every: 1,
+                quiet_from: 2 * bm,
+                burst: 0,
+            };
+            let (got, ids, polls) = drive(&cfg, site, 2 * bm + 5);
+            assert_eq!(got, want_quiet, "{cfg:?}: quiet frames");
+            assert_eq!(ids, (0..2 * bm).collect::<Vec<_>>(), "{cfg:?}: quiet order");
+            let want_polls: Vec<u64> = (0..2 * bm + 5).step_by(poll_every).collect();
+            assert_eq!(polls, want_polls, "{cfg:?}: quiet polls");
+        }
     }
 }

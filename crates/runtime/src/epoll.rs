@@ -10,9 +10,10 @@
 //! codec in [`crate::tcp`], with the threads engine's [`Metrics`]
 //! accounting:
 //!
-//! * **Site side** — each site is a `SiteTask`: the same
-//!   observe/flush/finish/drain protocol steps as `engine::site_loop`, but
-//!   resumable, driven by a worker pool of `EPOLL_WORKERS` event loops.
+//! * **Site side** — each site is a `SiteTask`: the threads engine's
+//!   `SiteCore` (observe, flush, finish) behind a resumable state machine
+//!   that owns the nonblocking socket and drains the down link, driven by a
+//!   worker pool of `EPOLL_WORKERS` event loops.
 //!   Input arrives through the nonblocking [`ItemFeed`] interface instead
 //!   of a blocking iterator, so one stalled feed never wedges the other
 //!   tasks sharing its worker.
@@ -82,7 +83,7 @@ use dwrs_core::{Item, Keyed};
 use dwrs_sim::{CoordinatorNode, Metrics, NoDown, SiteNode};
 
 use crate::config::RuntimeConfig;
-use crate::engine::{coordinator_loop, flush, RunOutput, RuntimeError};
+use crate::engine::{coordinator_loop, RunOutput, RuntimeError, SiteCore};
 use crate::reactor::{
     current_nofile_limit, is_fd_exhausted, raise_nofile_limit, wake_pair, PollEvent, Poller,
     RecvBuf, SendBuf, WakeRx, Waker, WAKE_TOKEN,
@@ -269,8 +270,8 @@ impl CreditPool {
 
 /// [`BatchSender`] over a [`SendBuf`]: encodes through the data-plane
 /// codec into the connection's buffer instead of a blocking socket write,
-/// so `engine::flush` (and its metering) is reused verbatim by the
-/// resumable site task. Every BATCH frame it encodes takes a credit.
+/// so the resumable site task ships through the same [`SiteCore`] as the
+/// blocking drivers. Every BATCH frame it encodes takes a credit.
 struct BufUp<'a> {
     buf: &'a mut SendBuf,
     credits: &'a CreditPool,
@@ -314,13 +315,15 @@ enum Phase {
     Done,
 }
 
-/// One site connection as a resumable state machine: the exact protocol
-/// steps of `engine::site_loop`, re-expressed so a worker can advance the
-/// task as far as readiness allows and move on.
+/// One site connection as a resumable state machine around a [`SiteCore`]:
+/// the task owns the transport (the nonblocking socket, its buffers, the
+/// credit pool and the `FEED_CHUNK` budget) and the core decides when a
+/// batch ships, so a worker can advance the task as far as readiness
+/// allows and move on.
 struct SiteTask<S: SiteNode> {
     /// Global site index (flat: site id; tree: `group * k + member`).
     global: usize,
-    site: S,
+    core: SiteCore<S>,
     feed: Box<dyn ItemFeed>,
     cur: std::vec::IntoIter<Item>,
     stream: TcpStream,
@@ -328,10 +331,6 @@ struct SiteTask<S: SiteNode> {
     send: SendBuf,
     /// The credit pool of the coordinator this site reports to.
     credits: Arc<CreditPool>,
-    batch: Vec<S::Up>,
-    items_pending: u64,
-    until_poll: u32,
-    metrics: Metrics,
     phase: Phase,
     /// Readiness hints from the worker's poller (level-triggered, so a
     /// stale `true` costs one `WouldBlock` syscall, never a lost event).
@@ -354,24 +353,20 @@ where
 {
     fn new(
         global: usize,
-        site: S,
+        core: SiteCore<S>,
         feed: Box<dyn ItemFeed>,
         stream: TcpStream,
         credits: Arc<CreditPool>,
     ) -> SiteTask<S> {
         SiteTask {
             global,
-            site,
+            core,
             feed,
             cur: Vec::new().into_iter(),
             stream,
             recv: RecvBuf::new(),
             send: SendBuf::with_cap(UP_BUF_CAP),
             credits,
-            batch: Vec::new(),
-            items_pending: 0,
-            until_poll: 0,
-            metrics: Metrics::new(),
             phase: Phase::Streaming,
             read_ready: true,
             write_ready: true,
@@ -386,7 +381,7 @@ where
     /// Advances the task as far as current readiness allows. Returns
     /// whether any progress was made (the worker idles only when a full
     /// pass over its tasks makes none).
-    fn step(&mut self, batch_max: usize, down_poll: u32) -> Result<bool, RuntimeError> {
+    fn step(&mut self) -> Result<bool, RuntimeError> {
         let mut progress = self.flush_send()?;
         match self.phase {
             Phase::Streaming => {
@@ -411,24 +406,22 @@ where
                             }
                             Feed::Pending => break,
                             Feed::Done => {
-                                self.finish_stream(batch_max)?;
+                                self.finish_stream()?;
                                 progress = true;
                                 break;
                             }
                         },
                     };
-                    if self.until_poll == 0 {
-                        self.until_poll = down_poll;
+                    if self.core.poll_due() {
                         self.drain_downs(true)?;
                     }
-                    self.until_poll -= 1;
-                    self.site.observe(item, &mut self.batch);
-                    self.items_pending += 1;
+                    let mut up = BufUp {
+                        buf: &mut self.send,
+                        credits: &self.credits,
+                    };
+                    self.core.observe(item, &mut up)?;
                     progress = true;
                     budget -= 1;
-                    if self.batch.len() >= batch_max {
-                        self.flush_batch(batch_max)?;
-                    }
                 }
                 progress |= self.flush_send()?;
             }
@@ -454,56 +447,16 @@ where
         Ok(progress)
     }
 
-    /// The end-of-stream sequence of `site_loop`: `finish`, chunked final
-    /// flushes, the residual item-count watermark, `EOF` — all queued into
-    /// the send buffer; [`Phase::Closing`] drains it to the socket. Its
-    /// BATCH frames take credits without waiting for them.
-    fn finish_stream(&mut self, batch_max: usize) -> Result<(), RuntimeError> {
-        self.site.finish(&mut self.batch);
-        while self.batch.len() > batch_max {
-            let rest = self.batch.split_off(batch_max);
-            self.flush_batch(batch_max)?;
-            self.batch = rest;
-        }
-        self.flush_batch(batch_max)?;
-        if self.items_pending > 0 {
-            let items = std::mem::take(&mut self.items_pending);
-            let mut up = BufUp {
-                buf: &mut self.send,
-                credits: &self.credits,
-            };
-            BatchSender::<S::Up>::send(
-                &mut up,
-                UpFrame::Batch {
-                    msgs: Vec::new(),
-                    items,
-                },
-            )
-            .map_err(RuntimeError::from)?;
-        }
+    /// Queues the end of the stream into the send buffer (see
+    /// [`SiteCore::finish`]); [`Phase::Closing`] drains it to the socket.
+    /// Its BATCH frames take credits without waiting for them.
+    fn finish_stream(&mut self) -> Result<(), RuntimeError> {
         let mut up = BufUp {
             buf: &mut self.send,
             credits: &self.credits,
         };
-        BatchSender::<S::Up>::send(&mut up, UpFrame::Eof).map_err(RuntimeError::from)?;
+        self.core.finish(&mut up)?;
         self.phase = Phase::Closing;
-        Ok(())
-    }
-
-    /// One metered batch flush into the send buffer (shared accounting
-    /// path with the threaded engines: `engine::flush`).
-    fn flush_batch(&mut self, batch_max: usize) -> Result<(), RuntimeError> {
-        let mut up = BufUp {
-            buf: &mut self.send,
-            credits: &self.credits,
-        };
-        flush(
-            &mut up,
-            &mut self.batch,
-            &mut self.items_pending,
-            batch_max,
-            &mut self.metrics,
-        )?;
         Ok(())
     }
 
@@ -548,7 +501,7 @@ where
                         )))
                     }
                 };
-                self.site.receive(&msg);
+                self.core.site.receive(&msg);
                 progress = true;
             }
             match self.recv.fill_from(&mut (&self.stream)) {
@@ -574,7 +527,7 @@ where
 
     /// Clean completion: record this task's metrics.
     fn complete(&mut self) {
-        let metrics = std::mem::replace(&mut self.metrics, Metrics::new());
+        let metrics = std::mem::take(&mut self.core.metrics);
         self.result = Some(Ok(metrics));
         self.phase = Phase::Done;
     }
@@ -628,12 +581,7 @@ fn site_wakers(sites: usize) -> Result<(Wakers, Vec<WakeRx>), RuntimeError> {
 /// waker in `wake_rxs`, returning `(global_index, result)` per task.
 /// Tasks are distributed round-robin, preserving a deterministic
 /// global→worker mapping.
-fn run_site_pool<S>(
-    tasks: Vec<SiteTask<S>>,
-    wake_rxs: Vec<WakeRx>,
-    batch_max: usize,
-    down_poll: u32,
-) -> SiteResults<S>
+fn run_site_pool<S>(tasks: Vec<SiteTask<S>>, wake_rxs: Vec<WakeRx>) -> SiteResults<S>
 where
     S: SiteNode + Send,
     S::Up: FrameCodec + Send,
@@ -648,9 +596,7 @@ where
         let handles: Vec<_> = shards
             .into_iter()
             .zip(wake_rxs)
-            .map(|(shard, wake_rx)| {
-                scope.spawn(move || site_worker(shard, wake_rx, batch_max, down_poll))
-            })
+            .map(|(shard, wake_rx)| scope.spawn(move || site_worker(shard, wake_rx)))
             .collect();
         let mut out = Vec::new();
         for h in handles {
@@ -669,12 +615,7 @@ where
 /// blocks on the poller (with a short timeout — feed arrivals have no fd)
 /// and refreshes per-task readiness hints. Returning credits wakes it
 /// through `wake_rx`.
-fn site_worker<S>(
-    mut tasks: Vec<SiteTask<S>>,
-    mut wake_rx: WakeRx,
-    batch_max: usize,
-    down_poll: u32,
-) -> SiteResults<S>
+fn site_worker<S>(mut tasks: Vec<SiteTask<S>>, mut wake_rx: WakeRx) -> SiteResults<S>
 where
     S: SiteNode,
     S::Up: FrameCodec + Send,
@@ -695,7 +636,7 @@ where
             }
             if t.phase != Phase::Done {
                 all_done = false;
-                match catch_unwind(AssertUnwindSafe(|| t.step(batch_max, down_poll))) {
+                match catch_unwind(AssertUnwindSafe(|| t.step())) {
                     Ok(Ok(p)) => progress |= p,
                     Ok(Err(e)) => {
                         t.fail(e);
@@ -765,7 +706,7 @@ where
         .into_iter()
         .map(|t| {
             let res = match t.result {
-                Some(Ok(m)) => Ok((t.site, m)),
+                Some(Ok(m)) => Ok((t.core.site, m)),
                 Some(Err(e)) => Err(e),
                 None => Err(RuntimeError::SitePanicked(t.global)),
             };
@@ -1345,8 +1286,6 @@ where
     let k = sites.len();
     assert!(k >= 1, "need at least one site");
     assert_eq!(feeds.len(), k, "one feed per site");
-    let batch_max = cfg.batch_max.max(1);
-    let down_poll = cfg.down_poll_every.max(1);
     let _ = raise_nofile_limit();
 
     let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0))
@@ -1373,7 +1312,8 @@ where
         .zip(feeds)
         .enumerate()
         .map(|(i, ((site, stream), feed))| {
-            SiteTask::new(i, site, feed, stream, Arc::clone(&up.credits))
+            let core = SiteCore::new(site, cfg);
+            SiteTask::new(i, core, feed, stream, Arc::clone(&up.credits))
         })
         .collect();
 
@@ -1383,7 +1323,7 @@ where
             let metrics = coordinator_loop(&mut coordinator, coord_ep)?;
             Ok::<_, RuntimeError>(metrics)
         });
-        let site_res = run_site_pool(tasks, site_wake_rxs, batch_max, down_poll);
+        let site_res = run_site_pool(tasks, site_wake_rxs);
         (reactor.join(), coord.join(), site_res)
     });
 
@@ -1447,8 +1387,6 @@ where
     assert!(g >= 1 && k >= 1, "need at least one site per group");
     assert_eq!(feeds.len(), g, "one feed block per group");
     check_sync_fits_frame(s)?;
-    let batch_max = cfg.batch_max.max(1);
-    let down_poll = cfg.down_poll_every.max(1);
     let _ = raise_nofile_limit();
 
     let bind = |what: &str| -> Result<(TcpListener, SocketAddr), RuntimeError> {
@@ -1506,7 +1444,8 @@ where
         for (i, feed) in group_feeds.into_iter().enumerate() {
             let stream = site_iter.next().expect("wire_sites returned g*k streams");
             let (global, credits) = (gi * k + i, Arc::clone(&ups[gi].credits));
-            tasks.push(SiteTask::new(global, mk_site(gi, i), feed, stream, credits));
+            let core = SiteCore::new(mk_site(gi, i), cfg);
+            tasks.push(SiteTask::new(global, core, feed, stream, credits));
         }
     }
 
@@ -1522,7 +1461,7 @@ where
             }));
         }
         let root = scope.spawn(move || root_loop(root_ep));
-        let site_res = run_site_pool(tasks, site_wake_rxs, batch_max, down_poll);
+        let site_res = run_site_pool(tasks, site_wake_rxs);
         let agg_res: Vec<_> = agg_handles.into_iter().map(|h| h.join()).collect();
         (reactor.join(), agg_res, root.join(), site_res)
     });

@@ -34,7 +34,9 @@
 //! coordinator fills the queue, the readers block, the kernel socket
 //! buffers fill, and sender writes stall. The down reader drains eagerly,
 //! which keeps the coordinator's down writes from ever blocking (the
-//! deadlock-freedom invariant).
+//! deadlock-freedom invariant). Because that reader holds a second handle
+//! to the socket, a site-side up sender dropped without `close` shuts the
+//! socket down both ways, so the peer sees the link end.
 
 use std::io::{self, Read};
 use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
@@ -165,7 +167,22 @@ const MSG_SIZE_HINT: usize = 32;
 /// single `write_all` — no allocation, no copy, one syscall per flush.
 struct TcpBatchSender<U> {
     writer: FramedWriter<TcpStream>,
+    /// `close` ran: the link ended with a clean half-close.
+    closed: bool,
     _marker: std::marker::PhantomData<fn(U)>,
+}
+
+impl<U> Drop for TcpBatchSender<U> {
+    /// The down reader holds a second handle to this socket, so dropping
+    /// only this one would leave the connection open and the peer waiting
+    /// for frames that never come. A sender dropped without `close` (an
+    /// error return, a panic's unwinding) shuts the socket down both ways,
+    /// as [`BatchSender::abort`] does.
+    fn drop(&mut self) {
+        if !self.closed {
+            let _ = self.writer.get_ref().shutdown(Shutdown::Both);
+        }
+    }
 }
 
 /// Builds the site-side up sender over an already-connected socket
@@ -176,6 +193,7 @@ pub(crate) fn tcp_batch_sender<U: FrameCodec + Send + 'static>(
 ) -> Box<dyn BatchSender<U>> {
     Box::new(TcpBatchSender {
         writer: FramedWriter::new(stream),
+        closed: false,
         _marker: std::marker::PhantomData,
     })
 }
@@ -205,6 +223,7 @@ impl<U: FrameCodec + Send> BatchSender<U> for TcpBatchSender<U> {
     }
 
     fn close(&mut self) {
+        self.closed = true;
         let _ = self.writer.flush();
         let _ = self.writer.get_ref().shutdown(Shutdown::Write);
     }

@@ -416,8 +416,6 @@ where
     I: IntoIterator<Item = Item> + Send,
 {
     let (g, k) = (topo.groups, topo.k_per_group);
-    let batch_max = cfg.batch_max.max(1);
-    let down_poll_every = cfg.down_poll_every.max(1);
     let (root_links, root_ep) = channel_wiring::<SyncMsg, NoDown>(g, cfg.queue_capacity);
 
     type SiteRes = Result<Metrics, RuntimeError>;
@@ -430,11 +428,8 @@ where
             assert_eq!(group_streams.len(), k, "one stream partition per site");
             let (site_eps, coord_ep) = channel_wiring(k, cfg.queue_capacity);
             for ((i, ep), items) in site_eps.into_iter().enumerate().zip(group_streams) {
-                let mut site = mk_site(gi, i);
-                site_handles
-                    .push(scope.spawn(move || {
-                        site_loop(&mut site, ep, items, batch_max, down_poll_every)
-                    }));
+                let site = mk_site(gi, i);
+                site_handles.push(scope.spawn(move || Ok(site_loop(site, ep, items, cfg)?.1)));
             }
             let mut aggregator = mk_aggregator(gi);
             let sync_every = topo.sync_every;
@@ -887,6 +882,68 @@ mod tests {
         assert_eq!(out.root_sample.len(), 4);
         let items: u64 = out.group_stats.iter().map(|st| st.items).sum();
         assert_eq!(items, 4_000);
+    }
+
+    /// A SWOR aggregator that panics on its 20th message in group 1.
+    struct PanickingAggregator {
+        inner: SworCoordinator,
+        group: usize,
+        seen: u64,
+    }
+    impl CoordinatorNode for PanickingAggregator {
+        type Up = <SworCoordinator as CoordinatorNode>::Up;
+        type Down = <SworCoordinator as CoordinatorNode>::Down;
+        fn receive(&mut self, from: usize, msg: Self::Up, out: &mut Outbox<Self::Down>) {
+            self.seen += 1;
+            if self.group == 1 && self.seen == 20 {
+                panic!("injected aggregator failure");
+            }
+            CoordinatorNode::receive(&mut self.inner, from, msg, out);
+        }
+    }
+    impl SampleSource for PanickingAggregator {
+        fn keyed_sample(&self) -> Vec<Keyed> {
+            self.inner.keyed_sample()
+        }
+    }
+
+    #[test]
+    fn aggregator_panic_reported_not_hung() {
+        // The unwinding aggregator drops its root link. On epoll that link
+        // is a socket whose down reader holds a second handle, so the root
+        // heard the link end only once a dropped up sender shut the socket
+        // down itself; before that, the run hung.
+        let topo = TreeTopology::new(2, 2, 1_000);
+        let group_cfg = SworConfig::new(8, topo.k_per_group);
+        let cfg = RuntimeConfig::new().with_batch_max(1);
+        for engine in [EngineKind::Threads, EngineKind::Epoll] {
+            let (tx, rx) = mpsc::channel();
+            let group_cfg = group_cfg.clone();
+            let run = thread::spawn(move || {
+                let res = run_tree_nodes(
+                    engine,
+                    8,
+                    &topo,
+                    |gi, i| swor_site(&group_cfg, tree_group_seed(5, gi), i),
+                    |gi| PanickingAggregator {
+                        inner: swor_coordinator(group_cfg.clone(), tree_group_seed(5, gi)),
+                        group: gi,
+                        seen: 0,
+                    },
+                    tree_streams(&topo, 200_000),
+                    &cfg,
+                );
+                let _ = tx.send(res.map(|_| ()));
+            });
+            let res = rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("{engine:?}: tree run hung"));
+            run.join().expect("tree run thread");
+            assert!(
+                matches!(res, Err(RuntimeError::AggregatorPanicked(1))),
+                "{engine:?}: got {res:?}"
+            );
+        }
     }
 
     #[test]
