@@ -50,7 +50,7 @@ use dwrs_core::ctrl::{
 };
 use dwrs_core::framed::{FrameCodec, FramedReader, FramedWriter, MAX_FRAME_LEN};
 use dwrs_core::swor::levels::epoch_threshold;
-use dwrs_core::swor::{DownMsg, SworConfig, SworCoordinator, UpMsg};
+use dwrs_core::swor::{CoordStats, DownMsg, SworConfig, SworCoordinator, UpMsg};
 use dwrs_core::{Item, Keyed};
 use dwrs_sim::{swor_coordinator, CoordinatorNode, Meter, Metrics, Outbox, SiteNode};
 use dwrs_stats::QuantileSketch;
@@ -59,8 +59,8 @@ use dwrs_telemetry::{
     HISTOGRAM_EPS, METRIC_BROADCAST_EVENTS_TOTAL, METRIC_CONNECTIONS_TOTAL,
     METRIC_CTRL_ERRORS_TOTAL, METRIC_DOWN_MESSAGES_TOTAL, METRIC_ITEMS_TOTAL,
     METRIC_LIVE_QUERIES_TOTAL, METRIC_QUERY_LATENCY_NS, METRIC_SCRAPES_TOTAL,
-    METRIC_SITES_ATTACHED, METRIC_STREAMS_ACTIVE, METRIC_UP_MESSAGES_TOTAL,
-    METRIC_WIRE_BYTES_TOTAL,
+    METRIC_SITES_ATTACHED, METRIC_STALE_EARLY_TOTAL, METRIC_STALE_REGULAR_TOTAL,
+    METRIC_STREAMS_ACTIVE, METRIC_UP_MESSAGES_TOTAL, METRIC_WIRE_BYTES_TOTAL,
 };
 
 use crate::config::RuntimeConfig;
@@ -205,13 +205,15 @@ impl CmdSender {
     }
 }
 
-/// The registry counters that mirror a stream's `Metrics` totals, in
-/// [`StreamCtrs::fold`]'s order.
-const METERED: [&str; 4] = [
+/// The registry counters that mirror a stream's `Metrics` totals and its
+/// coordinator's stale-message counts, in [`StreamCtrs::fold`]'s order.
+const METERED: [&str; 6] = [
     METRIC_UP_MESSAGES_TOTAL,
     METRIC_DOWN_MESSAGES_TOTAL,
     METRIC_WIRE_BYTES_TOTAL,
     METRIC_BROADCAST_EVENTS_TOTAL,
+    METRIC_STALE_REGULAR_TOTAL,
+    METRIC_STALE_EARLY_TOTAL,
 ];
 
 /// The daemon-registry handles a stream processor updates, resolved once
@@ -224,9 +226,9 @@ struct StreamCtrs {
     sites_attached: Arc<Gauge>,
     streams_active: Arc<Gauge>,
     latency: Arc<Histogram>,
-    metered: [Arc<Counter>; 4],
+    metered: [Arc<Counter>; 6],
     /// What [`StreamCtrs::fold`] has added to `metered` so far.
-    folded: [u64; 4],
+    folded: [u64; 6],
 }
 
 impl StreamCtrs {
@@ -240,19 +242,22 @@ impl StreamCtrs {
             streams_active: reg.gauge(METRIC_STREAMS_ACTIVE),
             latency: reg.histogram(METRIC_QUERY_LATENCY_NS),
             metered: METERED.map(|name| reg.counter(name)),
-            folded: [0; 4],
+            folded: [0; 6],
         }
     }
 
-    /// Adds whatever the stream metered since the last fold to the
-    /// registry. Called after every command, so data frames and attach
-    /// replays alike reach the scrape.
-    fn fold(&mut self, m: &Metrics) {
+    /// Adds whatever the stream metered, and the stale messages its
+    /// coordinator counted, since the last fold to the registry. Called
+    /// after every command, so data frames and attach replays alike reach
+    /// the scrape.
+    fn fold(&mut self, m: &Metrics, stats: &CoordStats) {
         let now = [
             m.up_total,
             m.down_total,
             m.up_bytes + m.down_bytes,
             m.broadcast_events,
+            stats.stale_regular,
+            stats.stale_early,
         ];
         for ((ctr, now), folded) in self.metered.iter().zip(now).zip(&mut self.folded) {
             if now > *folded {
@@ -544,7 +549,7 @@ fn stream_processor(mut st: StreamState, rx: mpsc::Receiver<StreamCmd>) {
         }
         // Registry totals are command-granular: whatever this command
         // metered is folded in before the next command is served.
-        st.ctrs.fold(&st.metrics);
+        st.ctrs.fold(&st.metrics, &st.coordinator.stats);
         if let Some(reply) = drain_reply.take() {
             if st.drain_complete() {
                 for site in 0..st.downs.len() {
@@ -1513,6 +1518,23 @@ mod tests {
 
     fn daemon() -> Daemon {
         Daemon::bind("127.0.0.1:0", DaemonConfig::default()).expect("bind")
+    }
+
+    #[test]
+    fn fold_adds_stale_counts_to_the_registry() {
+        let telemetry = Arc::new(Telemetry::new());
+        let mut ctrs = StreamCtrs::new(&telemetry);
+        let (mut m, mut stats) = (Metrics::new(), CoordStats::default());
+        m.up_total = 5;
+        (stats.stale_regular, stats.stale_early) = (2, 3);
+        ctrs.fold(&m, &stats);
+        stats.stale_early = 7;
+        ctrs.fold(&m, &stats);
+        ctrs.fold(&m, &stats);
+        let get = |name| telemetry.registry.counter(name).get();
+        assert_eq!(get(METRIC_UP_MESSAGES_TOTAL), 5);
+        assert_eq!(get(METRIC_STALE_REGULAR_TOTAL), 2);
+        assert_eq!(get(METRIC_STALE_EARLY_TOTAL), 7, "folds are cumulative");
     }
 
     #[test]

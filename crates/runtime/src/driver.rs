@@ -51,7 +51,7 @@ use std::time::Duration;
 
 use dwrs_core::ctrl::{LiveQueryKind, LiveSnapshot};
 use dwrs_core::framed::FrameCodec;
-use dwrs_core::swor::{CoordStats, SworConfig};
+use dwrs_core::swor::{swor_bound, CoordStats, SworConfig};
 use dwrs_core::{Item, Keyed};
 use dwrs_sim::{CoordinatorNode, Metrics, Partition, Partitioner, Runner, SiteNode};
 use dwrs_workloads::source::{
@@ -292,6 +292,23 @@ impl Workload {
     /// panics.
     pub fn source(&self, n: u64, seed: u64) -> std::io::Result<Box<dyn ItemSource>> {
         Ok(Box::new(self.staged(n, seed)?.compose()))
+    }
+
+    /// Whether every weight the workload draws is at least 1, as Theorem
+    /// 3's message bound assumes: lighter streams start their epochs late
+    /// (an epoch needs `u ≥ 1`) and may send far more, so the driver checks
+    /// the bound only on these. Log-normal weights fall below 1, and CSV
+    /// and in-memory weights are not known up front.
+    pub(crate) fn weights_at_least_one(&self) -> bool {
+        match self {
+            Workload::Unit
+            | Workload::Zipf { .. }
+            | Workload::ZipfRanked { .. }
+            | Workload::ResidualSkew { .. } => true,
+            Workload::Uniform { lo, .. } => *lo >= 1.0,
+            Workload::Pareto { w_min, .. } => *w_min >= 1.0,
+            Workload::Lognormal { .. } | Workload::Csv(_) | Workload::Items(_) => false,
+        }
     }
 
     /// Resolves the description into its two stages: a sequential stream
@@ -979,7 +996,21 @@ struct InvariantCtx<'a> {
     final_epoch: Option<i64>,
     /// The run's `(stale_regular, stale_early)` counts.
     stale: (u64, u64),
+    /// Flat swor and rhh runs over weights of at least 1: the stream's
+    /// total weight, for the Theorem 3 bound check.
+    theorem3_weight: Option<f64>,
 }
+
+/// The constant in front of Theorem 3's bound that [`check_invariants`]
+/// holds every flat swor and rhh run to: up-messages net of stale ones
+/// must not exceed `THEOREM3_C · swor_bound(k, s, W)`. Calibrated on
+/// lockstep, which sends no stale message: over E1–E3's workloads and
+/// shapes under five partitions, the four benchmark shapes at seeds 1–10
+/// and CI's k-sweep and run matrix, the largest ratio was 9.75 (k = 1,
+/// s = 64, 28M `zipf_iid:1.1` items), and 20 is twice that, rounded up.
+/// The ratio grows with the number of weight levels a stream fills, each
+/// of which costs up to `4rs` early messages.
+const THEOREM3_C: f64 = 20.0;
 
 /// Checks the run-level invariants shared by every substrate; returns the
 /// violations (empty when healthy).
@@ -1077,6 +1108,18 @@ fn check_invariants(
              prompt delivery sends none",
             ctx.stale.0, ctx.stale.1
         ));
+    }
+    if let Some(weight) = ctx.theorem3_weight {
+        // Stale messages are the concurrent engines' excess over the
+        // model; the rest must meet the bound.
+        let fresh = metrics.up_total.saturating_sub(ctx.stale.0 + ctx.stale.1);
+        let bound = swor_bound(k_per_coordinator, s, weight);
+        if fresh as f64 > THEOREM3_C * bound {
+            violations.push(format!(
+                "{fresh} up-messages net of stale ones exceed {THEOREM3_C} x Theorem 3's \
+                 bound {bound:.1} (k = {k_per_coordinator}, s = {s}, W = {weight:.3e})"
+            ));
+        }
     }
     if let Some(u) = ctx.u {
         if sample.iter().any(|kd| kd.key < u) {
@@ -1312,6 +1355,8 @@ fn run_flat(sc: &Scenario, input: StagedSource) -> Result<RunReport, RuntimeErro
     } = run_query_flat(sc, input)?;
     let s_eff = sc.query.sample_size(sc.s);
     let stale = coord_stats.map_or((0, 0), |st| (st.stale_regular, st.stale_early));
+    let theorem3 = matches!(sc.query, Query::Swor | Query::ResidualHh { .. })
+        && sc.workload.weights_at_least_one();
     let ctx = InvariantCtx {
         engine: sc.engine,
         query: &sc.query,
@@ -1320,6 +1365,7 @@ fn run_flat(sc: &Scenario, input: StagedSource) -> Result<RunReport, RuntimeErro
         coord_stats,
         final_epoch,
         stale,
+        theorem3_weight: theorem3.then_some(weight),
     };
     let violations = check_invariants(&sample, &metrics, items, s_eff, sc.k, &ctx, None);
     Ok(RunReport {
@@ -1372,6 +1418,7 @@ fn run_tree(
         coord_stats: None,
         final_epoch: None,
         stale,
+        theorem3_weight: None,
     };
     let violations = check_invariants(
         &out.root_sample,
@@ -1415,6 +1462,43 @@ mod tests {
             .iter()
             .map(|kd| (kd.item.id, kd.key.to_bits()))
             .collect()
+    }
+
+    #[test]
+    fn runs_over_theorem3_bound_are_violations() {
+        // k = 8, s = 64, W = 1e6: the bound is 8·ln(15625)/ln(1.125).
+        let bound = swor_bound(8, 64, 1e6);
+        let limit = (THEOREM3_C * bound) as u64;
+        let flagged = |up: u64, stale: (u64, u64), theorem3_weight: Option<f64>| {
+            let mut metrics = Metrics::new();
+            metrics.up_total = up;
+            let ctx = InvariantCtx {
+                engine: EngineKind::Threads,
+                query: &Query::Swor,
+                answer: &QueryAnswer::Swor,
+                u: None,
+                coord_stats: None,
+                final_epoch: None,
+                stale,
+                theorem3_weight,
+            };
+            let violations = check_invariants(&[], &metrics, 0, 64, 8, &ctx, None);
+            violations.iter().any(|v| v.contains("Theorem 3"))
+        };
+        assert!(!flagged(limit, (0, 0), Some(1e6)));
+        assert!(flagged(limit + 1, (0, 0), Some(1e6)));
+        // Stale messages are the engines' excess over the model.
+        assert!(!flagged(limit + 500, (200, 300), Some(1e6)));
+        assert!(flagged(limit + 501, (200, 300), Some(1e6)));
+        // L1, window, tree and light-weight runs are reported only.
+        assert!(!flagged(10 * limit, (0, 0), None));
+        assert!(Workload::Zipf { alpha: 1.1 }.weights_at_least_one());
+        assert!(!Workload::Uniform { lo: 0.5, hi: 2.0 }.weights_at_least_one());
+        assert!(!Workload::Lognormal {
+            mu: 5.0,
+            sigma: 1.0
+        }
+        .weights_at_least_one());
     }
 
     #[test]

@@ -40,7 +40,7 @@ use std::thread;
 use dwrs_core::Item;
 use dwrs_sim::{CoordinatorNode, Meter, Metrics, Outbox, SiteNode};
 
-use crate::config::RuntimeConfig;
+use crate::config::{RuntimeConfig, PROMPT_FLUSH_MIN};
 use crate::transport::{
     channel_wiring, BatchSender, CoordEndpoint, DownSender, SiteEndpoint, TransportError, UpFrame,
 };
@@ -178,16 +178,25 @@ impl<S: SiteNode> SiteCore<S> {
     }
 
     /// Observes one item and ships the batch once it holds `batch_max`
-    /// messages.
+    /// messages, or as soon as the item added an early message
+    /// ([`Meter::is_early`]) and the batch holds at least
+    /// [`PROMPT_FLUSH_MIN`]. Delay costs most on earlies: once a level
+    /// saturates at the coordinator, every early for it still in flight
+    /// is stale. Regulars grow rare once the first epochs are set, so
+    /// their batches keep waiting for `batch_max`.
     #[inline]
     pub(crate) fn observe(
         &mut self,
         item: Item,
         up: &mut dyn BatchSender<S::Up>,
     ) -> Result<(), TransportError> {
+        let before = self.batch.len();
         self.site.observe(item, &mut self.batch);
         self.items_pending += 1;
-        if self.batch.len() >= self.batch_max {
+        let len = self.batch.len();
+        if len >= self.batch_max
+            || (len >= PROMPT_FLUSH_MIN && self.batch[before..].iter().any(Meter::is_early))
+        {
             self.flush(up)?;
         }
         Ok(())
@@ -664,26 +673,59 @@ mod tests {
         assert_eq!(deep.coordinator.sample().len(), 8);
     }
 
-    /// Emits `Up(id)` for every item below `quiet_from` whose id is a
+    /// A script message: a [`Meter`] with an id.
+    trait Scripted: Meter + Send {
+        fn id(&self) -> u64;
+    }
+    impl Scripted for Up {
+        fn id(&self) -> u64 {
+            self.0
+        }
+    }
+
+    /// `Tagged(id, early)`: an up message that is an early when its flag
+    /// is set.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    struct Tagged(u64, bool);
+    impl Meter for Tagged {
+        fn kind(&self) -> &'static str {
+            if self.1 {
+                "early"
+            } else {
+                "regular"
+            }
+        }
+        fn is_early(&self) -> bool {
+            self.1
+        }
+    }
+    impl Scripted for Tagged {
+        fn id(&self) -> u64 {
+            self.0
+        }
+    }
+
+    /// Emits `msg(id)` for every item below `quiet_from` whose id is a
     /// multiple of `every`, and `burst` messages (ids from 1000) at
     /// `finish`.
     #[derive(Debug)]
-    struct ScriptSite {
+    struct ScriptSite<M> {
         every: u64,
         quiet_from: u64,
         burst: u64,
+        msg: fn(u64) -> M,
     }
-    impl SiteNode for ScriptSite {
-        type Up = Up;
+    impl<M: Scripted> SiteNode for ScriptSite<M> {
+        type Up = M;
         type Down = Down;
-        fn observe(&mut self, item: Item, out: &mut Vec<Up>) {
+        fn observe(&mut self, item: Item, out: &mut Vec<M>) {
             if item.id < self.quiet_from && item.id.is_multiple_of(self.every) {
-                out.push(Up(item.id));
+                out.push((self.msg)(item.id));
             }
         }
         fn receive(&mut self, _msg: &Down) {}
-        fn finish(&mut self, out: &mut Vec<Up>) {
-            out.extend((1000..1000 + self.burst).map(Up));
+        fn finish(&mut self, out: &mut Vec<M>) {
+            out.extend((1000..1000 + self.burst).map(self.msg));
         }
     }
 
@@ -694,12 +736,12 @@ mod tests {
         frames: Vec<String>,
         ids: Vec<u64>,
     }
-    impl BatchSender<Up> for Recorder {
-        fn send(&mut self, frame: UpFrame<Up>) -> Result<(), TransportError> {
+    impl<M: Scripted> BatchSender<M> for Recorder {
+        fn send(&mut self, frame: UpFrame<M>) -> Result<(), TransportError> {
             match frame {
                 UpFrame::Batch { msgs, items } => {
                     self.frames.push(format!("{}/{items}", msgs.len()));
-                    self.ids.extend(msgs.iter().map(|m| m.0));
+                    self.ids.extend(msgs.iter().map(M::id));
                 }
                 UpFrame::Eof => self.frames.push("eof".into()),
                 UpFrame::Fault(e) => self.frames.push(format!("fault {e}")),
@@ -712,7 +754,11 @@ mod tests {
     /// (`poll_due`, then `observe`; `finish` at the end) and returns the
     /// recorded frames, the message ids, and the items before which a down
     /// poll was due.
-    fn drive(cfg: &RuntimeConfig, site: ScriptSite, n: u64) -> (Vec<String>, Vec<u64>, Vec<u64>) {
+    fn drive<M: Scripted>(
+        cfg: &RuntimeConfig,
+        site: ScriptSite<M>,
+        n: u64,
+    ) -> (Vec<String>, Vec<u64>, Vec<u64>) {
         let mut core = SiteCore::new(site, cfg);
         let mut up = Recorder::default();
         let mut polls = Vec::new();
@@ -783,6 +829,7 @@ mod tests {
                 every: 2,
                 quiet_from: u64::MAX,
                 burst: 2 * bm + 1,
+                msg: Up,
             };
             let (got, ids, polls) = drive(&cfg, site, 40);
             assert_eq!(got, want_burst, "{cfg:?}: burst frames");
@@ -795,12 +842,42 @@ mod tests {
                 every: 1,
                 quiet_from: 2 * bm,
                 burst: 0,
+                msg: Up,
             };
             let (got, ids, polls) = drive(&cfg, site, 2 * bm + 5);
             assert_eq!(got, want_quiet, "{cfg:?}: quiet frames");
             assert_eq!(ids, (0..2 * bm).collect::<Vec<_>>(), "{cfg:?}: quiet order");
             let want_polls: Vec<u64> = (0..2 * bm + 5).step_by(poll_every).collect();
             assert_eq!(polls, want_polls, "{cfg:?}: quiet polls");
+        }
+    }
+
+    #[test]
+    fn site_core_ships_earlies_at_eight_messages() {
+        // A message on each of items 0..40: regulars below id 20, earlies
+        // from 20, then 5 silent items. Twenty regulars wait for
+        // batch_max; the first early ships all 21 messages, and from then
+        // on every 8th early ships a frame. A batch_max below 8 still
+        // ships at batch_max.
+        let site = || ScriptSite {
+            every: 1,
+            quiet_from: 40,
+            burst: 0,
+            msg: |id| Tagged(id, id >= 20),
+        };
+        let cases = [
+            (
+                64,
+                frames(&[("21/21", 1), ("8/8", 2), ("3/8", 1), ("eof", 1)]),
+            ),
+            (8, frames(&[("8/8", 5), ("0/5", 1), ("eof", 1)])),
+            (3, frames(&[("3/3", 13), ("1/6", 1), ("eof", 1)])),
+        ];
+        for (batch_max, want) in cases {
+            let cfg = RuntimeConfig::new().with_batch_max(batch_max);
+            let (got, ids, _) = drive(&cfg, site(), 45);
+            assert_eq!(got, want, "batch_max {batch_max}: frames");
+            assert_eq!(ids, (0..40).collect::<Vec<_>>(), "batch_max {batch_max}");
         }
     }
 }

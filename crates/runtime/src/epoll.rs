@@ -19,8 +19,9 @@
 //!   tasks sharing its worker.
 //! * **Coordinator side** — one reactor thread owns every site connection:
 //!   it reassembles up-frames and hands each one to the unmodified
-//!   `coordinator_loop` over a rendezvous `mpsc` channel, and flushes
-//!   down-messages from per-connection `SendBuf`s on write readiness.
+//!   `coordinator_loop` (or a tree's `aggregator_loop`) over an unbounded
+//!   `mpsc` channel, and flushes down-messages from per-connection
+//!   `SendBuf`s on write readiness.
 //!
 //! # Backpressure and deadlock freedom, tier by tier
 //!
@@ -32,14 +33,16 @@
 //!   the coordinator takes it (`CreditPool`). A task takes a credit per
 //!   encoded BATCH frame and stops *pulling input* while its
 //!   coordinator's credits are used up, so frames built against stale
-//!   thresholds cannot pile up in send buffers and kernel socket buffers
-//!   while the coordinator is busy. No event-loop thread ever blocks on
-//!   a credit.
-//! * The reactor hands each frame over a rendezvous channel and returns
-//!   its credit once `send` returns. It therefore waits at most for the
-//!   batch the coordinator is already processing; the coordinator always
-//!   returns to `recv` (its down sends never block), so the reactor
-//!   always unblocks.
+//!   thresholds cannot pile up in send buffers, kernel socket buffers and
+//!   the handoff while the coordinator is busy. No event-loop thread ever
+//!   blocks on a credit.
+//! * The reactor hands each frame to its coordinator over an unbounded
+//!   channel and never blocks on it: one slow coordinator (a tree's
+//!   aggregator) cannot stall the connections of the others. The
+//!   coordinator returns a BATCH frame's credit as it takes the frame off
+//!   the channel, so the credits bound the channel's depth as they bound
+//!   every other buffer on the way; `Eof` and `Fault` frames, at most one
+//!   per connection, take none.
 //! * The reactor reads each readable connection at most once per pass,
 //!   then runs its down-flush pass. Level-triggered epoll reports the
 //!   unread rest on the next pass, so one busy connection cannot starve
@@ -49,8 +52,9 @@
 //!   take no credit.
 //! * Credits held by a dead connection never come back, so a pool stops
 //!   gating once the reactor sees a fault, finds the coordinator gone, or
-//!   exits for any reason. Returning credits wakes parked site workers
-//!   through their `Waker`s, once per drop to half the bound.
+//!   exits for any reason, and once the coordinator drops its end of the
+//!   handoff. Returning credits wakes parked site workers through their
+//!   `Waker`s, once per drop to half the bound.
 //! * Down sends never block and never fail: [`DownSender::send`] appends
 //!   to the connection's `SendBuf` under a mutex and wakes the reactor
 //!   (`Waker` coalesces wake storms to one byte). Sites drain eagerly,
@@ -92,7 +96,7 @@ use crate::tcp::{
     accept_sites, connect_site, decode_down, decode_up, encode_batch, encode_down, encode_up,
     read_hello, write_hello,
 };
-use crate::transport::{BatchSender, CoordEndpoint, DownSender, TransportError, UpFrame};
+use crate::transport::{BatchSender, CoordEndpoint, DownSender, TransportError, UpFrame, UpRx};
 use crate::tree::{
     aggregator_loop, check_sync_fits_frame, root_loop, GroupStats, SampleSource, TreeOutput,
     TreeTopology,
@@ -199,13 +203,15 @@ type Wakers = Arc<[Arc<Waker>]>;
 
 /// The up-path bound of one coordinator: `queue_capacity` BATCH frames,
 /// counted from the moment a site task encodes one until the coordinator
-/// takes it off the reactor's rendezvous handoff.
+/// takes it off the reactor's handoff. Site tasks take the credits; the
+/// coordinator's end of the handoff ([`crate::transport::UpRx`]) returns
+/// them.
 ///
 /// The bound is soft by at most one frame per site worker (a task checks
 /// [`CreditPool::used_up`] before each item but takes its credit at the
 /// flush), and the closing frames of `finish_stream` take credits without
 /// waiting for them.
-struct CreditPool {
+pub(crate) struct CreditPool {
     /// BATCH frames encoded and not yet taken by the coordinator.
     in_flight: AtomicUsize,
     bound: usize,
@@ -243,7 +249,7 @@ impl CreditPool {
     /// used-up → free transition would cost a wake per frame at full load.
     /// Saturates at zero, so a BATCH frame that took no credit (a foreign
     /// peer) cannot wrap the count into a permanent stall.
-    fn put(&self) {
+    pub(crate) fn put(&self) {
         let prev = self
             .in_flight
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1));
@@ -253,7 +259,7 @@ impl CreditPool {
     }
 
     /// Stops gating for good and wakes every worker parked on the pool.
-    fn close(&self) {
+    pub(crate) fn close(&self) {
         if self.open.swap(false, Ordering::AcqRel) {
             self.wake_all();
         }
@@ -918,18 +924,20 @@ impl CoordConn {
     }
 }
 
-/// One coordinator's up path as the reactor sees it: the rendezvous
-/// handoff into its loop and the credit pool its sites draw on.
+/// One coordinator's up path as the reactor sees it: the handoff into
+/// its loop and the credit pool its sites draw on.
 struct UpLink<U> {
-    tx: mpsc::SyncSender<(usize, UpFrame<U>)>,
+    tx: mpsc::Sender<(usize, UpFrame<U>)>,
     credits: Arc<CreditPool>,
 }
 
 impl<U> UpLink<U> {
-    /// A link over a fresh rendezvous channel (`sync_channel(0)`): the
-    /// credits are the bound, so the channel itself holds nothing.
-    fn new(credits: Arc<CreditPool>) -> (UpLink<U>, mpsc::Receiver<(usize, UpFrame<U>)>) {
-        let (tx, rx) = mpsc::sync_channel(0);
+    /// A link over a fresh unbounded channel, whose receiving end returns
+    /// each BATCH frame's credit as the coordinator takes it: the credits
+    /// are the bound, so a `send` never blocks the reactor.
+    fn new(credits: Arc<CreditPool>) -> (UpLink<U>, UpRx<U>) {
+        let (tx, rx) = mpsc::channel();
+        let rx = UpRx::with_credits(rx, Arc::clone(&credits));
         (UpLink { tx, credits }, rx)
     }
 }
@@ -943,21 +951,17 @@ impl<U> Drop for UpLink<U> {
     }
 }
 
-/// Hands one decoded frame to the connection's coordinator and returns a
-/// BATCH frame's credit once the coordinator has taken it: any non-batch
-/// frame ends the up path; a fault (or an orphaned handoff) tears the
-/// whole connection down so a still-streaming peer errors out promptly,
-/// and closes the credit pool, whose credits that connection may hold.
+/// Hands one decoded frame to the connection's coordinator without
+/// waiting for it; a BATCH frame's credit comes back when the coordinator
+/// takes the frame ([`UpRx::recv`]). Any non-batch frame ends the up
+/// path; a fault (or an orphaned handoff) tears the whole connection down
+/// so a still-streaming peer errors out promptly, and closes the credit
+/// pool, whose credits that connection may hold.
 fn deliver<U>(c: &mut CoordConn, ups: &[UpLink<U>], frame: UpFrame<U>) {
     let up = &ups[c.queue];
     let batch = matches!(frame, UpFrame::Batch { .. });
     let broken = matches!(frame, UpFrame::Fault(_));
-    // A rendezvous: `send` returns once the coordinator has taken the
-    // frame, so the reactor waits at most for the batch it is processing.
     let orphaned = up.tx.send((c.site, frame)).is_err();
-    if batch {
-        up.credits.put();
-    }
     if !batch || orphaned {
         c.up_done = true;
     }
@@ -1044,7 +1048,7 @@ fn flush_conn_downs(c: &mut CoordConn) {
 
 /// The coordinator-side event loop: one thread multiplexing every site
 /// connection. Decoded up-frames are handed to [`coordinator_loop`] (or
-/// the aggregators) over the rendezvous channels of `ups`; down-frames
+/// the aggregators) over the unbounded channels of `ups`; down-frames
 /// queued by [`EpollDownSender`]s flush on write readiness. Exits once
 /// every connection has completed both directions; dropping the
 /// connections closes the sockets, and dropping `ups` closes the credit
@@ -1305,7 +1309,7 @@ where
         conns.push(conn);
         downs.push(down);
     }
-    let coord_ep = CoordEndpoint::new(up_rx, downs);
+    let coord_ep = CoordEndpoint { up: up_rx, downs };
     let tasks: Vec<SiteTask<S>> = sites
         .into_iter()
         .zip(site_streams)
@@ -1358,8 +1362,9 @@ where
 /// site connections share one listener and one coordinator-side reactor
 /// (HELLO ids are global, `gi·k + i`), the site protocol steps run on the
 /// `EPOLL_WORKERS` loop pool, and each group's aggregator takes frames
-/// off its own rendezvous handoff while the group's sites draw on its own
-/// credit pool (`queue_capacity` batches). The aggregator→root hop stays
+/// off its own handoff while the group's sites draw on its own credit
+/// pool (`queue_capacity` batches), so the reactor never waits on a slow
+/// aggregator. The aggregator→root hop stays
 /// on the blocking socket halves of [`crate::tcp`] (one reader thread per
 /// link), since `g` links is a fan-in a thread per link handles fine; its
 /// [`SyncMsg`] frames cross real sockets like every site frame.
@@ -1400,8 +1405,8 @@ where
     let (site_listener, site_addr) = bind("site")?;
     let (site_streams, coord_streams) = wire_sites(&site_listener, site_addr, g * k)?;
 
-    // One credit pool and rendezvous handoff per aggregator, matching the
-    // threads tree's per-group channel bound; one reactor (and one waker)
+    // One credit pool and handoff per aggregator, matching the threads
+    // tree's per-group channel bound; one reactor (and one waker)
     // multiplexing every group's connections.
     let (site_wakers, site_wake_rxs) = site_wakers(g * k)?;
     let (waker, wake_rx) = wake_pair().map_err(|e| io_runtime_err("creating reactor waker", &e))?;
@@ -1425,7 +1430,7 @@ where
     let agg_eps: Vec<CoordEndpoint<S::Up, S::Down>> = up_rxs
         .into_iter()
         .zip(group_downs)
-        .map(|(rx, downs)| CoordEndpoint::new(rx, downs))
+        .map(|(up, downs)| CoordEndpoint { up, downs })
         .collect();
 
     let (root_listener, root_addr) = bind("root")?;
@@ -1834,13 +1839,14 @@ mod tests {
 
         let (waker, _wake_rx) = wake_pair().unwrap();
         let (mut conn, _down) = CoordConn::new::<Down>(server, 0, 0, &waker);
-        // A buffered handoff, so this thread can collect what one pass
-        // delivered without a coordinator thread on the other end.
-        let (tx, rx) = mpsc::sync_channel(frames as usize);
-        let credits = CreditPool::new(1, Vec::new().into());
-        let ups = [UpLink { tx, credits }];
+        // The handoff never blocks, so this thread can collect what one
+        // pass delivered without a coordinator thread on the other end.
+        let (up, rx) = UpLink::new(CreditPool::new(1, Vec::new().into()));
+        let ups = [up];
         service_read::<Up>(&mut conn, &ups);
-        let mut got: Vec<UpFrame<Up>> = rx.try_iter().map(|(_, f)| f).collect();
+        let mut got: Vec<UpFrame<Up>> = std::iter::from_fn(|| rx.try_recv())
+            .map(|(_, f)| f)
+            .collect();
         assert!(
             !got.is_empty() && (got.len() as u64) < frames,
             "one pass delivered {} of {frames} frames",
@@ -1848,7 +1854,7 @@ mod tests {
         );
         for _ in 0..frames {
             service_read::<Up>(&mut conn, &ups);
-            got.extend(rx.try_iter().map(|(_, f)| f));
+            got.extend(std::iter::from_fn(|| rx.try_recv()).map(|(_, f)| f));
         }
         assert!(!conn.up_done);
         let want: Vec<UpFrame<Up>> = (0..frames)
@@ -1858,6 +1864,65 @@ mod tests {
             })
             .collect();
         assert_eq!(got, want);
+    }
+
+    #[test]
+    fn batch_credits_return_when_the_coordinator_takes_the_frame() {
+        let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let _clients = [
+            TcpStream::connect(addr).unwrap(),
+            TcpStream::connect(addr).unwrap(),
+        ];
+        let (waker, _wake_rx) = wake_pair().unwrap();
+        let conn = |site| CoordConn::new::<Down>(listener.accept().unwrap().0, site, 0, &waker);
+        let ((mut a, _down_a), (mut b, _down_b)) = (conn(0), conn(1));
+        let pool = CreditPool::new(4, Vec::new().into());
+        let in_flight = || pool.in_flight.load(Ordering::Acquire);
+        let (up, rx) = UpLink::new(Arc::clone(&pool));
+        let ups = [up];
+
+        // Three encoded batches, two of them read off the socket and
+        // handed over: the handoff returns no credit, taking does.
+        for _ in 0..3 {
+            pool.take();
+        }
+        for items in 0..2 {
+            let msgs = vec![Up(items)];
+            deliver(&mut a, &ups, UpFrame::Batch { msgs, items });
+        }
+        assert_eq!(in_flight(), 3, "handing batches off returns no credit");
+        for left in [2, 1] {
+            assert!(matches!(rx.try_recv(), Some((0, UpFrame::Batch { .. }))));
+            assert_eq!(in_flight(), left, "taking a batch returns its credit");
+        }
+
+        // Eof and Fault frames take no credit, so taking them returns none.
+        deliver(&mut a, &ups, UpFrame::Eof);
+        assert!(a.up_done);
+        assert_eq!(rx.try_recv(), Some((0, UpFrame::Eof)));
+        deliver(&mut b, &ups, UpFrame::Fault("boom".into()));
+        assert!(
+            b.up_done && b.write_shut,
+            "a fault tears its connection down"
+        );
+        assert!(matches!(rx.try_recv(), Some((1, UpFrame::Fault(_)))));
+        assert_eq!(in_flight(), 1);
+        assert!(
+            !pool.open.load(Ordering::Acquire),
+            "a fault closes the pool"
+        );
+
+        // A coordinator that stops taking frames stops its pool gating.
+        let pool = CreditPool::new(1, Vec::new().into());
+        let (_up, rx) = UpLink::<Up>::new(Arc::clone(&pool));
+        pool.take();
+        assert!(pool.used_up());
+        drop(rx);
+        assert!(
+            !pool.used_up(),
+            "dropping the coordinator's end closes the pool"
+        );
     }
 
     #[test]

@@ -9,10 +9,14 @@
 //! reader threads of [`crate::tcp`].
 //!
 //! Queue discipline (the deadlock-freedom invariant, see `crate::engine`):
-//! the site→coordinator path is **bounded** (blocking `send` = backpressure)
-//! while the coordinator→site path is **unbounded** and eagerly drained.
+//! the site→coordinator path is **bounded** (blocking `send` = backpressure,
+//! or on epoll credits that the coordinator returns as it takes each
+//! batch) while the coordinator→site path is **unbounded** and eagerly
+//! drained.
 
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
+
+use crate::epoll::CreditPool;
 
 /// One site→coordinator transport frame.
 #[derive(Clone, Debug, PartialEq)]
@@ -128,7 +132,7 @@ impl<U, D> std::fmt::Debug for SiteEndpoint<U, D> {
 
 /// The coordinator's merged inbound queue plus one down link per site.
 pub struct CoordEndpoint<U, D> {
-    pub(crate) up: mpsc::Receiver<(usize, UpFrame<U>)>,
+    pub(crate) up: UpRx<U>,
     pub(crate) downs: Vec<Box<dyn DownSender<D>>>,
 }
 
@@ -138,7 +142,13 @@ impl<U, D> CoordEndpoint<U, D> {
         up: mpsc::Receiver<(usize, UpFrame<U>)>,
         downs: Vec<Box<dyn DownSender<D>>>,
     ) -> Self {
-        Self { up, downs }
+        Self {
+            up: UpRx {
+                rx: up,
+                credits: None,
+            },
+            downs,
+        }
     }
 
     /// Number of connected sites.
@@ -150,6 +160,58 @@ impl<U, D> CoordEndpoint<U, D> {
 impl<U, D> std::fmt::Debug for CoordEndpoint<U, D> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "CoordEndpoint({} sites)", self.downs.len())
+    }
+}
+
+/// The coordinator's end of the up path. On epoll the queue is unbounded
+/// and the sites' credit pool is the bound, so taking a BATCH frame off
+/// it is what returns the frame's credit; every other wiring has no pool.
+pub(crate) struct UpRx<U> {
+    rx: mpsc::Receiver<(usize, UpFrame<U>)>,
+    credits: Option<Arc<CreditPool>>,
+}
+
+impl<U> UpRx<U> {
+    /// A queue whose BATCH frames return their credit to `credits` when
+    /// taken.
+    pub(crate) fn with_credits(
+        rx: mpsc::Receiver<(usize, UpFrame<U>)>,
+        credits: Arc<CreditPool>,
+    ) -> UpRx<U> {
+        UpRx {
+            rx,
+            credits: Some(credits),
+        }
+    }
+
+    /// Takes the next frame, blocking; returns a BATCH frame's credit.
+    pub(crate) fn recv(&self) -> Result<(usize, UpFrame<U>), mpsc::RecvError> {
+        self.rx.recv().map(|got| self.took(got))
+    }
+
+    /// Takes the next frame if one is queued, like [`UpRx::recv`].
+    #[cfg(test)]
+    pub(crate) fn try_recv(&self) -> Option<(usize, UpFrame<U>)> {
+        self.rx.try_recv().ok().map(|got| self.took(got))
+    }
+
+    fn took(&self, got: (usize, UpFrame<U>)) -> (usize, UpFrame<U>) {
+        if let (Some(pool), UpFrame::Batch { .. }) = (&self.credits, &got.1) {
+            pool.put();
+        }
+        got
+    }
+}
+
+/// Credits of frames the coordinator will never take cannot come back,
+/// so a coordinator that stops taking frames (done, failed or panicked)
+/// stops its pool from gating: sites parked on used-up credits resume,
+/// and their next frames find the handoff orphaned.
+impl<U> Drop for UpRx<U> {
+    fn drop(&mut self) {
+        if let Some(pool) = &self.credits {
+            pool.close();
+        }
     }
 }
 

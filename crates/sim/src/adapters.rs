@@ -26,6 +26,9 @@ impl Meter for UpMsg {
     fn wire_bytes(&self) -> u64 {
         dwrs_core::swor::wire::up_len(self) as u64
     }
+    fn is_early(&self) -> bool {
+        matches!(self, UpMsg::Early { .. })
+    }
 }
 
 impl Meter for DownMsg {

@@ -30,6 +30,15 @@ pub trait Meter {
     fn wire_bytes(&self) -> u64 {
         2 * (dwrs_core::swor::wire::WORD_BYTES as u64) * self.units()
     }
+    /// Whether this is an *early* message: an item forwarded for a level
+    /// its sender still believes unsaturated. A level saturates after
+    /// `4rs` of them, and every early still in flight after that is
+    /// stale, so the concurrent engines' site driver ships a batch
+    /// promptly once an item adds one (`dwrs-runtime`'s `SiteCore`).
+    /// False by default; the weighted SWOR `UpMsg::Early` says true.
+    fn is_early(&self) -> bool {
+        false
+    }
 }
 
 /// Site-side protocol endpoint.

@@ -18,6 +18,12 @@ pub const METRIC_DOWN_MESSAGES_TOTAL: &str = "dwrs_down_messages_total";
 pub const METRIC_WIRE_BYTES_TOTAL: &str = "dwrs_wire_bytes_total";
 /// Epoch/saturation broadcast events at the coordinator.
 pub const METRIC_BROADCAST_EVENTS_TOTAL: &str = "dwrs_broadcast_events_total";
+/// Regular messages that reached a coordinator at or below the threshold
+/// it had already broadcast (sent from a stale view; lockstep sends none).
+pub const METRIC_STALE_REGULAR_TOTAL: &str = "dwrs_stale_regular_messages_total";
+/// Early messages for a level the coordinator had already saturated whose
+/// key would not have cleared that threshold either.
+pub const METRIC_STALE_EARLY_TOTAL: &str = "dwrs_stale_early_messages_total";
 /// Live queries answered by stream processors (drains not included).
 pub const METRIC_LIVE_QUERIES_TOTAL: &str = "dwrs_live_queries_total";
 /// Control requests refused with `CtrlResp::Err`.

@@ -217,8 +217,12 @@ fn concurrent_engines_keep_message_cost_near_lockstep() {
     // the candidates a site ships before a fresher threshold reaches it,
     // and the bounded up path (`queue_capacity` batches: the channel on
     // threads, credits from encode to coordinator on epoll) keeps that
-    // window short. Without the credits epoll sent 5-20x lockstep here.
-    const MAX_RATIO: u64 = 6;
+    // window short. Without the credits epoll sent 5-20x lockstep here;
+    // since sites ship early messages promptly, 10 runs per seed read at
+    // most 1.23x on epoll and 1.49x on threads (64 OS threads timeslice
+    // here), and each bound keeps 1.5x over its engine's peak.
+    const MAX_RATIO: [(EngineKind, f64); 2] =
+        [(EngineKind::Threads, 2.25), (EngineKind::Epoll, 2.0)];
     for seed in 1..=5 {
         let scenario = |engine| {
             Scenario::new(engine, 64, 64)
@@ -230,7 +234,7 @@ fn concurrent_engines_keep_message_cost_near_lockstep() {
             .expect("run")
             .metrics
             .total();
-        for engine in [EngineKind::Threads, EngineKind::Epoll] {
+        for (engine, max_ratio) in MAX_RATIO {
             let report = run_scenario(&scenario(engine)).expect("run");
             assert!(
                 report.invariants_ok(),
@@ -239,8 +243,8 @@ fn concurrent_engines_keep_message_cost_near_lockstep() {
             );
             let msgs = report.metrics.total();
             assert!(
-                msgs <= MAX_RATIO * lockstep,
-                "seed {seed}, engine {engine}: {msgs} messages, over {MAX_RATIO}x lockstep's {lockstep}"
+                msgs as f64 <= max_ratio * lockstep as f64,
+                "seed {seed}, engine {engine}: {msgs} messages, over {max_ratio}x lockstep's {lockstep}"
             );
         }
     }
