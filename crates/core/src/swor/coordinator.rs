@@ -21,8 +21,6 @@
 //! The query answer at any time is the top-`s` of `S ∪ retained`, a correct
 //! weighted SWOR of the whole stream so far (Theorem 3).
 
-use std::collections::HashMap;
-
 use crate::item::{Item, Keyed};
 use crate::keys::assign_key;
 use crate::rng::Rng;
@@ -83,10 +81,22 @@ struct LevelInfo {
 }
 
 /// Retained withheld items: global top-`s` among unsaturated level items.
+///
+/// `entries` stays in slot order: an insert into a full set overwrites its
+/// victim's slot, and [`Withheld::drain_level`] keeps the survivors in
+/// order, so a saturating level releases into `S` in slot order.
+/// While the set is full, `heap` is a binary min-heap of its slots ordered
+/// by `(key, slot)`; its root is the victim, the lowest slot among the
+/// smallest keys. An early then costs O(1) to reject and O(log s) to
+/// replace. The heap is rebuilt in O(s) whenever the set is full after the
+/// insert that fills it, a drain (once per saturation) or a restore; while
+/// the set is short, nothing reads it. Keys are never NaN, so
+/// `(key, slot)` is a total order.
 #[derive(Debug)]
 struct Withheld {
     cap: usize,
     entries: Vec<(u32, Keyed)>,
+    heap: Vec<usize>,
     dropped: u64,
 }
 
@@ -95,32 +105,42 @@ impl Withheld {
         Self {
             cap,
             entries: Vec::with_capacity(cap),
+            heap: Vec::with_capacity(cap),
             dropped: 0,
         }
     }
 
-    /// Keeps the top-`cap` by key; linear scan is fine (cap = s, and only
-    /// early messages — O(rs·log W/log r) of them in total — pass through).
+    /// A set holding a snapshot's `entries` verbatim, slot for slot.
+    fn from_entries(cap: usize, entries: Vec<(u32, Keyed)>, dropped: u64) -> Self {
+        let mut withheld = Self::new(cap);
+        withheld.entries.extend(entries);
+        withheld.dropped = dropped;
+        if withheld.entries.len() >= cap {
+            withheld.build_heap();
+        }
+        withheld
+    }
+
+    /// Keeps the top-`cap` by key, replacing the heap's root when `keyed`
+    /// beats it.
     fn insert(&mut self, level: u32, keyed: Keyed) {
         if self.entries.len() < self.cap {
             self.entries.push((level, keyed));
+            if self.entries.len() == self.cap {
+                self.build_heap();
+            }
             return;
         }
-        let (mut min_idx, mut min_key) = (0usize, f64::INFINITY);
-        for (i, (_, k)) in self.entries.iter().enumerate() {
-            if k.key < min_key {
-                min_key = k.key;
-                min_idx = i;
+        self.dropped += 1;
+        if let Some(&victim) = self.heap.first() {
+            if keyed.key > self.entries[victim].1.key {
+                self.entries[victim] = (level, keyed);
+                self.sift_down(0);
             }
         }
-        if keyed.key > min_key {
-            self.entries[min_idx] = (level, keyed);
-        }
-        self.dropped += 1;
     }
 
-    /// Removes and returns all retained items of `level`, preserving
-    /// insertion order.
+    /// Removes and returns all retained items of `level`, in slot order.
     fn drain_level(&mut self, level: u32) -> Vec<Keyed> {
         let mut out = Vec::new();
         self.entries.retain(|&(l, k)| {
@@ -131,7 +151,46 @@ impl Withheld {
                 true
             }
         });
+        if self.entries.len() >= self.cap {
+            self.build_heap();
+        }
         out
+    }
+
+    /// Whether slot `a` orders before slot `b`: the smaller key, and the
+    /// lower slot among equal keys.
+    fn before(&self, a: usize, b: usize) -> bool {
+        let (ka, kb) = (self.entries[a].1.key, self.entries[b].1.key);
+        ka < kb || (ka == kb && a < b)
+    }
+
+    /// Restores the heap order below `pos`.
+    fn sift_down(&mut self, mut pos: usize) {
+        let n = self.heap.len();
+        loop {
+            let mut min = pos;
+            for child in [2 * pos + 1, 2 * pos + 2] {
+                if child < n && self.before(self.heap[child], self.heap[min]) {
+                    min = child;
+                }
+            }
+            if min == pos {
+                return;
+            }
+            self.heap.swap(pos, min);
+            pos = min;
+        }
+    }
+
+    /// Heapifies every slot, in O(s).
+    #[cold]
+    #[inline(never)]
+    fn build_heap(&mut self) {
+        self.heap.clear();
+        self.heap.extend(0..self.entries.len());
+        for pos in (0..self.heap.len() / 2).rev() {
+            self.sift_down(pos);
+        }
     }
 
     fn iter(&self) -> impl Iterator<Item = &Keyed> {
@@ -149,7 +208,8 @@ pub struct SworCoordinator {
     level_capacity: u64,
     sample: TopK,
     withheld: Withheld,
-    levels: HashMap<u32, LevelInfo>,
+    /// Indexed by level, one entry per level up to the largest seen.
+    levels: Vec<LevelInfo>,
     epoch: Option<i64>,
     /// The threshold of the last epoch broadcast (0 before the first):
     /// what every site filters by once it has caught up.
@@ -173,7 +233,7 @@ impl SworCoordinator {
             level_capacity,
             sample: TopK::new(s),
             withheld: Withheld::new(s),
-            levels: HashMap::new(),
+            levels: Vec::new(),
             epoch: None,
             threshold: 0.0,
             rng: Rng::new(seed),
@@ -221,7 +281,10 @@ impl SworCoordinator {
     fn receive_early(&mut self, item: Item, out: &mut Vec<DownMsg>) {
         self.stats.early_received += 1;
         let level = self.level_table.level(item.weight);
-        let info = self.levels.entry(level).or_default();
+        if level as usize >= self.levels.len() {
+            self.grow_levels(level);
+        }
+        let info = &mut self.levels[level as usize];
         if info.saturated {
             // A site with a stale saturation bit (possible under delayed
             // broadcast delivery): the level is already released, so treat
@@ -242,22 +305,38 @@ impl SworCoordinator {
         self.withheld.insert(level, keyed);
         self.stats.withheld_dropped = self.withheld.dropped;
         if now_saturated {
-            let info = self.levels.get_mut(&level).expect("present");
-            info.saturated = true;
-            // Lemma 1 denominator: the whole level enters the released
-            // weight at once (including any items the O(s)-space
-            // optimization dropped from the withheld set).
-            self.stats.released_weight += info.weight_sum;
-            self.stats.saturations += 1;
-            for k in self.withheld.drain_level(level) {
-                let frac = k.item.weight / self.stats.released_weight;
-                if frac > self.stats.max_release_fraction {
-                    self.stats.max_release_fraction = frac;
-                }
-                self.add_to_sample(k, out);
-            }
-            out.push(DownMsg::LevelSaturated { level });
+            self.saturate(level, out);
         }
+    }
+
+    /// Extends the level vector to hold `level`, as [`LevelTable`] grows its
+    /// boundaries: off the per-message path.
+    #[cold]
+    #[inline(never)]
+    fn grow_levels(&mut self, level: u32) {
+        self.levels.resize(level as usize + 1, LevelInfo::default());
+    }
+
+    /// Marks `level` saturated, releases its retained items into `S` in
+    /// arrival order and broadcasts the saturation: once per level.
+    #[cold]
+    #[inline(never)]
+    fn saturate(&mut self, level: u32, out: &mut Vec<DownMsg>) {
+        let info = &mut self.levels[level as usize];
+        info.saturated = true;
+        // Lemma 1 denominator: the whole level enters the released
+        // weight at once (including any items the O(s)-space
+        // optimization dropped from the withheld set).
+        self.stats.released_weight += info.weight_sum;
+        self.stats.saturations += 1;
+        for k in self.withheld.drain_level(level) {
+            let frac = k.item.weight / self.stats.released_weight;
+            if frac > self.stats.max_release_fraction {
+                self.stats.max_release_fraction = frac;
+            }
+            self.add_to_sample(k, out);
+        }
+        out.push(DownMsg::LevelSaturated { level });
     }
 
     /// Lemma 1 diagnostic update for a single item entering the set of
@@ -337,12 +416,12 @@ impl SworCoordinator {
 
     /// Whether `level` has saturated.
     pub fn is_level_saturated(&self, level: u32) -> bool {
-        self.levels.get(&level).is_some_and(|i| i.saturated)
+        self.levels.get(level as usize).is_some_and(|i| i.saturated)
     }
 
     /// Number of items counted into `level` so far.
     pub fn level_count(&self, level: u32) -> u64 {
-        self.levels.get(&level).map_or(0, |i| i.count)
+        self.levels.get(level as usize).map_or(0, |i| i.count)
     }
 
     /// Number of withheld items currently retained — at most `s` by the
@@ -357,9 +436,10 @@ impl SworCoordinator {
     /// message), which is what makes `u·s + withheld_weight` a good L1
     /// estimate (Section 1.2: "once the heavy hitters are withheld, the
     /// values of the keys ... provide good estimates of the total L1").
+    /// Summed in ascending level order, so identical runs agree bit for bit.
     pub fn withheld_weight(&self) -> f64 {
         self.levels
-            .values()
+            .iter()
             .filter(|i| !i.saturated)
             .map(|i| i.weight_sum)
             .sum()
@@ -368,7 +448,8 @@ impl SworCoordinator {
     /// Captures the full coordinator state for checkpointing / failover.
     /// Restoring via [`SworCoordinator::restore`] resumes the protocol with
     /// identical behaviour (keys still pending are preserved; the RNG state
-    /// continues the same stream).
+    /// continues the same stream). `levels` lists every level that has a
+    /// count or has saturated, in ascending order.
     pub fn snapshot(&self) -> CoordinatorSnapshot {
         CoordinatorSnapshot {
             config: self.cfg.clone(),
@@ -378,7 +459,9 @@ impl SworCoordinator {
             levels: self
                 .levels
                 .iter()
-                .map(|(&level, info)| LevelSnapshot {
+                .zip(0u32..)
+                .filter(|(info, _)| info.count > 0 || info.saturated)
+                .map(|(info, level)| LevelSnapshot {
                     level,
                     count: info.count,
                     weight_sum: info.weight_sum,
@@ -404,23 +487,16 @@ impl SworCoordinator {
         for keyed in snap.sample.iter().rev() {
             sample.offer(*keyed);
         }
-        let mut withheld = Withheld::new(s);
-        withheld.entries = snap.withheld;
-        withheld.dropped = snap.withheld_dropped;
-        let levels = snap
-            .levels
-            .into_iter()
-            .map(|l| {
-                (
-                    l.level,
-                    LevelInfo {
-                        count: l.count,
-                        weight_sum: l.weight_sum,
-                        saturated: l.saturated,
-                    },
-                )
-            })
-            .collect();
+        let withheld = Withheld::from_entries(s, snap.withheld, snap.withheld_dropped);
+        let len = snap.levels.iter().map(|l| l.level as usize + 1).max();
+        let mut levels = vec![LevelInfo::default(); len.unwrap_or_default()];
+        for l in snap.levels {
+            levels[l.level as usize] = LevelInfo {
+                count: l.count,
+                weight_sum: l.weight_sum,
+                saturated: l.saturated,
+            };
+        }
         Self {
             cfg: snap.config,
             r,
@@ -475,6 +551,7 @@ pub struct LevelSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::math::powi;
 
     fn small_cfg() -> SworConfig {
         // s=2, k=2 -> r=2, level capacity 16.
@@ -780,6 +857,136 @@ mod tests {
             restored.withheld_weight().to_bits()
         );
         assert_eq!(c.level_count(7), restored.level_count(7));
+    }
+
+    /// A linear-scan withheld set: the reference the heap's victim choice
+    /// must match, ties included.
+    struct ScanWithheld {
+        cap: usize,
+        entries: Vec<(u32, Keyed)>,
+        dropped: u64,
+    }
+
+    impl ScanWithheld {
+        fn scan_insert(&mut self, level: u32, keyed: Keyed) {
+            if self.entries.len() < self.cap {
+                self.entries.push((level, keyed));
+                return;
+            }
+            let (mut min_idx, mut min_key) = (0usize, f64::INFINITY);
+            for (i, (_, k)) in self.entries.iter().enumerate() {
+                if k.key < min_key {
+                    min_key = k.key;
+                    min_idx = i;
+                }
+            }
+            if keyed.key > min_key {
+                self.entries[min_idx] = (level, keyed);
+            }
+            self.dropped += 1;
+        }
+
+        fn scan_drain(&mut self, level: u32) -> Vec<Keyed> {
+            let mut out = Vec::new();
+            self.entries.retain(|&(l, k)| {
+                if l == level {
+                    out.push(k);
+                    false
+                } else {
+                    true
+                }
+            });
+            out
+        }
+    }
+
+    fn bits(entries: &[(u32, Keyed)]) -> Vec<(u32, u64, u64)> {
+        entries
+            .iter()
+            .map(|&(l, k)| (l, k.item.id, k.key.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn heap_victims_match_the_linear_scan_under_ties() {
+        let mut rng = Rng::new(25);
+        for trial in 0..400u64 {
+            let cap = 1 + rng.index(8);
+            // Three or four distinct keys per trial, the largest +∞ in half.
+            let distinct = 3 + rng.index(2);
+            let mut keys = [1.0, 2.0, 3.0, 4.0];
+            if rng.bernoulli(0.5) {
+                keys[distinct - 1] = f64::INFINITY;
+            }
+            let levels = 1 + rng.range(4) as u32;
+            let mut heap = Withheld::new(cap);
+            let mut scan = ScanWithheld {
+                cap,
+                entries: Vec::new(),
+                dropped: 0,
+            };
+            for step in 0..300u64 {
+                let level = rng.range(u64::from(levels)) as u32;
+                if rng.bernoulli(0.15) {
+                    let (got, want) = (heap.drain_level(level), scan.scan_drain(level));
+                    let ids = |v: &[Keyed]| -> Vec<(u64, u64)> {
+                        v.iter().map(|k| (k.item.id, k.key.to_bits())).collect()
+                    };
+                    assert_eq!(ids(&got), ids(&want), "trial {trial} step {step} drain");
+                } else {
+                    let key = keys[rng.index(distinct)];
+                    let keyed = Keyed::new(Item::new(step, 1.0), key);
+                    heap.insert(level, keyed);
+                    scan.scan_insert(level, keyed);
+                }
+                if step == 150 {
+                    heap = Withheld::from_entries(cap, heap.entries.clone(), heap.dropped);
+                }
+                assert_eq!(
+                    bits(&heap.entries),
+                    bits(&scan.entries),
+                    "trial {trial} step {step}"
+                );
+                assert_eq!(heap.dropped, scan.dropped, "trial {trial} step {step}");
+            }
+        }
+    }
+
+    #[test]
+    fn levels_list_and_sum_in_ascending_order() {
+        // s = 64, k = 2: r = 2, so a weight in [1.3, 1.5) · 2^j lies in
+        // level j, and no level saturates from one early.
+        let feed = |coord: &mut SworCoordinator| {
+            let mut out = Vec::new();
+            for (i, j) in [5, 9, 13, 3, 1, 4, 14, 0, 7, 11, 2, 15, 6, 12, 8, 10]
+                .into_iter()
+                .enumerate()
+            {
+                let w = powi(2.0, j) * (1.3 + 0.01 * i as f64);
+                coord.receive(
+                    UpMsg::Early {
+                        item: Item::new(i as u64, w),
+                    },
+                    &mut out,
+                );
+            }
+        };
+        let mut a = SworCoordinator::new(SworConfig::new(64, 2), 7);
+        let mut b = SworCoordinator::new(SworConfig::new(64, 2), 7);
+        feed(&mut a);
+        feed(&mut b);
+        let levels = |c: &SworCoordinator| -> Vec<u32> {
+            c.snapshot().levels.iter().map(|l| l.level).collect()
+        };
+        assert_eq!(levels(&a), (0..16).collect::<Vec<u32>>());
+        assert_eq!(levels(&a), levels(&b));
+        let ascending = a
+            .snapshot()
+            .levels
+            .iter()
+            .fold(0.0, |sum, l| sum + l.weight_sum);
+        assert_eq!(a.withheld_weight().to_bits(), ascending.to_bits());
+        assert_eq!(a.withheld_weight().to_bits(), b.withheld_weight().to_bits());
     }
 
     #[test]

@@ -41,7 +41,14 @@ fn lint_config_declares_the_core_invariants() {
         "daemon lock order streams -> drained must stay declared"
     );
     let hot: Vec<&str> = cfg.hot_functions.iter().map(|h| h.func.as_str()).collect();
-    for f in ["site_worker", "coord_reactor", "site_loop", "observe"] {
+    for f in [
+        "site_worker",
+        "coord_reactor",
+        "site_loop",
+        "observe",
+        "receive_early",
+        "insert",
+    ] {
         assert!(hot.contains(&f), "hot path {f} missing from lint.toml");
     }
     assert!(
