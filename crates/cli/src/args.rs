@@ -17,8 +17,10 @@ commands:
                queue) whatever --n
                flags: --engine {lockstep|threads|epoll}
                                                        (default threads;
-                        epoll = loopback TCP, every connection
-                        multiplexed onto a few event-loop threads)
+                        threads and epoll both run every site as a task
+                        on a few worker threads, whatever --k: threads
+                        links the sites to the coordinator by in-process
+                        channels, epoll by loopback TCP)
                       --topology {flat|tree}          (default flat)
                       --query  {swor|l1[:eps[,delta]]|rhh[:eps[,delta]]
                                 |window[:len]}        (default swor)
@@ -35,7 +37,9 @@ commands:
                                 true for every built-in workload)
                       --n --k --s --workload --seed --partition
                       --batch <msgs per upstream frame>   (default 64)
-                      --queue <up-queue bound in batches> (default 32)
+                      --queue <batches in flight per coordinator,
+                               as credits, before its sites stop
+                               pulling input>            (default 32)
                       --down-poll-every <items between down-link polls>
                                                           (default 32;
                         lower = fresher thresholds, higher = throughput)

@@ -19,7 +19,7 @@
 
 use crate::framed::FrameCodec;
 use crate::item::{Item, Keyed};
-use crate::swor::wire::WireError;
+use crate::swor::wire::{get_f64, get_u64, put_f64, put_u64, WireError};
 
 /// Tag byte of [`CtrlMsg::Create`].
 pub const TAG_CREATE: u8 = 0x40;
@@ -485,33 +485,17 @@ fn json_f64(x: f64) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Encoding helpers (the swor::wire conventions).
-
-fn put_u64(buf: &mut Vec<u8>, x: u64) {
-    buf.extend_from_slice(&x.to_le_bytes());
-}
+// Encoding helpers: `swor::wire`'s `u64`/`f64` codecs, plus the two field
+// kinds only the control plane has.
 
 fn put_u32(buf: &mut Vec<u8>, x: u32) {
     buf.extend_from_slice(&x.to_le_bytes());
-}
-
-fn put_f64(buf: &mut Vec<u8>, x: f64) {
-    put_u64(buf, x.to_bits());
 }
 
 fn put_str(buf: &mut Vec<u8>, s: &str) {
     debug_assert!(s.len() <= u16::MAX as usize);
     buf.extend_from_slice(&(s.len() as u16).to_le_bytes());
     buf.extend_from_slice(s.as_bytes());
-}
-
-fn get_u64(buf: &[u8], at: usize) -> Result<u64, WireError> {
-    let bytes = buf
-        .get(at..at + 8)
-        .ok_or(WireError::Truncated)?
-        .try_into()
-        .expect("slice length checked");
-    Ok(u64::from_le_bytes(bytes))
 }
 
 fn get_u32(buf: &[u8], at: usize) -> Result<u32, WireError> {
@@ -521,10 +505,6 @@ fn get_u32(buf: &[u8], at: usize) -> Result<u32, WireError> {
         .try_into()
         .expect("slice length checked");
     Ok(u32::from_le_bytes(bytes))
-}
-
-fn get_f64(buf: &[u8], at: usize) -> Result<f64, WireError> {
-    get_u64(buf, at).map(f64::from_bits)
 }
 
 /// Reads a `u16`-length-prefixed UTF-8 string at `at`, returning the

@@ -54,21 +54,28 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-fn put_u64(buf: &mut Vec<u8>, x: u64) {
+// Little-endian field codecs, shared with the control plane
+// (`crate::ctrl`): one definition per field kind.
+
+/// Appends `x`, little-endian.
+pub(crate) fn put_u64(buf: &mut Vec<u8>, x: u64) {
     buf.extend_from_slice(&x.to_le_bytes());
 }
 
-fn put_f64(buf: &mut Vec<u8>, x: f64) {
+/// Appends `x`'s IEEE-754 bits, little-endian.
+pub(crate) fn put_f64(buf: &mut Vec<u8>, x: f64) {
     buf.extend_from_slice(&x.to_le_bytes());
 }
 
-fn get_u64(buf: &[u8], at: usize) -> Result<u64, WireError> {
+/// Reads the little-endian `u64` at `at`.
+pub(crate) fn get_u64(buf: &[u8], at: usize) -> Result<u64, WireError> {
     buf.get(at..at + 8)
         .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
         .ok_or(WireError::Truncated)
 }
 
-fn get_f64(buf: &[u8], at: usize) -> Result<f64, WireError> {
+/// Reads the little-endian `f64` at `at`.
+pub(crate) fn get_f64(buf: &[u8], at: usize) -> Result<f64, WireError> {
     get_u64(buf, at).map(f64::from_bits)
 }
 

@@ -67,10 +67,12 @@ pub struct LoadReport {
     pub fed: u64,
     /// Final stream watermark the daemon reported after drain.
     pub delivered: u64,
-    /// Wall-clock feeding time in seconds (start of feeding to the last
-    /// writer finishing).
+    /// Wall-clock time in seconds, from the writers' start (attach
+    /// handshakes included) until the runner saw the last one finish.
     pub elapsed_s: f64,
-    /// `fed / elapsed_s`.
+    /// `fed` over the writers' joint feed window: from the earliest
+    /// writer's first feed to the latest writer's last, so attaches,
+    /// `finish` and the runner's scrape cadence do not count.
     pub achieved_rate: f64,
     /// Signed deviation of `achieved_rate` from `rate`, in percent.
     pub rate_error_pct: f64,

@@ -152,6 +152,21 @@ struct FaultHit {
 struct WriterOutcome {
     fed: u64,
     events: Vec<ChaosEvent>,
+    /// Its feed window: from its pacer's time zero, just before its first
+    /// feed, to the end of its last feed.
+    window: (Instant, Instant),
+}
+
+/// The writers' joint feed window, from the earliest start to the latest
+/// end. Attach handshakes, `finish` and the runner's scrape cadence fall
+/// outside it, so a rate over it measures the pacers alone.
+fn feed_window(windows: &[(Instant, Instant)]) -> Duration {
+    let start = windows.iter().map(|w| w.0).min();
+    let end = windows.iter().map(|w| w.1).max();
+    match (start, end) {
+        (Some(start), Some(end)) => end.saturating_duration_since(start),
+        _ => Duration::ZERO,
+    }
 }
 
 /// What one query worker hands back.
@@ -324,6 +339,7 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport, RuntimeError> {
 
     let mut fed = 0u64;
     let mut events: Vec<ChaosEvent> = Vec::new();
+    let mut windows = Vec::with_capacity(cfg.writers);
     for (site, handle) in writer_handles.into_iter().enumerate() {
         match handle.join() {
             Err(_) => violations.push(format!("writer {site} panicked")),
@@ -331,6 +347,7 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport, RuntimeError> {
             Ok(Ok(outcome)) => {
                 fed += outcome.fed;
                 events.extend(outcome.events);
+                windows.push(outcome.window);
             }
         }
     }
@@ -391,8 +408,9 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport, RuntimeError> {
 
     let delivered = drained.items;
     let elapsed_s = elapsed.as_secs_f64();
-    let achieved_rate = if elapsed_s > 0.0 {
-        fed as f64 / elapsed_s
+    let feed_s = feed_window(&windows).as_secs_f64();
+    let achieved_rate = if feed_s > 0.0 {
+        fed as f64 / feed_s
     } else {
         0.0
     };
@@ -500,6 +518,7 @@ where
     let mut fault_ix = 0;
     let mut buf: Vec<Item> = Vec::with_capacity(FEED_CHUNK as usize);
     let started = Instant::now();
+    let mut last_feed = started;
     while fed < w.per_site {
         if fault_ix < w.faults.len() && fed >= w.faults[fault_ix].at_items {
             let fault = w.faults[fault_ix];
@@ -584,9 +603,14 @@ where
         }
         link.as_mut().expect("link live").feed(buf.drain(..))?;
         fed += take;
+        last_feed = Instant::now();
     }
     link.take().expect("link live").finish()?;
-    Ok(WriterOutcome { fed, events })
+    Ok(WriterOutcome {
+        fed,
+        events,
+        window: (started, last_feed),
+    })
 }
 
 /// The deterministic item for per-writer index `t`: globally unique id
@@ -858,5 +882,25 @@ fn check_invariants(inp: CheckInputs<'_>) {
     let weights: Vec<f64> = inp.rhh.sample.iter().map(|e| e.item.weight).collect();
     if weights.windows(2).any(|p| p[0] < p[1]) {
         v.push("rhh candidates are not ordered heaviest-first".into());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn feed_window_spans_earliest_start_to_latest_end() {
+        let t0 = Instant::now();
+        let at = |ms| t0 + Duration::from_millis(ms);
+        // Two writers whose attaches finished 3 ms apart: the window runs
+        // from the first start to the last end, and nothing outside the
+        // feeds (the handshakes before, `finish` after) counts.
+        let windows = [(at(3), at(503)), (at(0), at(500))];
+        assert_eq!(feed_window(&windows), Duration::from_millis(503));
+        assert_eq!(feed_window(&windows[..1]), Duration::from_millis(500));
+        // A writer that fed nothing has an empty window.
+        assert_eq!(feed_window(&[(at(7), at(7))]), Duration::ZERO);
+        assert_eq!(feed_window(&[]), Duration::ZERO);
     }
 }

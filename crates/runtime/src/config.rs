@@ -5,8 +5,8 @@
 /// batch ships (see [`RuntimeConfig`]'s `batch_max`).
 pub(crate) const PROMPT_FLUSH_MIN: usize = 8;
 
-/// Configuration for the threads and epoll engines (and the daemon's
-/// attach client).
+/// Configuration for the threads and epoll engines (and, but for
+/// `queue_capacity`, the daemon's attach client).
 ///
 /// The knobs trade latency for throughput:
 ///
@@ -25,16 +25,16 @@ pub(crate) const PROMPT_FLUSH_MIN: usize = 8;
 ///   from about 2.1× lockstep's count to about 1.2×; a threshold of 16
 ///   gave 1.26–1.35× and 1 halved items/s.
 /// * `queue_capacity` — bound (in batches) of each coordinator's
-///   site→coordinator path: bounded-queue backpressure instead of
-///   unbounded buffering. On threads it is the up channel's capacity, and
-///   site `send`s block when the coordinator falls behind. On epoll it
-///   counts credits from the moment a site encodes a batch until its
-///   coordinator takes it, so batches parked in send buffers and kernel
-///   socket buffers count too; a site stops pulling input while its
-///   coordinator's credits are used up. Trees bound each group's
-///   aggregator separately. The down path is deliberately *unbounded* and
-///   eagerly drained, which is what makes the bounded up path
-///   deadlock-free (see `crate::engine`).
+///   site→coordinator path: bounded backpressure instead of unbounded
+///   buffering, with one meaning on both engines. It counts credits from
+///   the moment a site ships a batch until its coordinator takes it off
+///   its queue, so batches in the up channel (threads) or parked in send
+///   buffers, kernel socket buffers and the reactor's handoff (epoll) all
+///   count; a site stops pulling input while its coordinator's credits
+///   are used up, and its worker moves on to other sites instead of
+///   blocking. Trees bound each group's aggregator separately. The down
+///   path is deliberately *unbounded* and eagerly drained, which is what
+///   makes the bounded up path deadlock-free (see `crate::engine`).
 ///
 ///   The default is 32 batches: at most 2,048 messages in flight at the
 ///   default batch of 64, a ceiling, since a batch that an early ships

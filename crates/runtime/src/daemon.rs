@@ -537,9 +537,12 @@ fn stream_processor(mut st: StreamState, rx: mpsc::Receiver<StreamCmd>) {
                     items: st.slot_items.iter().sum(),
                     sites_attached: count_state(&st.slots, SlotState::Attached),
                     sites_eof: count_state(&st.slots, SlotState::Finished),
+                    // A sender counts itself before it blocks on a full
+                    // queue, so the counter can pass the capacity the
+                    // queue itself never exceeds.
                     // ordering: Relaxed — instantaneous gauge snapshot for
                     // a metrics report; no ordering relationship is needed.
-                    queue_depth: st.depth.load(Ordering::Relaxed) as u32,
+                    queue_depth: (st.depth.load(Ordering::Relaxed) as u32).min(st.queue_capacity),
                     queue_capacity: st.queue_capacity,
                     queries: st.latency.count(),
                     latency: summarize(&mut st.latency),

@@ -16,10 +16,10 @@
 //!   each to a site via the scenario's [`Partition`] (which never reads a
 //!   weight), and pushes fixed-size frames into per-site bounded queues.
 //!   Each queue's [`ShardSource`] finishes a frame's weights — the `powf`
-//!   or `exp` of the map — on the site thread (threads engine) or site
-//!   worker (epoll engine) that takes it off the queue, and sums them; the
-//!   driver adds the shard sums into [`RunReport::total_weight`]. So the
-//!   one serial thread only draws and partitions. Peak buffered input is
+//!   or `exp` of the map — on the site worker (either engine's) that takes
+//!   it off the queue, and sums them; the driver adds the shard sums into
+//!   [`RunReport::total_weight`]. So the one serial thread only draws
+//!   and partitions. Peak buffered input is
 //!   `shards × (QUEUE_FRAMES + 2) × FRAME_ITEMS` items (see
 //!   [`DispatcherStats`]), independent of stream length — O(batch ×
 //!   queue), not O(n).
@@ -34,7 +34,7 @@
 //!             ┌────────────┐  frames of draws   shard source: finish
 //!   Workload ─► dispatcher ├──► shard 0 queue ─► + sum weights ─► site 0 ─┐
 //!   (draws)   │  thread    ├──► shard 1 queue ─► + sum weights ─► site 1 ─┼─► engine
-//!             │ Partition  ├──► …                (on the site's thread)   │
+//!             │ Partition  ├──► …                (on the site's worker)   │
 //!             └────────────┘  bounded: QUEUE_FRAMES each                  ┘
 //! ```
 //!
@@ -45,7 +45,7 @@
 //! concurrent engines' per-shard sums can differ from it by rounding.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::Duration;
 
@@ -60,11 +60,11 @@ use dwrs_workloads::source::{
 };
 
 use crate::config::RuntimeConfig;
-use crate::engine::{run_threads, RunOutput, RuntimeError};
-use crate::epoll::{run_epoll, run_tree_epoll, Feed, ItemFeed};
+use crate::engine::{run_threads_fed, Feed, ItemFeed, RunOutput, RuntimeError};
+use crate::epoll::{run_epoll, run_tree_epoll};
 use crate::query::{run_query_flat, run_query_tree, FlatOutcome, TreeOutcome};
 use crate::tree::{
-    run_tree_nodes, GroupStats, LockstepTree, SampleSource, TreeOutput, TreeTopology,
+    run_tree_threads, GroupStats, LockstepTree, SampleSource, TreeOutput, TreeTopology,
 };
 
 pub use crate::query::{Query, QueryAnswer};
@@ -570,15 +570,16 @@ impl Scenario {
 // ---------------------------------------------------------- dispatcher
 
 /// Items per dispatcher frame. Frames amortize the per-queue-operation
-/// cost (one channel send wakes a site once per `FRAME_ITEMS` items) while
-/// keeping each shard's resident window small: a frame is 64 KiB of items.
+/// cost (one channel send wakes a site's worker once per `FRAME_ITEMS`
+/// items) while keeping each shard's resident window small: a frame is
+/// 64 KiB of items.
 pub const FRAME_ITEMS: usize = 4096;
 
 /// Per-shard dispatch queue bound, in frames. The sites, not the
 /// dispatcher, bound a run (the dispatcher only draws; see
 /// [`ShardSource`]), so the queues run full and their depth is resident
 /// memory, not slack: two frames ride out scheduling jitter between the
-/// feeder and a site thread, and the whole input-side window stays
+/// feeder and a site worker, and the whole input-side window stays
 /// `shards × (QUEUE_FRAMES + 2) × FRAME_ITEMS` items — 256 KiB per shard —
 /// whatever the stream length.
 pub const QUEUE_FRAMES: usize = 2;
@@ -629,32 +630,35 @@ impl DispatcherStats {
     }
 }
 
-/// The consuming end of one shard queue: a streaming per-site input the
-/// engines drive their site loops from.
+/// The consuming end of one shard queue: a streaming per-site input,
+/// the nonblocking [`ItemFeed`] both engines' site tasks poll. A task
+/// must never park its worker on the dispatcher (the feeder may be
+/// waiting on queue slots that only drain while the worker keeps
+/// servicing its *other* tasks), so `poll` uses `try_recv` and reports
+/// `Pending` instead of blocking; the feeder wakes the task's worker on
+/// every frame it queues and when it closes the queue.
 ///
 /// The queue carries *draws* (see [`WeightMap`]): the dispatcher moves
 /// them in stream order, and the shard source finishes each frame's
-/// weights on the consuming site thread (threads engine) or site worker
-/// (epoll engine) as it takes the frame off the queue. So the per-item
-/// weight map runs on k threads instead of the one dispatcher, and a raw
-/// draw never leaves the shard source.
+/// weights on the site worker that takes the frame off the queue. So the
+/// per-item weight map runs on the workers instead of the one
+/// dispatcher, and a raw draw never leaves the shard source.
 #[derive(Debug)]
 pub struct ShardSource {
     rx: mpsc::Receiver<Vec<Item>>,
-    cur: std::vec::IntoIter<Item>,
     map: WeightMap,
     /// Sum of the weights finished so far, in arrival order.
     weight: f64,
     /// Where `weight` is published (as f64 bits) for the driver.
     weight_out: Arc<AtomicU64>,
     in_flight: Arc<AtomicU64>,
+    /// The consuming worker's waker, shared with the feeder.
+    wake: FeedWake,
 }
 
 impl ShardSource {
     /// Takes one frame of draws off the queue and finishes it: every
-    /// item's weight in one pass, added to the shard's running sum. The
-    /// one place a frame is finished, for both the blocking and the
-    /// nonblocking face, so no item is finished twice.
+    /// item's weight in one pass, added to the shard's running sum.
     fn take_frame(&mut self, mut frame: Vec<Item>) -> Vec<Item> {
         // ordering: Relaxed — occupancy statistic; the channel recv
         // already synchronized the frame handoff.
@@ -668,46 +672,37 @@ impl ShardSource {
     }
 }
 
-impl Iterator for ShardSource {
-    type Item = Item;
-
-    fn next(&mut self) -> Option<Item> {
-        loop {
-            if let Some(item) = self.cur.next() {
-                return Some(item);
-            }
-            match self.rx.recv() {
-                Ok(frame) => self.cur = self.take_frame(frame).into_iter(),
-                Err(mpsc::RecvError) => return None,
-            }
-        }
-    }
-}
-
-/// The nonblocking view of the same shard queue, for the event-driven
-/// engine: a site task must never park its event loop on the dispatcher
-/// (the feeder may be waiting on queue slots that only drain when the
-/// loop keeps servicing its *other* connections), so `poll` uses
-/// `try_recv` and reports `Pending` instead of blocking.
 impl ItemFeed for ShardSource {
     fn poll(&mut self) -> Feed {
-        if self.cur.len() > 0 {
-            // Items `next` left behind were finished when their frame was
-            // taken.
-            return Feed::Frame(self.cur.by_ref().collect());
-        }
         match self.rx.try_recv() {
             Ok(frame) => Feed::Frame(self.take_frame(frame)),
             Err(mpsc::TryRecvError::Empty) => Feed::Pending,
             Err(mpsc::TryRecvError::Disconnected) => Feed::Done,
         }
     }
+
+    fn set_waker(&mut self, waker: &std::task::Waker) {
+        *self.wake.lock().unwrap_or_else(PoisonError::into_inner) = Some(waker.clone());
+    }
+}
+
+/// A shard queue's consumer waker. A lock, not a once-cell: the feeder
+/// queues (or closes) and then reads the slot, the consumer fills the
+/// slot and then polls, and the lock orders the two so that either the
+/// feeder sees the waker or the consumer's poll sees the frame.
+type FeedWake = Arc<Mutex<Option<std::task::Waker>>>;
+
+fn wake_feed(wake: &FeedWake) {
+    if let Some(w) = wake.lock().unwrap_or_else(PoisonError::into_inner).as_ref() {
+        w.wake_by_ref();
+    }
 }
 
 /// Feeding half of the dispatch pipeline: owns the source-side frame
 /// buffers and the bounded senders.
 struct Dispatcher {
-    shards: Vec<(mpsc::SyncSender<Vec<Item>>, Vec<Item>)>,
+    /// Per shard: the queue, the frame being filled, the consumer's waker.
+    shards: Vec<(mpsc::SyncSender<Vec<Item>>, Vec<Item>, FeedWake)>,
     in_flight: Arc<AtomicU64>,
     stats: DispatcherStats,
 }
@@ -725,14 +720,15 @@ impl Dispatcher {
         for _ in 0..shards {
             let (tx, rx) = mpsc::sync_channel(queue_frames.max(1));
             let weight_out = Arc::new(AtomicU64::new(0f64.to_bits()));
-            txs.push((tx, Vec::with_capacity(FRAME_ITEMS)));
+            let wake = FeedWake::default();
+            txs.push((tx, Vec::with_capacity(FRAME_ITEMS), Arc::clone(&wake)));
             rxs.push(ShardSource {
                 rx,
-                cur: Vec::new().into_iter(),
                 map,
                 weight: 0.0,
                 weight_out: Arc::clone(&weight_out),
                 in_flight: Arc::clone(&in_flight),
+                wake,
             });
             weights.push(weight_out);
         }
@@ -754,7 +750,7 @@ impl Dispatcher {
     }
 
     fn flush_shard(&mut self, shard: usize) {
-        let (tx, buf) = &mut self.shards[shard];
+        let (tx, buf, wake) = &mut self.shards[shard];
         if buf.is_empty() {
             return;
         }
@@ -771,7 +767,9 @@ impl Dispatcher {
         }
         // A send blocks when the shard queue is full — that bounded-queue
         // backpressure is exactly what caps resident memory.
-        if tx.send(frame).is_err() {
+        let sent = tx.send(frame);
+        wake_feed(wake);
+        if sent.is_err() {
             // ordering: Relaxed — undo of the optimistic count above; the
             // frame never entered the queue, no one observed it.
             self.in_flight.fetch_sub(1, Ordering::Relaxed);
@@ -789,7 +787,7 @@ impl Dispatcher {
         for draw in draws {
             let shard = partitioner.next_site();
             self.stats.items += 1;
-            let (_, buf) = &mut self.shards[shard];
+            let (_, buf, _) = &mut self.shards[shard];
             buf.push(draw);
             if buf.len() >= FRAME_ITEMS {
                 self.flush_shard(shard);
@@ -802,8 +800,19 @@ impl Dispatcher {
             self.flush_shard(shard);
         }
         // Dropping the senders closes every shard queue: the engines' site
-        // loops observe end-of-stream and begin the shutdown handshake.
+        // tasks observe end-of-stream and begin the shutdown handshake.
         self.stats
+    }
+}
+
+/// Closing a queue is an event its consumer may be parked on: close each,
+/// then wake its worker — on a panicking feeder's unwind too.
+impl Drop for Dispatcher {
+    fn drop(&mut self) {
+        for (tx, _, wake) in self.shards.drain(..) {
+            drop(tx);
+            wake_feed(&wake);
+        }
     }
 }
 
@@ -816,12 +825,16 @@ struct Dispatch {
 
 impl Dispatch {
     /// Starts feeding the scenario's staged input into `k` shard queues,
-    /// returning the consuming ends in global site order.
-    fn start(sc: &Scenario, input: StagedSource) -> (Dispatch, Vec<ShardSource>) {
+    /// returning the consuming ends as feeds, in global site order.
+    fn start(sc: &Scenario, input: StagedSource) -> (Dispatch, Vec<Box<dyn ItemFeed>>) {
         let (dispatcher, shards, weights) = Dispatcher::new(sc.k, input.map);
         let partitioner = sc.partitioner();
         let feeder = thread::spawn(move || dispatcher.run(input.draws, partitioner));
-        (Dispatch { feeder, weights }, shards)
+        let feeds = shards
+            .into_iter()
+            .map(|shard| Box::new(shard) as Box<dyn ItemFeed>)
+            .collect();
+        (Dispatch { feeder, weights }, feeds)
     }
 
     /// Joins the dispatcher once the engine has returned, converting a
@@ -1232,22 +1245,12 @@ where
             };
             Ok((items, weight, out, None))
         }
-        EngineKind::Threads => {
-            let (dispatch, shards) = Dispatch::start(sc, input);
-            let result = run_threads(sites, coordinator, shards, &sc.runtime);
-            let dstats = dispatch.join()?;
-            let out = result?;
-            Ok((dstats.items, dstats.weight, out, Some(dstats)))
-        }
-        EngineKind::Epoll => {
-            // Same bounded dispatcher, but the shard queues feed the event
-            // loops through their nonblocking [`ItemFeed`] face.
-            let (dispatch, shards) = Dispatch::start(sc, input);
-            let feeds: Vec<Box<dyn ItemFeed>> = shards
-                .into_iter()
-                .map(|shard| Box::new(shard) as Box<dyn ItemFeed>)
-                .collect();
-            let result = run_epoll(sites, coordinator, feeds, &sc.runtime);
+        engine => {
+            let (dispatch, feeds) = Dispatch::start(sc, input);
+            let result = match engine {
+                EngineKind::Threads => run_threads_fed(sites, coordinator, feeds, &sc.runtime),
+                _ => run_epoll(sites, coordinator, feeds, &sc.runtime),
+            };
             let dstats = dispatch.join()?;
             let out = result?;
             Ok((dstats.items, dstats.weight, out, Some(dstats)))
@@ -1298,41 +1301,21 @@ where
             }
             Ok((items, weight, tree.finish(), None))
         }
-        EngineKind::Threads => {
-            let (dispatch, shards) = Dispatch::start(sc, input);
-            // Regroup the flat shard list into per-group blocks (shard
+        engine => {
+            let (dispatch, feeds) = Dispatch::start(sc, input);
+            // Regroup the flat feed list into per-group blocks (shard
             // order is global site order, which is group-major).
-            let mut it = shards.into_iter();
-            let grouped: Vec<Vec<ShardSource>> = (0..groups)
+            let mut it = feeds.into_iter();
+            let grouped: Vec<Vec<Box<dyn ItemFeed>>> = (0..groups)
                 .map(|_| it.by_ref().take(k_per_group).collect())
                 .collect();
-            let result = run_tree_nodes(
-                sc.engine,
-                s_eff,
-                &topo,
-                mk_site,
-                mk_aggregator,
-                grouped,
-                &sc.runtime,
-            );
-            let dstats = dispatch.join()?;
-            let out = result?;
-            Ok((dstats.items, dstats.weight, out, Some(dstats)))
-        }
-        EngineKind::Epoll => {
-            let (dispatch, shards) = Dispatch::start(sc, input);
-            // Group-major regroup as above, shard queues as nonblocking
-            // feeds into the shared tree reactor.
-            let mut it = shards.into_iter();
-            let grouped: Vec<Vec<Box<dyn ItemFeed>>> = (0..groups)
-                .map(|_| {
-                    it.by_ref()
-                        .take(k_per_group)
-                        .map(|shard| Box::new(shard) as Box<dyn ItemFeed>)
-                        .collect()
-                })
-                .collect();
-            let result = run_tree_epoll(s_eff, &topo, mk_site, mk_aggregator, grouped, &sc.runtime);
+            let (rt, topo) = (&sc.runtime, &topo);
+            let result = match engine {
+                EngineKind::Threads => {
+                    run_tree_threads(s_eff, topo, mk_site, mk_aggregator, grouped, rt)
+                }
+                _ => run_tree_epoll(s_eff, topo, mk_site, mk_aggregator, grouped, rt),
+            };
             let dstats = dispatch.join()?;
             let out = result?;
             Ok((dstats.items, dstats.weight, out, Some(dstats)))
@@ -1775,34 +1758,47 @@ mod tests {
         }
     }
 
+    /// Counts its wakes.
+    #[derive(Default)]
+    struct WakeCount(AtomicU64);
+    impl std::task::Wake for WakeCount {
+        fn wake(self: Arc<Self>) {
+            self.wake_by_ref();
+        }
+        fn wake_by_ref(self: &Arc<Self>) {
+            // ordering: Relaxed — a count read after the feeder is joined.
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
     #[test]
-    fn shard_source_finishes_each_item_once_through_next_and_poll() {
+    fn shard_source_finishes_each_item_once_and_wakes_its_worker() {
         // Zipf's map is not idempotent: finishing an item twice, or
-        // handing out a raw draw, changes its weight.
+        // handing out a raw draw, changes its weight. The feeder wakes
+        // the consumer's worker once per frame and once when it closes
+        // the queue: a worker parks without a timeout.
         let n = 2 * FRAME_ITEMS as u64 + 500;
         let want: Vec<Item> = zipf_stream(n, 1.1, 5).collect();
         let staged = zipf_staged(n, 1.1, 5);
         let (dispatcher, mut shards, weights) = Dispatcher::new(1, staged.map);
+        let mut shard = shards.pop().unwrap();
+        let wakes = Arc::new(WakeCount::default());
+        shard.set_waker(&std::task::Waker::from(Arc::clone(&wakes)));
         let partitioner = Partitioner::new(Partition::RoundRobin, 1, 0);
         let draws: Box<dyn ItemSource> = Box::new(staged.draws);
         let feeder = thread::spawn(move || dispatcher.run(draws, partitioner));
-        let mut shard = shards.pop().unwrap();
-        let mut got: Vec<Item> = shard.by_ref().take(100).collect();
+        let mut got: Vec<Item> = Vec::new();
         loop {
             match shard.poll() {
-                // The rest of the frame `next` started, then the second.
                 Feed::Frame(frame) => got.extend(frame),
                 Feed::Pending => thread::yield_now(),
-                Feed::Done => unreachable!("the third frame is still queued"),
-            }
-            if got.len() == 2 * FRAME_ITEMS {
-                break;
+                Feed::Done => break,
             }
         }
-        got.extend(shard.by_ref());
-        assert!(matches!(shard.poll(), Feed::Done));
         let stats = feeder.join().unwrap();
         assert_eq!(stats.frames, 3);
+        // ordering: Relaxed — the feeder was joined above.
+        assert_eq!(wakes.0.load(Ordering::Relaxed), 3 + 1, "3 frames, 1 close");
         let bits = |items: &[Item]| -> Vec<(u64, u64)> {
             items
                 .iter()

@@ -1,54 +1,72 @@
-//! The threaded execution engine.
+//! The site scheduler, and the threads engine built on it.
 //!
-//! Each site runs its partition of the stream on its own OS thread; the
-//! coordinator runs on another. Threads communicate only through a
-//! [`crate::transport`] wiring of in-process channels. The coordinator
-//! loop is shared with the epoll engine ([`crate::epoll`]) and the fan-in
-//! tree ([`crate::tree`]), and every site driver (this engine's, the epoll
-//! engine's site task and the daemon's attach client) runs its items
-//! through one `SiteCore`.
+//! Both concurrent engines run their `k` sites as *tasks* on one fixed
+//! pool of `SITE_WORKERS` worker threads, whatever `k` is: a `SiteTask`
+//! is a resumable state machine around the site's `SiteCore`, advanced
+//! in `FEED_CHUNK` turns by one worker loop (`site_worker`) that is
+//! generic over the site's link to its coordinator (`SiteLink`):
+//! in-process channels on the threads engine, a nonblocking loopback
+//! socket on the epoll engine ([`crate::epoll`]). The coordinator runs on
+//! a thread of its own, through the loop the tree's aggregators share
+//! ([`crate::tree`]).
 //!
 //! # Deadlock freedom
 //!
-//! The up path is bounded and blocking (backpressure); the down path is
-//! unbounded and drained eagerly by sites (between items). Because the
-//! coordinator never blocks sending down, it always returns to draining
-//! the up queue, so blocked site `send`s always unblock. A cycle of
-//! blocking sends — the classic site⇄coordinator deadlock — cannot form.
+//! No worker ever blocks on one task. The up path is bounded by credits
+//! (`queue_capacity` BATCH frames per coordinator, a `CreditPool`): a
+//! task takes one per frame it ships and stops *pulling input* while its
+//! coordinator's credits are used up, and the coordinator returns each
+//! as it takes the frame. The down path is unbounded and drained eagerly,
+//! so the coordinator never blocks and always returns to taking frames;
+//! a task waits only on its feed, which never blocks a worker
+//! ([`Feed::Pending`]), and on those credits. No cycle of waits can form.
+//!
+//! A worker with nothing to advance parks in `epoll_wait` with no
+//! timeout. Every event that can unblock a parked task wakes it, through
+//! the worker's coalescing waker or its poller: a feed's new frame or
+//! end, a down message or the down link's close, a returned credit, and
+//! on epoll socket readiness.
 //!
 //! # Graceful shutdown
 //!
-//! Deterministic three-phase drain:
+//! Deterministic three-phase drain, per task:
 //!
-//! 1. a site exhausts its input, flushes its final partial batch, sends
-//!    `Eof`, and **drops its up sender** (so a stuck sibling cannot wedge
-//!    the coordinator's queue);
+//! 1. a task's feed ends; it ships its final partial batch (and the
+//!    site's closing burst) and `Eof`, then **closes its up link** (so a
+//!    stuck sibling cannot wedge the coordinator's queue);
 //! 2. the coordinator processes frames until every site has reported `Eof`
-//!    (or every up sender is gone), then closes all down links;
-//! 3. sites drain remaining downstream messages until their link closes,
-//!    then return their final state and per-thread [`Metrics`].
+//!    (or every up link is gone), then closes all down links;
+//! 3. each task drains its remaining down messages until its link closes,
+//!    then hands back its final site state and its [`Metrics`].
 //!
-//! The engine then joins every thread — converting panics into
-//! [`RuntimeError`]s instead of hangs — extracts the final weighted sample
-//! state (the returned coordinator), and merges the per-thread metrics into
-//! one [`Metrics`] whose totals follow the paper's accounting exactly as
-//! the lockstep simulator's do.
+//! The engine then joins the workers and the coordinator, converting
+//! panics into [`RuntimeError`]s instead of hangs (a site's panic is
+//! caught per step and pinned to its index), extracts the final weighted
+//! sample state (the returned coordinator), and merges the coordinator's
+//! and the sites' metrics into one [`Metrics`] whose totals follow the
+//! paper's accounting exactly as the lockstep simulator's do.
 
-use std::sync::mpsc;
+use std::io;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
 use std::thread;
 
 use dwrs_core::Item;
 use dwrs_sim::{CoordinatorNode, Meter, Metrics, Outbox, SiteNode};
 
 use crate::config::{RuntimeConfig, PROMPT_FLUSH_MIN};
+use crate::reactor::{
+    current_nofile_limit, is_fd_exhausted, wake_pair, PollEvent, Poller, WakeRx, Waker, WAKE_TOKEN,
+};
 use crate::transport::{
-    channel_wiring, BatchSender, CoordEndpoint, DownSender, SiteEndpoint, TransportError, UpFrame,
+    channel_links, BatchSender, CoordEndpoint, DownSender, TransportError, UpFrame,
 };
 
 /// Why a runtime run failed.
 #[derive(Debug)]
 pub enum RuntimeError {
-    /// A site thread panicked.
+    /// A site panicked.
     SitePanicked(usize),
     /// The coordinator thread panicked.
     CoordinatorPanicked,
@@ -87,7 +105,7 @@ pub enum RuntimeError {
 impl std::fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RuntimeError::SitePanicked(i) => write!(f, "site thread {i} panicked"),
+            RuntimeError::SitePanicked(i) => write!(f, "site {i} panicked"),
             RuntimeError::CoordinatorPanicked => write!(f, "coordinator thread panicked"),
             RuntimeError::AggregatorPanicked(g) => {
                 write!(f, "aggregator thread for group {g} panicked")
@@ -116,6 +134,20 @@ impl From<TransportError> for RuntimeError {
     }
 }
 
+/// Maps an I/O error to the typed runtime error: fd-table exhaustion
+/// (`EMFILE`/`ENFILE`) becomes [`RuntimeError::FdExhausted`] with the
+/// current limit in the message, everything else a transport error.
+pub(crate) fn io_runtime_err(what: &str, e: &io::Error) -> RuntimeError {
+    if is_fd_exhausted(e) {
+        RuntimeError::FdExhausted {
+            what: what.to_string(),
+            limit: current_nofile_limit(),
+        }
+    } else {
+        RuntimeError::Transport(format!("{what}: {e}"))
+    }
+}
+
 /// Everything a completed run hands back.
 #[derive(Debug)]
 pub struct RunOutput<S, C> {
@@ -123,17 +155,16 @@ pub struct RunOutput<S, C> {
     pub sites: Vec<S>,
     /// Final coordinator state; query it for the weighted sample.
     pub coordinator: C,
-    /// Merged per-thread metrics (coordinator first, then sites 0..k).
+    /// Merged metrics (coordinator first, then sites 0..k).
     pub metrics: Metrics,
 }
 
 /// One site's half of the protocol, without its transport: the site, its
 /// open batch, the items observed since the last frame, the down-poll
-/// countdown and the up-path [`Metrics`]. Every site driver (the threads
-/// engine's [`site_loop`], the epoll engine's site task and the daemon's
-/// attach client) runs its items through one of these, so the rule for
-/// when a batch ships lives here alone; each caller keeps only its up
-/// sender and its down link.
+/// countdown and the up-path [`Metrics`]. Every site driver (the pool's
+/// [`SiteTask`] on both engines and the daemon's attach client) runs its
+/// items through one of these, so the rule for when a batch ships lives
+/// here alone; each caller keeps only its up sender and its down link.
 pub(crate) struct SiteCore<S: SiteNode> {
     pub(crate) site: S,
     batch: Vec<S::Up>,
@@ -258,70 +289,599 @@ impl<S: SiteNode> SiteCore<S> {
     }
 }
 
-/// Drives one site over its channel endpoint and returns the final site
-/// state with the thread's upstream metrics.
-pub(crate) fn site_loop<S, I>(
-    site: S,
-    endpoint: SiteEndpoint<S::Up, S::Down>,
-    items: I,
-    cfg: &RuntimeConfig,
-) -> Result<(S, Metrics), RuntimeError>
-where
-    S: SiteNode,
-    I: IntoIterator<Item = Item>,
-{
-    let SiteEndpoint { mut up, down, .. } = endpoint;
-    let mut core = SiteCore::new(site, cfg);
-    for item in items {
-        if core.poll_due() {
-            while let Ok(msg) = down.try_recv() {
-                core.site.receive(&msg);
-            }
-        }
-        core.observe(item, &mut *up)?;
-    }
-    core.finish(&mut *up)?;
-    up.close();
-    // Phase 1 complete: release the up sender so the coordinator's queue
-    // disconnects even if a sibling site is stuck, then drain the down link
-    // until the coordinator closes it (phase 3).
-    drop(up);
-    while let Ok(msg) = down.recv() {
-        core.site.receive(&msg);
-    }
-    Ok((core.site, core.metrics))
+// ---------------------------------------------------------------- feeds
+
+/// Worker threads in the site pool, on both engines. Site count is a
+/// memory problem, not a thread-count problem: k = 1,000 sites run on
+/// this many workers, beside one coordinator thread.
+pub(crate) const SITE_WORKERS: usize = 4;
+
+/// Items a site task pulls per scheduling turn, and the chunk size
+/// [`VecFeed`] hands out. Bounds how long one task can monopolize its
+/// worker before the tasks sharing it get serviced.
+const FEED_CHUNK: usize = 4096;
+
+/// One poll of an [`ItemFeed`].
+#[derive(Debug)]
+pub enum Feed {
+    /// The next chunk of stream items, in arrival order.
+    Frame(Vec<Item>),
+    /// Nothing available right now. The task yields its worker instead
+    /// of blocking, and runs again once the feed wakes the worker.
+    Pending,
+    /// The stream is exhausted; no further frames follow.
+    Done,
 }
 
-/// Drives the coordinator until every site reached `Eof` (or disconnected),
-/// then closes the down links. Returns the thread-local downstream
-/// metrics; the sites meter their own upstream traffic.
-pub(crate) fn coordinator_loop<C>(
+/// Nonblocking stream source for one site task.
+///
+/// Tasks share their worker thread, so a worker blocked inside one
+/// task's `poll` would starve every other task on it — and with the
+/// driver's bounded feeder filling the queues, a blocked worker and a
+/// full sibling queue form a cycle. `poll` must return [`Feed::Pending`]
+/// instead of waiting. A worker with nothing to do parks without a
+/// timeout, so a feed that can return `Pending` must keep the waker
+/// [`ItemFeed::set_waker`] hands it, and wake it whenever a frame
+/// arrives or the stream ends.
+pub trait ItemFeed: Send {
+    /// Returns the next chunk, `Pending` if none is ready, or `Done` at
+    /// end of stream.
+    fn poll(&mut self) -> Feed;
+
+    /// Hands over the waker of the worker that polls this feed, once,
+    /// before the first poll. A feed that never returns `Pending` (a
+    /// materialized [`VecFeed`]) can ignore it.
+    fn set_waker(&mut self, _waker: &std::task::Waker) {}
+}
+
+impl<T: ItemFeed + ?Sized> ItemFeed for Box<T> {
+    fn poll(&mut self) -> Feed {
+        (**self).poll()
+    }
+
+    fn set_waker(&mut self, waker: &std::task::Waker) {
+        (**self).set_waker(waker)
+    }
+}
+
+/// An [`ItemFeed`] over a materialized vector, handed out in
+/// `FEED_CHUNK`-item frames.
+#[derive(Debug)]
+pub struct VecFeed {
+    items: std::vec::IntoIter<Item>,
+}
+
+impl VecFeed {
+    /// Wraps a fully materialized per-site stream.
+    pub fn new(items: Vec<Item>) -> VecFeed {
+        VecFeed {
+            items: items.into_iter(),
+        }
+    }
+}
+
+impl ItemFeed for VecFeed {
+    fn poll(&mut self) -> Feed {
+        let chunk: Vec<Item> = self.items.by_ref().take(FEED_CHUNK).collect();
+        if chunk.is_empty() {
+            Feed::Done
+        } else {
+            Feed::Frame(chunk)
+        }
+    }
+}
+
+/// Materializes each partition into a [`VecFeed`]: how the public
+/// vector-taking entry points ([`run_threads`],
+/// [`crate::tree::run_tree_nodes`]) reach the pool.
+pub(crate) fn vec_feeds<I: IntoIterator<Item = Item>>(streams: Vec<I>) -> Vec<Box<dyn ItemFeed>> {
+    streams
+        .into_iter()
+        .map(|items| Box::new(VecFeed::new(items.into_iter().collect())) as Box<dyn ItemFeed>)
+        .collect()
+}
+
+// -------------------------------------------------------------- credits
+
+/// One waker per site worker, shared by every credit pool of a run.
+pub(crate) type Wakers = Arc<[Arc<Waker>]>;
+
+/// The up-path bound of one coordinator: `queue_capacity` BATCH frames,
+/// counted from the moment a site task ships one until the coordinator
+/// takes it off its queue. Site tasks take the credits; the
+/// coordinator's end of the queue ([`crate::transport::UpRx`]) returns
+/// them.
+///
+/// The bound is soft by at most one frame per site worker (a task checks
+/// [`CreditPool::used_up`] before each item but takes its credit at the
+/// flush), and the closing frames of a task's `finish_stream` take
+/// credits without waiting for them.
+pub(crate) struct CreditPool {
+    /// BATCH frames shipped and not yet taken by the coordinator.
+    in_flight: AtomicUsize,
+    bound: usize,
+    /// Cleared once credits can stop coming back (a fault, an orphaned
+    /// handoff, the coordinator's exit); a closed pool never gates again.
+    open: AtomicBool,
+    /// Every site worker's waker: a worker parked on used-up credits has
+    /// no fd that tells it they came back.
+    wakers: Wakers,
+}
+
+impl CreditPool {
+    pub(crate) fn new(bound: usize, wakers: Wakers) -> Arc<CreditPool> {
+        Arc::new(CreditPool {
+            in_flight: AtomicUsize::new(0),
+            bound: bound.max(1),
+            open: AtomicBool::new(true),
+            wakers,
+        })
+    }
+
+    /// Takes the credit of one BATCH frame, before the frame can reach
+    /// the coordinator (who returns it). Never waits: tasks wait before
+    /// pulling input instead, in [`CreditPool::used_up`].
+    pub(crate) fn take(&self) {
+        self.in_flight.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// True while the tasks drawing on this pool must stop pulling input.
+    pub(crate) fn used_up(&self) -> bool {
+        self.in_flight.load(Ordering::Acquire) >= self.bound && self.open.load(Ordering::Acquire)
+    }
+
+    /// Returns one credit. Every worker is woken when the count falls to
+    /// half the bound (to zero for a bound of one): waking on every
+    /// used-up → free transition would cost a wake per frame at full load.
+    /// Saturates at zero, so a BATCH frame that took no credit (a foreign
+    /// peer) cannot wrap the count into a permanent stall.
+    pub(crate) fn put(&self) {
+        let prev = self
+            .in_flight
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1));
+        if prev == Ok(self.bound / 2 + 1) {
+            self.wake_all();
+        }
+    }
+
+    /// Stops gating for good and wakes every worker parked on the pool.
+    pub(crate) fn close(&self) {
+        if self.open.swap(false, Ordering::AcqRel) {
+            self.wake_all();
+        }
+    }
+
+    fn wake_all(&self) {
+        for w in self.wakers.iter() {
+            w.wake();
+        }
+    }
+
+    /// BATCH frames in flight.
+    #[cfg(test)]
+    pub(crate) fn in_flight(&self) -> usize {
+        self.in_flight.load(Ordering::Acquire)
+    }
+
+    /// Whether the pool still gates.
+    #[cfg(test)]
+    pub(crate) fn is_open(&self) -> bool {
+        self.open.load(Ordering::Acquire)
+    }
+}
+
+/// A link's up half that takes one credit per BATCH frame it ships.
+struct Credited<'a, L> {
+    link: &'a mut L,
+    credits: &'a CreditPool,
+}
+
+impl<U, L: BatchSender<U>> BatchSender<U> for Credited<'_, L> {
+    fn send(&mut self, frame: UpFrame<U>) -> Result<(), TransportError> {
+        if matches!(frame, UpFrame::Batch { .. }) {
+            self.credits.take();
+        }
+        self.link.send(frame)
+    }
+
+    fn send_batch(&mut self, batch: &mut Vec<U>, items: u64) -> Result<(), TransportError> {
+        self.credits.take();
+        self.link.send_batch(batch, items)
+    }
+}
+
+// ------------------------------------------------------------ site task
+
+/// What a [`SiteTask`] needs of its link to the coordinator beyond
+/// shipping frames (its [`BatchSender`] half, whose `abort` tears the
+/// link down on failure). The threads engine's channels and the epoll
+/// engine's socket implement it; [`site_worker`] is generic over it.
+pub(crate) trait SiteLink<S: SiteNode>: BatchSender<S::Up> {
+    /// Applies every down message available now to `site`; true if any
+    /// arrived or the link closed. Without `force`, a link with readiness
+    /// hints reads only while its socket was reported readable; the
+    /// item-cadence poll and the drain phase force a read.
+    fn drain_downs(&mut self, site: &mut S, force: bool) -> Result<bool, RuntimeError>;
+
+    /// The down link still delivers.
+    fn downs_open(&self) -> bool;
+
+    /// Writes buffered up frames out; true if any bytes moved.
+    fn flush(&mut self) -> Result<bool, RuntimeError> {
+        Ok(false)
+    }
+
+    /// The up buffer is over its cap: stop pulling input until it drains.
+    fn backlogged(&self) -> bool {
+        false
+    }
+
+    /// Half-closes the up direction once every frame is out; true once
+    /// it is closed.
+    fn close_up(&mut self) -> bool;
+
+    /// Keeps the link's registration in its worker's poller in step with
+    /// what it waits on (nothing once `done`). Channel links have no fd.
+    fn watch(&mut self, _poller: &Poller, _token: u64, _done: bool) {}
+
+    /// Records a readiness event the poller reported for the link.
+    fn ready(&mut self, _ev: &PollEvent) {}
+}
+
+/// Where a [`SiteTask`] is in its lifecycle.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Phase {
+    /// Pulling items from the feed, observing, flushing batches.
+    Streaming,
+    /// Stream exhausted; the final flush and `EOF` are queued, and the
+    /// up link half-closes once they are out.
+    Closing,
+    /// Up link closed; consuming down messages until the coordinator
+    /// closes the down link.
+    Draining,
+    /// Finished (successfully or not); `result` is populated.
+    Done,
+}
+
+/// One site as a resumable state machine around a [`SiteCore`]: the task
+/// owns the input (its feed and the `FEED_CHUNK` budget), the link and
+/// the credit pool of its coordinator, and the core decides when a batch
+/// ships, so a worker can advance the task as far as its input, credits
+/// and link allow and move on.
+pub(crate) struct SiteTask<S: SiteNode, L> {
+    /// Global site index (flat: site id; tree: `group * k + member`).
+    global: usize,
+    core: SiteCore<S>,
+    feed: Box<dyn ItemFeed>,
+    cur: std::vec::IntoIter<Item>,
+    link: L,
+    credits: Arc<CreditPool>,
+    phase: Phase,
+    result: Option<Result<Metrics, RuntimeError>>,
+}
+
+/// One site's outcome: its final state and metrics, or why it failed.
+pub(crate) type SiteResult<S> = Result<(S, Metrics), RuntimeError>;
+
+impl<S: SiteNode, L: SiteLink<S>> SiteTask<S, L> {
+    /// Advances the task as far as its input, credits and link allow.
+    /// Returns whether any progress was made (the worker parks only when
+    /// a full pass over its tasks makes none).
+    fn step(&mut self) -> Result<bool, RuntimeError> {
+        let mut progress = self.link.flush()?;
+        match self.phase {
+            Phase::Streaming => {
+                progress |= self.link.drain_downs(&mut self.core.site, false)?;
+                let mut budget = FEED_CHUNK;
+                while budget > 0 && self.phase == Phase::Streaming {
+                    if self.link.backlogged() || self.credits.used_up() {
+                        // Backpressure: stop pulling input until the link
+                        // drains below its cap and the coordinator has
+                        // taken enough frames.
+                        break;
+                    }
+                    let item = match self.cur.next() {
+                        Some(item) => item,
+                        None => match self.feed.poll() {
+                            Feed::Frame(chunk) => {
+                                self.cur = chunk.into_iter();
+                                progress = true;
+                                continue;
+                            }
+                            Feed::Pending => break,
+                            Feed::Done => {
+                                self.finish_stream()?;
+                                progress = true;
+                                break;
+                            }
+                        },
+                    };
+                    if self.core.poll_due() {
+                        self.link.drain_downs(&mut self.core.site, true)?;
+                    }
+                    let mut up = Credited {
+                        link: &mut self.link,
+                        credits: &self.credits,
+                    };
+                    self.core.observe(item, &mut up)?;
+                    progress = true;
+                    budget -= 1;
+                }
+                progress |= self.link.flush()?;
+            }
+            Phase::Closing => {
+                progress |= self.link.drain_downs(&mut self.core.site, false)?;
+                if self.link.close_up() {
+                    self.phase = Phase::Draining;
+                    progress = true;
+                }
+            }
+            Phase::Draining => {
+                progress |= self.link.drain_downs(&mut self.core.site, true)?;
+                if !self.link.downs_open() {
+                    let metrics = std::mem::take(&mut self.core.metrics);
+                    self.result = Some(Ok(metrics));
+                    self.phase = Phase::Done;
+                    progress = true;
+                }
+            }
+            Phase::Done => {}
+        }
+        Ok(progress)
+    }
+
+    /// Queues the end of the stream (see [`SiteCore::finish`]); the
+    /// closing phase gets it out. Its BATCH frames take credits without
+    /// waiting for them.
+    fn finish_stream(&mut self) -> Result<(), RuntimeError> {
+        let mut up = Credited {
+            link: &mut self.link,
+            credits: &self.credits,
+        };
+        self.core.finish(&mut up)?;
+        self.phase = Phase::Closing;
+        Ok(())
+    }
+
+    /// One step with the site's panics caught and pinned to its index;
+    /// any failure tears the link down, so the coordinator side ends the
+    /// site's link instead of waiting on it.
+    fn run(&mut self) -> bool {
+        let failure = match catch_unwind(AssertUnwindSafe(|| self.step())) {
+            Ok(Ok(progress)) => return progress,
+            Ok(Err(e)) => e,
+            Err(_) => RuntimeError::SitePanicked(self.global),
+        };
+        self.link.abort();
+        self.result = Some(Err(failure));
+        self.phase = Phase::Done;
+        true
+    }
+
+    fn into_result(self) -> (usize, SiteResult<S>) {
+        let res = match self.result {
+            Some(Ok(metrics)) => Ok((self.core.site, metrics)),
+            Some(Err(e)) => Err(e),
+            None => Err(RuntimeError::SitePanicked(self.global)),
+        };
+        (self.global, res)
+    }
+}
+
+// -------------------------------------------------------- site worker pool
+
+/// The site workers of one run before they start: one waker per worker
+/// (the credit pools, down links and feeds of its sites hold it) and each
+/// worker's poller, with the waker's receiving end registered in it. Site
+/// `global` runs on worker `global % workers`.
+pub(crate) struct Pool {
+    wakers: Wakers,
+    loops: Vec<(Poller, WakeRx)>,
+}
+
+impl Pool {
+    /// `SITE_WORKERS` workers, fewer when there are fewer sites.
+    pub(crate) fn new(sites: usize) -> Result<Pool, RuntimeError> {
+        let err = |e: io::Error| io_runtime_err("creating a site worker", &e);
+        let mut wakers = Vec::new();
+        let mut loops = Vec::new();
+        for _ in 0..SITE_WORKERS.min(sites).max(1) {
+            let (waker, rx) = wake_pair().map_err(err)?;
+            let poller = Poller::new().map_err(err)?;
+            poller
+                .register(rx.raw_fd(), WAKE_TOKEN, true, false)
+                .map_err(err)?;
+            wakers.push(waker);
+            loops.push((poller, rx));
+        }
+        Ok(Pool {
+            wakers: wakers.into(),
+            loops,
+        })
+    }
+
+    /// The waker of the worker that runs site `global`.
+    pub(crate) fn waker(&self, global: usize) -> &Arc<Waker> {
+        &self.wakers[global % self.wakers.len()]
+    }
+
+    /// A credit pool of `bound` frames whose returns wake these workers.
+    pub(crate) fn credits(&self, bound: usize) -> Arc<CreditPool> {
+        CreditPool::new(bound, Arc::clone(&self.wakers))
+    }
+
+    /// The tasks of sites `first..`: site `first + i` runs `sites[i]` on
+    /// `feeds[i]`, which is handed its worker's waker, over `links[i]`,
+    /// drawing on `credits`.
+    pub(crate) fn tasks<S: SiteNode, L: SiteLink<S>>(
+        &self,
+        first: usize,
+        sites: impl IntoIterator<Item = S>,
+        links: impl IntoIterator<Item = L>,
+        feeds: Vec<Box<dyn ItemFeed>>,
+        credits: &Arc<CreditPool>,
+        cfg: &RuntimeConfig,
+    ) -> Vec<SiteTask<S, L>> {
+        let wiring = sites.into_iter().zip(links).zip(feeds).enumerate();
+        wiring
+            .map(|(i, ((site, link), mut feed))| {
+                let global = first + i;
+                feed.set_waker(&std::task::Waker::from(Arc::clone(self.waker(global))));
+                SiteTask {
+                    global,
+                    core: SiteCore::new(site, cfg),
+                    feed,
+                    cur: Vec::new().into_iter(),
+                    link,
+                    credits: Arc::clone(credits),
+                    phase: Phase::Streaming,
+                    result: None,
+                }
+            })
+            .collect()
+    }
+
+    /// Runs `tasks` to completion on the workers and returns each site's
+    /// outcome by global index; `None` marks a site lost with a panicked
+    /// worker.
+    pub(crate) fn run<S, L>(self, tasks: Vec<SiteTask<S, L>>) -> Vec<Option<SiteResult<S>>>
+    where
+        S: SiteNode + Send,
+        S::Up: Send,
+        L: SiteLink<S> + Send,
+    {
+        let workers = self.loops.len();
+        let mut slots: Vec<Option<SiteResult<S>>> = (0..tasks.len()).map(|_| None).collect();
+        let mut shards: Vec<Vec<SiteTask<S, L>>> = (0..workers).map(|_| Vec::new()).collect();
+        for t in tasks {
+            shards[t.global % workers].push(t);
+        }
+        thread::scope(|scope| {
+            let handles: Vec<_> = shards
+                .into_iter()
+                .zip(self.loops)
+                .map(|(shard, (poller, wake_rx))| {
+                    scope.spawn(move || site_worker(shard, poller, wake_rx))
+                })
+                .collect();
+            for h in handles {
+                // The worker itself cannot panic (site panics are caught
+                // per step); a panic here loses its shard, whose sites the
+                // engine reports as panicked.
+                for (global, res) in h.join().unwrap_or_default() {
+                    slots[global] = Some(res);
+                }
+            }
+        });
+        slots
+    }
+}
+
+/// One worker thread: steps every task while any makes progress, then
+/// parks on its poller until a wake or a readiness event, with no
+/// timeout (see the module docs for the events that wake it).
+fn site_worker<S, L>(
+    mut tasks: Vec<SiteTask<S, L>>,
+    poller: Poller,
+    mut wake_rx: WakeRx,
+) -> Vec<(usize, SiteResult<S>)>
+where
+    S: SiteNode,
+    L: SiteLink<S>,
+{
+    let mut events: Vec<PollEvent> = Vec::new();
+    loop {
+        let mut progress = false;
+        let mut all_done = true;
+        for (i, t) in tasks.iter_mut().enumerate() {
+            if t.phase != Phase::Done {
+                all_done = false;
+                progress |= t.run();
+            }
+            t.link.watch(&poller, i as u64, t.phase == Phase::Done);
+        }
+        if all_done {
+            break;
+        }
+        if progress {
+            continue;
+        }
+        events.clear();
+        if let Err(e) = poller.wait(&mut events, -1) {
+            // No readiness facts, now or later: fail what is left rather
+            // than spin.
+            for t in tasks.iter_mut().filter(|t| t.phase != Phase::Done) {
+                t.link.abort();
+                t.result = Some(Err(io_runtime_err("site worker epoll_wait", &e)));
+                t.phase = Phase::Done;
+            }
+        }
+        for ev in &events {
+            if ev.token == WAKE_TOKEN {
+                wake_rx.drain();
+            } else if let Some(t) = tasks.get_mut(ev.token as usize) {
+                t.link.ready(ev);
+            }
+        }
+    }
+    tasks.into_iter().map(SiteTask::into_result).collect()
+}
+
+/// The engines' one error priority over their sites: the first site, by
+/// index, that panicked (or was lost with its worker).
+pub(crate) fn first_site_panic<S>(slots: &[Option<SiteResult<S>>]) -> Result<(), RuntimeError> {
+    match slots
+        .iter()
+        .position(|slot| matches!(slot, None | Some(Err(RuntimeError::SitePanicked(_)))))
+    {
+        Some(i) => Err(RuntimeError::SitePanicked(i)),
+        None => Ok(()),
+    }
+}
+
+/// Joins a link-serving thread (the epoll engine's reactor), if any.
+pub(crate) fn join_serve(
+    serve: Option<thread::Result<Result<(), RuntimeError>>>,
+) -> Result<(), RuntimeError> {
+    let panicked = |_| RuntimeError::Transport("reactor thread panicked".into());
+    serve.map_or(Ok(()), |res| res.map_err(panicked)?)
+}
+
+// ------------------------------------------------------------ coordinator
+
+/// The loop of every coordinator, flat or a tree's aggregator: takes the
+/// sites' frames until every site reached `Eof` (or every up link is
+/// gone), hands each message to `node` and routes its answers, and each
+/// BATCH frame's item count to `on_batch`; then closes the down links.
+/// Returns the first site fault as `(site, diagnostic)`. The coordinator
+/// meters its downstream traffic into `metrics`; the sites meter their
+/// own upstream traffic.
+pub(crate) fn serve_sites<C: CoordinatorNode>(
     node: &mut C,
     endpoint: CoordEndpoint<C::Up, C::Down>,
-) -> Result<Metrics, RuntimeError>
-where
-    C: CoordinatorNode,
-{
+    metrics: &mut Metrics,
+    mut on_batch: impl FnMut(&mut C, u64, &mut Metrics) -> Result<(), RuntimeError>,
+) -> Result<Option<(usize, String)>, RuntimeError> {
     let CoordEndpoint { up, mut downs } = endpoint;
     let k = downs.len();
-    let mut metrics = Metrics::new();
     let mut outbox = Outbox::new();
     let mut done = 0usize;
-    let mut fault: Option<String> = None;
+    let mut fault = None;
     while done < k {
         match up.recv() {
-            Ok((site, UpFrame::Batch { msgs, .. })) => {
+            Ok((site, UpFrame::Batch { msgs, items })) => {
                 for msg in msgs {
                     node.receive(site, msg, &mut outbox);
-                    route(&mut outbox, &mut downs, &mut metrics);
+                    route(&mut outbox, &mut downs, metrics);
                 }
+                on_batch(node, items, metrics)?;
             }
             Ok((_, UpFrame::Eof)) => done += 1,
             Ok((site, UpFrame::Fault(e))) => {
-                fault.get_or_insert(format!("site {site}: {e}"));
+                fault.get_or_insert((site, e));
                 done += 1;
             }
-            // All up senders dropped before k Eofs: a site died without its
+            // All up links gone before k Eofs: a site died without its
             // Eof (e.g. panicked). End the run; the engine's joins surface
             // the precise cause.
             Err(mpsc::RecvError) => break,
@@ -330,9 +890,18 @@ where
     for d in &mut downs {
         d.close();
     }
-    drop(downs);
-    match fault {
-        Some(e) => Err(RuntimeError::Transport(e)),
+    Ok(fault)
+}
+
+/// Drives a flat deployment's coordinator (see [`serve_sites`]) and
+/// returns its downstream metrics.
+pub(crate) fn coordinator_loop<C: CoordinatorNode>(
+    node: &mut C,
+    endpoint: CoordEndpoint<C::Up, C::Down>,
+) -> Result<Metrics, RuntimeError> {
+    let mut metrics = Metrics::new();
+    match serve_sites(node, endpoint, &mut metrics, |_, _, _| Ok(()))? {
+        Some((site, e)) => Err(RuntimeError::Transport(format!("site {site}: {e}"))),
         None => Ok(metrics),
     }
 }
@@ -361,16 +930,61 @@ pub(crate) fn route<D: Meter>(
     }
 }
 
-/// Runs a deployment on OS threads connected by in-process bounded
-/// channels. Any [`SiteNode`]/[`CoordinatorNode`] pair from `dwrs-sim`
-/// runs unmodified.
+// ------------------------------------------------------------- engines
+
+/// Runs a flat deployment: the sites as `tasks` on `pool`, the
+/// coordinator on a thread of its own, and `serve` (the epoll engine's
+/// reactor) on another. Then joins them in the one error priority both
+/// engines share — the first panicked site by index, then the
+/// coordinator (its panic, then its error), then `serve`, then the first
+/// site error — and merges the coordinator's metrics with the sites', in
+/// site order.
+pub(crate) fn run_flat<S, C, L, F>(
+    pool: Pool,
+    tasks: Vec<SiteTask<S, L>>,
+    mut coordinator: C,
+    coord_ep: CoordEndpoint<S::Up, S::Down>,
+    serve: Option<F>,
+) -> Result<RunOutput<S, C>, RuntimeError>
+where
+    S: SiteNode + Send,
+    S::Up: Send,
+    C: CoordinatorNode<Up = S::Up, Down = S::Down> + Send,
+    L: SiteLink<S> + Send,
+    F: FnOnce() -> Result<(), RuntimeError> + Send,
+{
+    let (serve_res, coord_res, slots) = thread::scope(|scope| {
+        let serve = serve.map(|f| scope.spawn(f));
+        let coord = scope.spawn(|| coordinator_loop(&mut coordinator, coord_ep));
+        let slots = pool.run(tasks);
+        (serve.map(|h| h.join()), coord.join(), slots)
+    });
+    first_site_panic(&slots)?;
+    let mut metrics = coord_res.map_err(|_| RuntimeError::CoordinatorPanicked)??;
+    join_serve(serve_res)?;
+    let mut sites = Vec::with_capacity(slots.len());
+    for slot in slots {
+        let (site, site_metrics) = slot.expect("checked above")?;
+        metrics.merge(&site_metrics);
+        sites.push(site);
+    }
+    Ok(RunOutput {
+        sites,
+        coordinator,
+        metrics,
+    })
+}
+
+/// Runs a deployment on the site pool, its sites connected to the
+/// coordinator thread by in-process channels. Any
+/// [`SiteNode`]/[`CoordinatorNode`] pair from `dwrs-sim` runs unmodified.
 ///
 /// `streams[i]` is site `i`'s partition of the global stream, in that
-/// site's arrival order — any streaming iterators (the scenario driver
-/// passes its bounded shard queues).
+/// site's arrival order; each is materialized into a [`VecFeed`] (the
+/// scenario driver streams its bounded shard queues instead).
 pub fn run_threads<S, C, I>(
     sites: Vec<S>,
-    mut coordinator: C,
+    coordinator: C,
     streams: Vec<I>,
     cfg: &RuntimeConfig,
 ) -> Result<RunOutput<S, C>, RuntimeError>
@@ -381,45 +995,36 @@ where
     C: CoordinatorNode<Up = S::Up, Down = S::Down> + Send,
     I: IntoIterator<Item = Item> + Send,
 {
+    run_threads_fed(sites, coordinator, vec_feeds(streams), cfg)
+}
+
+/// [`run_threads`] over nonblocking feeds, `feeds[i]` site `i`'s.
+pub(crate) fn run_threads_fed<S, C>(
+    sites: Vec<S>,
+    coordinator: C,
+    feeds: Vec<Box<dyn ItemFeed>>,
+    cfg: &RuntimeConfig,
+) -> Result<RunOutput<S, C>, RuntimeError>
+where
+    S: SiteNode + Send,
+    S::Up: Send + 'static,
+    S::Down: Clone + Send + 'static,
+    C: CoordinatorNode<Up = S::Up, Down = S::Down> + Send,
+{
     let k = sites.len();
     assert!(k >= 1, "need at least one site");
-    assert_eq!(streams.len(), k, "one stream partition per site");
-    let (site_eps, coord_ep) = channel_wiring(k, cfg.queue_capacity);
-
-    let (coord_res, site_res) = thread::scope(|scope| {
-        let mut site_handles = Vec::with_capacity(k);
-        for ((site, ep), items) in sites.into_iter().zip(site_eps).zip(streams) {
-            site_handles.push(scope.spawn(move || site_loop(site, ep, items, cfg)));
-        }
-        let coord_handle = scope.spawn(move || {
-            let metrics = coordinator_loop(&mut coordinator, coord_ep)?;
-            Ok::<_, RuntimeError>((coordinator, metrics))
-        });
-        let site_res: Vec<_> = site_handles.into_iter().map(|h| h.join()).collect();
-        (coord_handle.join(), site_res)
-    });
-
-    // Surface panics deterministically: first panicking site, then the
-    // coordinator, then transport errors.
-    for (i, res) in site_res.iter().enumerate() {
-        if res.is_err() {
-            return Err(RuntimeError::SitePanicked(i));
-        }
-    }
-    let (coordinator, coord_metrics) =
-        coord_res.map_err(|_| RuntimeError::CoordinatorPanicked)??;
-    let mut metrics = coord_metrics;
-    let mut final_sites = Vec::with_capacity(k);
-    for res in site_res {
-        let (site, site_metrics) = res.expect("panics handled above")?;
-        metrics.merge(&site_metrics);
-        final_sites.push(site);
-    }
-    Ok(RunOutput {
-        sites: final_sites,
+    assert_eq!(feeds.len(), k, "one stream partition per site");
+    let pool = Pool::new(k)?;
+    let credits = pool.credits(cfg.queue_capacity);
+    let (links, coord_ep) = channel_links(&pool, 0, k, &credits);
+    let tasks = pool.tasks(0, sites, links, feeds, &credits, cfg);
+    run_flat(
+        pool,
+        tasks,
         coordinator,
-        metrics,
-    })
+        coord_ep,
+        None::<fn() -> Result<(), RuntimeError>>,
+    )
 }
 
 #[cfg(test)]
@@ -607,6 +1212,105 @@ mod tests {
         assert!(
             matches!(err, RuntimeError::CoordinatorPanicked),
             "got {err:?}"
+        );
+    }
+
+    /// Records the id of every thread that observes an item or finishes.
+    #[derive(Debug)]
+    struct ThreadIdSite {
+        seen: Arc<std::sync::Mutex<std::collections::HashSet<thread::ThreadId>>>,
+    }
+    impl ThreadIdSite {
+        fn record(&self) {
+            let mut ids = self.seen.lock().unwrap();
+            ids.insert(thread::current().id());
+        }
+    }
+    impl SiteNode for ThreadIdSite {
+        type Up = Up;
+        type Down = Down;
+        fn observe(&mut self, item: Item, out: &mut Vec<Up>) {
+            self.record();
+            out.push(Up(item.id));
+        }
+        fn receive(&mut self, _msg: &Down) {}
+        fn finish(&mut self, _out: &mut Vec<Up>) {
+            self.record();
+        }
+    }
+    impl dwrs_core::framed::FrameCodec for Up {
+        fn encode(&self, buf: &mut Vec<u8>) {
+            buf.extend_from_slice(&self.0.to_le_bytes());
+        }
+        fn decode(buf: &[u8]) -> Result<(Self, usize), dwrs_core::swor::wire::WireError> {
+            let bytes = buf
+                .get(..8)
+                .ok_or(dwrs_core::swor::wire::WireError::Truncated)?;
+            Ok((Up(u64::from_le_bytes(bytes.try_into().unwrap())), 8))
+        }
+    }
+    impl dwrs_core::framed::FrameCodec for Down {
+        fn encode(&self, buf: &mut Vec<u8>) {
+            buf.extend_from_slice(&self.0.to_le_bytes());
+        }
+        fn decode(buf: &[u8]) -> Result<(Self, usize), dwrs_core::swor::wire::WireError> {
+            let bytes = buf
+                .get(..8)
+                .ok_or(dwrs_core::swor::wire::WireError::Truncated)?;
+            Ok((Down(u64::from_le_bytes(bytes.try_into().unwrap())), 8))
+        }
+    }
+    impl crate::tree::SampleSource for EchoCoord {
+        fn keyed_sample(&self) -> Vec<dwrs_core::Keyed> {
+            Vec::new()
+        }
+    }
+
+    #[test]
+    fn thread_count_stays_flat_in_k() {
+        // 64 sites, flat and as a tree of 2 groups of 32: every site runs
+        // on one of the pool's workers, none on a thread of its own.
+        let seen = Arc::new(std::sync::Mutex::new(std::collections::HashSet::new()));
+        let site = |_| ThreadIdSite {
+            seen: Arc::clone(&seen),
+        };
+        let flat: Vec<ThreadIdSite> = (0..64).map(site).collect();
+        let out = run_threads(
+            flat,
+            EchoCoord { received: 0 },
+            parts(6_400, 64),
+            &RuntimeConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(out.coordinator.received, 6_400);
+        let flat_ids = seen.lock().unwrap().len();
+        assert!(
+            (1..=SITE_WORKERS).contains(&flat_ids),
+            "64 flat sites ran on {flat_ids} threads"
+        );
+
+        seen.lock().unwrap().clear();
+        let topo = crate::TreeTopology::new(2, 32, 1_000);
+        let streams: Vec<Vec<Vec<Item>>> = parts(6_400, 64)
+            .chunks(32)
+            .map(<[Vec<Item>]>::to_vec)
+            .collect();
+        let out = crate::run_tree_nodes(
+            crate::EngineKind::Threads,
+            8,
+            &topo,
+            |gi, i| site(gi * 32 + i),
+            |_| EchoCoord { received: 0 },
+            streams,
+            &RuntimeConfig::default(),
+        )
+        .unwrap();
+        let items: u64 = out.group_stats.iter().map(|st| st.items).sum();
+        assert_eq!(items, 6_400);
+        let tree_ids = seen.lock().unwrap().len();
+        assert!(
+            (1..=SITE_WORKERS).contains(&tree_ids),
+            "64 tree sites ran on {tree_ids} threads"
         );
     }
 

@@ -1,22 +1,20 @@
 //! The event-driven `epoll` engine, the one socket engine: thousands of
-//! site connections over loopback TCP, multiplexed onto a small fixed
-//! pool of event-loop threads.
+//! site connections over loopback TCP, on the site pool's few workers
+//! and one coordinator-side reactor thread.
 //!
 //! At the paper's deployment regime (k in the thousands, one site per
 //! edge/user shard) a thread per connection would be tens of thousands of
 //! threads. This engine runs readiness-driven state machines over
 //! nonblocking sockets instead (see [`crate::reactor`]), speaking the
 //! `HELLO`/`BATCH`/`EOF`/`FAULT`/`DOWN` frames through the data-plane
-//! codec in [`crate::tcp`], with the threads engine's [`Metrics`]
+//! codec in [`crate::tcp`], with the threads engine's [`dwrs_sim::Metrics`]
 //! accounting:
 //!
-//! * **Site side** — each site is a `SiteTask`: the threads engine's
-//!   `SiteCore` (observe, flush, finish) behind a resumable state machine
-//!   that owns the nonblocking socket and drains the down link, driven by a
-//!   worker pool of `EPOLL_WORKERS` event loops.
-//!   Input arrives through the nonblocking [`ItemFeed`] interface instead
-//!   of a blocking iterator, so one stalled feed never wedges the other
-//!   tasks sharing its worker.
+//! * **Site side** — each site is a task of the site pool that the
+//!   threads engine runs on too ([`crate::engine`]): the same `SiteTask`
+//!   around the same `SiteCore`, advanced by the same worker loop, here
+//!   over a `SockLink` — the nonblocking socket, its buffers and its
+//!   readiness hints, registered in its worker's poller.
 //! * **Coordinator side** — one reactor thread owns every site connection:
 //!   it reassembles up-frames and hands each one to the unmodified
 //!   `coordinator_loop` (or a tree's `aggregator_loop`) over an unbounded
@@ -28,14 +26,9 @@
 //! The engine invariant (bounded up path, unbounded eagerly drained down
 //! path — see [`crate::engine`]) maps onto the reactor so:
 //!
-//! * The up path is bounded by credits: `queue_capacity` BATCH frames per
-//!   coordinator, counted from the moment a site task encodes one until
-//!   the coordinator takes it (`CreditPool`). A task takes a credit per
-//!   encoded BATCH frame and stops *pulling input* while its
-//!   coordinator's credits are used up, so frames built against stale
-//!   thresholds cannot pile up in send buffers, kernel socket buffers and
-//!   the handoff while the coordinator is busy. No event-loop thread ever
-//!   blocks on a credit.
+//! * The credits count a frame from the moment a site task encodes it, so
+//!   frames built against stale thresholds cannot pile up in send
+//!   buffers, kernel socket buffers and the handoff either.
 //! * The reactor hands each frame to its coordinator over an unbounded
 //!   channel and never blocks on it: one slow coordinator (a tree's
 //!   aggregator) cannot stall the connections of the others. The
@@ -53,8 +46,7 @@
 //! * Credits held by a dead connection never come back, so a pool stops
 //!   gating once the reactor sees a fault, finds the coordinator gone, or
 //!   exits for any reason, and once the coordinator drops its end of the
-//!   handoff. Returning credits wakes parked site workers through their
-//!   `Waker`s, once per drop to half the bound.
+//!   handoff.
 //! * Down sends never block and never fail: [`DownSender::send`] appends
 //!   to the connection's `SendBuf` under a mutex and wakes the reactor
 //!   (`Waker` coalesces wake storms to one byte). Sites drain eagerly,
@@ -73,7 +65,7 @@
 
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -81,36 +73,22 @@ use std::thread;
 use std::time::Duration;
 
 use dwrs_core::framed::FrameCodec;
-use dwrs_core::merge::merge_samples;
 use dwrs_core::swor::SyncMsg;
-use dwrs_core::{Item, Keyed};
-use dwrs_sim::{CoordinatorNode, Metrics, NoDown, SiteNode};
+use dwrs_sim::{CoordinatorNode, NoDown, SiteNode};
 
 use crate::config::RuntimeConfig;
-use crate::engine::{coordinator_loop, RunOutput, RuntimeError, SiteCore};
+use crate::engine::{
+    io_runtime_err, run_flat, CreditPool, ItemFeed, Pool, RunOutput, RuntimeError, SiteLink,
+};
 use crate::reactor::{
-    current_nofile_limit, is_fd_exhausted, raise_nofile_limit, wake_pair, PollEvent, Poller,
-    RecvBuf, SendBuf, WakeRx, Waker, WAKE_TOKEN,
+    raise_nofile_limit, wake_pair, PollEvent, Poller, RecvBuf, SendBuf, WakeRx, Waker, WAKE_TOKEN,
 };
 use crate::tcp::{
     accept_sites, connect_site, decode_down, decode_up, encode_batch, encode_down, encode_up,
     read_hello, write_hello,
 };
 use crate::transport::{BatchSender, CoordEndpoint, DownSender, TransportError, UpFrame, UpRx};
-use crate::tree::{
-    aggregator_loop, check_sync_fits_frame, root_loop, GroupStats, SampleSource, TreeOutput,
-    TreeTopology,
-};
-
-/// Event-loop threads in the site-side worker pool. Connection count is a
-/// memory problem, not a thread-count problem: k=1000 sites run on this
-/// many loops (plus one coordinator reactor), not 2k+1000 threads.
-pub(crate) const EPOLL_WORKERS: usize = 4;
-
-/// Items a site task pulls per scheduling quantum, and the chunk size
-/// [`VecFeed`] hands out. Bounds how long one task can monopolize its
-/// worker before co-scheduled connections get serviced.
-const FEED_CHUNK: usize = 4096;
+use crate::tree::{check_sync_fits_frame, run_tree_pool, TreeOutput, TreeTopology};
 
 /// Soft cap on a site's buffered-but-unflushed up bytes: past this the
 /// task stops pulling input until write readiness drains it (the buffered
@@ -122,222 +100,18 @@ const UP_BUF_CAP: usize = 64 * 1024;
 /// may run over; sites drain eagerly, keeping the excess transient.
 const DOWN_BUF_CAP: usize = 64 * 1024;
 
-/// Maps an I/O error to the typed runtime error: fd-table exhaustion
-/// (`EMFILE`/`ENFILE`) becomes [`RuntimeError::FdExhausted`] with the
-/// current limit in the message, everything else a transport error.
-pub(crate) fn io_runtime_err(what: &str, e: &io::Error) -> RuntimeError {
-    if is_fd_exhausted(e) {
-        RuntimeError::FdExhausted {
-            what: what.to_string(),
-            limit: current_nofile_limit(),
-        }
-    } else {
-        RuntimeError::Transport(format!("{what}: {e}"))
-    }
-}
+// ------------------------------------------------------------ site link
 
-// ---------------------------------------------------------------- feeds
-
-/// One poll of an [`ItemFeed`].
-#[derive(Debug)]
-pub enum Feed {
-    /// The next chunk of stream items, in arrival order.
-    Frame(Vec<Item>),
-    /// Nothing available right now; poll again later. The task yields its
-    /// worker instead of blocking.
-    Pending,
-    /// The stream is exhausted; no further frames follow.
-    Done,
-}
-
-/// Nonblocking stream source for one site task.
-///
-/// The multiplexed engine cannot use blocking iterators: a worker thread
-/// blocked inside one task's `next()` would starve every other connection
-/// scheduled on that loop — and with the driver's bounded feeder filling
-/// the queues, a blocked worker and a full sibling queue form a cycle.
-/// `poll` must return [`Feed::Pending`] instead of waiting.
-pub trait ItemFeed: Send {
-    /// Returns the next chunk, `Pending` if none is ready, or `Done` at
-    /// end of stream.
-    fn poll(&mut self) -> Feed;
-}
-
-impl<T: ItemFeed + ?Sized> ItemFeed for Box<T> {
-    fn poll(&mut self) -> Feed {
-        (**self).poll()
-    }
-}
-
-/// An [`ItemFeed`] over a materialized vector, handed out in
-/// `FEED_CHUNK`-item frames.
-#[derive(Debug)]
-pub struct VecFeed {
-    items: std::vec::IntoIter<Item>,
-}
-
-impl VecFeed {
-    /// Wraps a fully materialized per-site stream.
-    pub fn new(items: Vec<Item>) -> VecFeed {
-        VecFeed {
-            items: items.into_iter(),
-        }
-    }
-}
-
-impl ItemFeed for VecFeed {
-    fn poll(&mut self) -> Feed {
-        let chunk: Vec<Item> = self.items.by_ref().take(FEED_CHUNK).collect();
-        if chunk.is_empty() {
-            Feed::Done
-        } else {
-            Feed::Frame(chunk)
-        }
-    }
-}
-
-// -------------------------------------------------------------- credits
-
-/// One waker per site worker, shared by every credit pool of a run.
-type Wakers = Arc<[Arc<Waker>]>;
-
-/// The up-path bound of one coordinator: `queue_capacity` BATCH frames,
-/// counted from the moment a site task encodes one until the coordinator
-/// takes it off the reactor's handoff. Site tasks take the credits; the
-/// coordinator's end of the handoff ([`crate::transport::UpRx`]) returns
-/// them.
-///
-/// The bound is soft by at most one frame per site worker (a task checks
-/// [`CreditPool::used_up`] before each item but takes its credit at the
-/// flush), and the closing frames of `finish_stream` take credits without
-/// waiting for them.
-pub(crate) struct CreditPool {
-    /// BATCH frames encoded and not yet taken by the coordinator.
-    in_flight: AtomicUsize,
-    bound: usize,
-    /// Cleared once credits can stop coming back (a fault, an orphaned
-    /// handoff, the reactor's exit); a closed pool never gates again.
-    open: AtomicBool,
-    /// Every site worker's waker: a worker parked on used-up credits has
-    /// no fd that tells it they came back.
-    wakers: Wakers,
-}
-
-impl CreditPool {
-    fn new(bound: usize, wakers: Wakers) -> Arc<CreditPool> {
-        Arc::new(CreditPool {
-            in_flight: AtomicUsize::new(0),
-            bound: bound.max(1),
-            open: AtomicBool::new(true),
-            wakers,
-        })
-    }
-
-    /// Takes the credit of one encoded BATCH frame. Never waits: tasks
-    /// wait before pulling input instead, in [`CreditPool::used_up`].
-    fn take(&self) {
-        self.in_flight.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// True while the tasks drawing on this pool must stop pulling input.
-    fn used_up(&self) -> bool {
-        self.in_flight.load(Ordering::Acquire) >= self.bound && self.open.load(Ordering::Acquire)
-    }
-
-    /// Returns one credit. Every worker is woken when the count falls to
-    /// half the bound (to zero for a bound of one): waking on every
-    /// used-up → free transition would cost a wake per frame at full load.
-    /// Saturates at zero, so a BATCH frame that took no credit (a foreign
-    /// peer) cannot wrap the count into a permanent stall.
-    pub(crate) fn put(&self) {
-        let prev = self
-            .in_flight
-            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_sub(1));
-        if prev == Ok(self.bound / 2 + 1) {
-            self.wake_all();
-        }
-    }
-
-    /// Stops gating for good and wakes every worker parked on the pool.
-    pub(crate) fn close(&self) {
-        if self.open.swap(false, Ordering::AcqRel) {
-            self.wake_all();
-        }
-    }
-
-    fn wake_all(&self) {
-        for w in self.wakers.iter() {
-            w.wake();
-        }
-    }
-}
-
-// ------------------------------------------------------------ up sender
-
-/// [`BatchSender`] over a [`SendBuf`]: encodes through the data-plane
-/// codec into the connection's buffer instead of a blocking socket write,
-/// so the resumable site task ships through the same [`SiteCore`] as the
-/// blocking drivers. Every BATCH frame it encodes takes a credit.
-struct BufUp<'a> {
-    buf: &'a mut SendBuf,
-    credits: &'a CreditPool,
-}
-
-impl<U: FrameCodec + Send> BatchSender<U> for BufUp<'_> {
-    fn send(&mut self, frame: UpFrame<U>) -> Result<(), TransportError> {
-        self.buf
-            .frame_with(|b| encode_up(&frame, b))
-            .map_err(TransportError::Io)?;
-        if matches!(frame, UpFrame::Batch { .. }) {
-            self.credits.take();
-        }
-        Ok(())
-    }
-
-    fn send_batch(&mut self, batch: &mut Vec<U>, items: u64) -> Result<(), TransportError> {
-        self.buf
-            .frame_with(|b| encode_batch(batch, items, b))
-            .map_err(TransportError::Io)?;
-        self.credits.take();
-        batch.clear();
-        Ok(())
-    }
-}
-
-// ------------------------------------------------------------ site task
-
-/// Where a [`SiteTask`] is in its connection lifecycle.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Phase {
-    /// Pulling items from the feed, observing, flushing batches.
-    Streaming,
-    /// Stream exhausted; final flush + `EOF` are queued, draining the
-    /// send buffer before the write half-close.
-    Closing,
-    /// Write side closed; consuming down-messages until the coordinator
-    /// half-closes.
-    Draining,
-    /// Finished (successfully or not); `result` is populated.
-    Done,
-}
-
-/// One site connection as a resumable state machine around a [`SiteCore`]:
-/// the task owns the transport (the nonblocking socket, its buffers, the
-/// credit pool and the `FEED_CHUNK` budget) and the core decides when a
-/// batch ships, so a worker can advance the task as far as readiness
-/// allows and move on.
-struct SiteTask<S: SiteNode> {
-    /// Global site index (flat: site id; tree: `group * k + member`).
+/// A site task's end of its reactor connection: the nonblocking socket,
+/// its buffers and readiness hints, and its registration in the worker's
+/// poller. As a [`BatchSender`] it encodes frames through the data-plane
+/// codec into the send buffer, which the task's flushes write out.
+struct SockLink {
+    /// Global site index, for diagnostics.
     global: usize,
-    core: SiteCore<S>,
-    feed: Box<dyn ItemFeed>,
-    cur: std::vec::IntoIter<Item>,
     stream: TcpStream,
     recv: RecvBuf,
     send: SendBuf,
-    /// The credit pool of the coordinator this site reports to.
-    credits: Arc<CreditPool>,
-    phase: Phase,
     /// Readiness hints from the worker's poller (level-triggered, so a
     /// stale `true` costs one `WouldBlock` syscall, never a lost event).
     read_ready: bool,
@@ -345,150 +119,56 @@ struct SiteTask<S: SiteNode> {
     /// The down link still delivers (false once the coordinator
     /// half-closes or the connection dies).
     downs_open: bool,
-    /// Poller registration bookkeeping (worker-maintained).
-    registered: bool,
-    reg_read: bool,
-    reg_write: bool,
-    result: Option<Result<Metrics, RuntimeError>>,
+    /// The `(read, write)` interest registered in the worker's poller.
+    registered: Option<(bool, bool)>,
 }
 
-impl<S: SiteNode> SiteTask<S>
-where
-    S::Up: FrameCodec + Send,
-    S::Down: FrameCodec,
-{
-    fn new(
-        global: usize,
-        core: SiteCore<S>,
-        feed: Box<dyn ItemFeed>,
-        stream: TcpStream,
-        credits: Arc<CreditPool>,
-    ) -> SiteTask<S> {
-        SiteTask {
+impl SockLink {
+    fn new(global: usize, stream: TcpStream) -> SockLink {
+        SockLink {
             global,
-            core,
-            feed,
-            cur: Vec::new().into_iter(),
             stream,
             recv: RecvBuf::new(),
             send: SendBuf::with_cap(UP_BUF_CAP),
-            credits,
-            phase: Phase::Streaming,
             read_ready: true,
             write_ready: true,
             downs_open: true,
-            registered: false,
-            reg_read: false,
-            reg_write: false,
-            result: None,
+            registered: None,
         }
     }
+}
 
-    /// Advances the task as far as current readiness allows. Returns
-    /// whether any progress was made (the worker idles only when a full
-    /// pass over its tasks makes none).
-    fn step(&mut self) -> Result<bool, RuntimeError> {
-        let mut progress = self.flush_send()?;
-        match self.phase {
-            Phase::Streaming => {
-                if self.read_ready {
-                    progress |= self.drain_downs(false)?;
-                }
-                let mut budget = FEED_CHUNK;
-                while budget > 0 && self.phase == Phase::Streaming {
-                    if self.send.over_cap() || self.credits.used_up() {
-                        // Backpressure: stop pulling input until write
-                        // readiness drains the buffer below cap and the
-                        // coordinator has taken enough frames.
-                        break;
-                    }
-                    let item = match self.cur.next() {
-                        Some(item) => item,
-                        None => match self.feed.poll() {
-                            Feed::Frame(chunk) => {
-                                self.cur = chunk.into_iter();
-                                progress = true;
-                                continue;
-                            }
-                            Feed::Pending => break,
-                            Feed::Done => {
-                                self.finish_stream()?;
-                                progress = true;
-                                break;
-                            }
-                        },
-                    };
-                    if self.core.poll_due() {
-                        self.drain_downs(true)?;
-                    }
-                    let mut up = BufUp {
-                        buf: &mut self.send,
-                        credits: &self.credits,
-                    };
-                    self.core.observe(item, &mut up)?;
-                    progress = true;
-                    budget -= 1;
-                }
-                progress |= self.flush_send()?;
-            }
-            Phase::Closing => {
-                if self.read_ready {
-                    progress |= self.drain_downs(false)?;
-                }
-                if self.send.is_empty() {
-                    let _ = self.stream.shutdown(Shutdown::Write);
-                    self.phase = Phase::Draining;
-                    progress = true;
-                }
-            }
-            Phase::Draining => {
-                progress |= self.drain_downs(true)?;
-                if !self.downs_open {
-                    self.complete();
-                    progress = true;
-                }
-            }
-            Phase::Done => {}
-        }
-        Ok(progress)
+impl<U: FrameCodec + Send> BatchSender<U> for SockLink {
+    fn send(&mut self, frame: UpFrame<U>) -> Result<(), TransportError> {
+        self.send
+            .frame_with(|b| encode_up(&frame, b))
+            .map_err(TransportError::Io)
     }
 
-    /// Queues the end of the stream into the send buffer (see
-    /// [`SiteCore::finish`]); [`Phase::Closing`] drains it to the socket.
-    /// Its BATCH frames take credits without waiting for them.
-    fn finish_stream(&mut self) -> Result<(), RuntimeError> {
-        let mut up = BufUp {
-            buf: &mut self.send,
-            credits: &self.credits,
-        };
-        self.core.finish(&mut up)?;
-        self.phase = Phase::Closing;
+    fn send_batch(&mut self, batch: &mut Vec<U>, items: u64) -> Result<(), TransportError> {
+        self.send
+            .frame_with(|b| encode_batch(batch, items, b))
+            .map_err(TransportError::Io)?;
+        batch.clear();
         Ok(())
     }
 
-    /// Writes as much buffered up-traffic as the socket accepts.
-    fn flush_send(&mut self) -> Result<bool, RuntimeError> {
-        if self.send.is_empty() || !self.write_ready {
-            return Ok(false);
-        }
-        match self.send.flush_to(&mut (&self.stream)) {
-            Ok(n) => {
-                if !self.send.is_empty() {
-                    self.write_ready = false;
-                }
-                Ok(n > 0)
-            }
-            Err(e) => Err(io_runtime_err(&format!("site {} up link", self.global), &e)),
-        }
+    /// Tears the connection down so the peer fails fast.
+    fn abort(&mut self) {
+        let _ = self.stream.shutdown(Shutdown::Both);
     }
+}
 
-    /// Applies every complete down-frame currently available. With
-    /// `force`, performs a read even without a readiness hint (the
-    /// item-cadence poll and the drain phase); otherwise reads only while
-    /// the socket was reported readable. Connection close or error ends
-    /// the drain (`downs_open = false`) like the channel transport's
-    /// disconnect; a malformed frame is a transport error.
-    fn drain_downs(&mut self, force: bool) -> Result<bool, RuntimeError> {
+impl<S> SiteLink<S> for SockLink
+where
+    S: SiteNode,
+    S::Up: FrameCodec + Send,
+    S::Down: FrameCodec,
+{
+    /// Connection close or error ends the drain (`downs_open = false`)
+    /// like the channel link's disconnect; a malformed frame is a
+    /// transport error.
+    fn drain_downs(&mut self, site: &mut S, force: bool) -> Result<bool, RuntimeError> {
         if !self.downs_open || !(force || self.read_ready) {
             return Ok(false);
         }
@@ -507,7 +187,7 @@ where
                         )))
                     }
                 };
-                self.core.site.receive(&msg);
+                site.receive(&msg);
                 progress = true;
             }
             match self.recv.fill_from(&mut (&self.stream)) {
@@ -531,238 +211,54 @@ where
         }
     }
 
-    /// Clean completion: record this task's metrics.
-    fn complete(&mut self) {
-        let metrics = std::mem::take(&mut self.core.metrics);
-        self.result = Some(Ok(metrics));
-        self.phase = Phase::Done;
+    fn downs_open(&self) -> bool {
+        self.downs_open
     }
 
-    /// Failure path: tear the connection down so the peer fails fast.
-    fn fail(&mut self, e: RuntimeError) {
-        let _ = self.stream.shutdown(Shutdown::Both);
-        self.result = Some(Err(e));
-        self.phase = Phase::Done;
-    }
-
-    /// The interest set the worker should keep registered, or `None` when
-    /// the task wants no events. `None` means *deregister*: `EPOLLHUP` is
-    /// reported regardless of the mask, so leaving a dead-idle connection
-    /// registered would storm the level-triggered loop.
-    fn desired_interest(&self) -> Option<(bool, bool)> {
-        if self.phase == Phase::Done {
-            return None;
+    /// Writes as much buffered up traffic as the socket accepts.
+    fn flush(&mut self) -> Result<bool, RuntimeError> {
+        if self.send.is_empty() || !self.write_ready {
+            return Ok(false);
         }
-        let r = self.downs_open;
-        let w = !self.send.is_empty();
-        if r || w {
-            Some((r, w))
-        } else {
-            None
-        }
-    }
-}
-
-// ----------------------------------------------------- site worker pool
-
-/// Per-task outcome of a worker shard: `(global_index, result)`.
-type SiteResults<S> = Vec<(usize, Result<(S, Metrics), RuntimeError>)>;
-
-/// Makes one waker per site worker (`EPOLL_WORKERS`, fewer when there are
-/// fewer sites). The credit pools hold the wakers; [`run_site_pool`] gets
-/// the receive ends, one per worker.
-fn site_wakers(sites: usize) -> Result<(Wakers, Vec<WakeRx>), RuntimeError> {
-    let mut wakers = Vec::new();
-    let mut rxs = Vec::new();
-    for _ in 0..EPOLL_WORKERS.min(sites).max(1) {
-        let (waker, rx) =
-            wake_pair().map_err(|e| io_runtime_err("creating site worker waker", &e))?;
-        wakers.push(waker);
-        rxs.push(rx);
-    }
-    Ok((wakers.into(), rxs))
-}
-
-/// Runs `tasks` to completion on a pool of event-loop threads, one per
-/// waker in `wake_rxs`, returning `(global_index, result)` per task.
-/// Tasks are distributed round-robin, preserving a deterministic
-/// global→worker mapping.
-fn run_site_pool<S>(tasks: Vec<SiteTask<S>>, wake_rxs: Vec<WakeRx>) -> SiteResults<S>
-where
-    S: SiteNode + Send,
-    S::Up: FrameCodec + Send,
-    S::Down: FrameCodec,
-{
-    let workers = wake_rxs.len();
-    let mut shards: Vec<Vec<SiteTask<S>>> = (0..workers).map(|_| Vec::new()).collect();
-    for (i, t) in tasks.into_iter().enumerate() {
-        shards[i % workers].push(t);
-    }
-    thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .into_iter()
-            .zip(wake_rxs)
-            .map(|(shard, wake_rx)| scope.spawn(move || site_worker(shard, wake_rx)))
-            .collect();
-        let mut out = Vec::new();
-        for h in handles {
-            // The worker itself cannot panic (site panics are caught per
-            // step); a panic here loses its shard — the engine reports
-            // the missing sites as panicked.
-            if let Ok(results) = h.join() {
-                out.extend(results);
-            }
-        }
-        out
-    })
-}
-
-/// One event-loop thread: steps every task while progress is made, then
-/// blocks on the poller (with a short timeout — feed arrivals have no fd)
-/// and refreshes per-task readiness hints. Returning credits wakes it
-/// through `wake_rx`.
-fn site_worker<S>(mut tasks: Vec<SiteTask<S>>, mut wake_rx: WakeRx) -> SiteResults<S>
-where
-    S: SiteNode,
-    S::Up: FrameCodec + Send,
-    S::Down: FrameCodec,
-{
-    let poller = Poller::new().ok();
-    if let Some(p) = poller.as_ref() {
-        // A failed registration only costs parked tasks the poll timeout.
-        let _ = p.register(wake_rx.raw_fd(), WAKE_TOKEN, true, false);
-    }
-    let mut events: Vec<PollEvent> = Vec::new();
-    loop {
-        let mut progress = false;
-        let mut all_done = true;
-        for (i, t) in tasks.iter_mut().enumerate() {
-            if t.phase == Phase::Done && !t.registered {
-                continue;
-            }
-            if t.phase != Phase::Done {
-                all_done = false;
-                match catch_unwind(AssertUnwindSafe(|| t.step())) {
-                    Ok(Ok(p)) => progress |= p,
-                    Ok(Err(e)) => {
-                        t.fail(e);
-                        progress = true;
-                    }
-                    Err(_) => {
-                        t.fail(RuntimeError::SitePanicked(t.global));
-                        progress = true;
-                    }
+        match self.send.flush_to(&mut (&self.stream)) {
+            Ok(n) => {
+                if !self.send.is_empty() {
+                    self.write_ready = false;
                 }
+                Ok(n > 0)
             }
-            if let Some(p) = poller.as_ref() {
-                update_interest(t, p, i as u64);
-            }
-        }
-        if all_done {
-            break;
-        }
-        if progress {
-            continue;
-        }
-        match poller.as_ref() {
-            Some(p) => {
-                events.clear();
-                // Short timeout, not indefinite: item feeds are queue-fed
-                // (no fd), so a stalled feed must be re-polled promptly.
-                if p.wait(&mut events, 1).is_err() {
-                    // No readiness facts this round: optimistically re-arm
-                    // so the next pass retries I/O instead of wedging on
-                    // stale hints.
-                    rearm_all(&mut tasks);
-                    thread::sleep(Duration::from_micros(500));
-                }
-                for ev in &events {
-                    if ev.token == WAKE_TOKEN {
-                        wake_rx.drain();
-                        continue;
-                    }
-                    if let Some(t) = tasks.get_mut(ev.token as usize) {
-                        if ev.readable {
-                            t.read_ready = true;
-                        }
-                        if ev.writable {
-                            t.write_ready = true;
-                        }
-                        if ev.hangup {
-                            // Let the task's next read/write observe the
-                            // failure directly.
-                            t.read_ready = true;
-                            t.write_ready = true;
-                        }
-                    }
-                }
-            }
-            // No epoll instance (creation failed): degrade to a timed
-            // spin. The hints are normally re-armed only by poll events,
-            // so without a poller they must be forced back on each round —
-            // otherwise the first WouldBlock would clear them forever and
-            // the task would wedge with a full send buffer.
-            None => {
-                rearm_all(&mut tasks);
-                thread::sleep(Duration::from_micros(500));
-            }
+            Err(e) => Err(io_runtime_err(&format!("site {} up link", self.global), &e)),
         }
     }
-    tasks
-        .into_iter()
-        .map(|t| {
-            let res = match t.result {
-                Some(Ok(m)) => Ok((t.core.site, m)),
-                Some(Err(e)) => Err(e),
-                None => Err(RuntimeError::SitePanicked(t.global)),
-            };
-            (t.global, res)
-        })
-        .collect()
-}
 
-/// Forces every live task's readiness hints back on. Used when no poll
-/// facts are available this round (no poller at all, or a failed wait):
-/// the hints are otherwise re-armed only by poll events, so without this
-/// the timed spin would never retry I/O after a `WouldBlock`.
-fn rearm_all<S: SiteNode>(tasks: &mut [SiteTask<S>]) {
-    for t in tasks.iter_mut() {
-        if t.phase != Phase::Done {
-            t.read_ready = true;
-            t.write_ready = true;
-        }
+    fn backlogged(&self) -> bool {
+        self.send.over_cap()
     }
-}
 
-/// Reconciles a task's poller registration with its desired interest set.
-fn update_interest<S>(t: &mut SiteTask<S>, poller: &Poller, token: u64)
-where
-    S: SiteNode,
-    S::Up: FrameCodec + Send,
-    S::Down: FrameCodec,
-{
-    use std::os::fd::AsRawFd;
-    match t.desired_interest() {
-        None => {
-            if t.registered && poller.deregister(t.stream.as_raw_fd()).is_ok() {
-                t.registered = false;
-            }
+    fn close_up(&mut self) -> bool {
+        if !self.send.is_empty() {
+            return false;
         }
-        Some((r, w)) => {
-            if t.registered && (r, w) == (t.reg_read, t.reg_write) {
-                return;
-            }
-            let ok = if t.registered {
-                poller.modify(t.stream.as_raw_fd(), token, r, w).is_ok()
-            } else {
-                poller.register(t.stream.as_raw_fd(), token, r, w).is_ok()
-            };
-            if ok {
-                t.registered = true;
-                t.reg_read = r;
-                t.reg_write = w;
-            }
-        }
+        let _ = self.stream.shutdown(Shutdown::Write);
+        true
+    }
+
+    /// Registers read interest while the down link delivers and write
+    /// interest while bytes wait to go out; with neither (or `done`) the
+    /// socket is deregistered, since `EPOLLHUP` is reported regardless of
+    /// the mask and a dead-idle connection left registered would storm
+    /// the level-triggered loop.
+    fn watch(&mut self, poller: &Poller, token: u64, done: bool) {
+        let want =
+            Some((self.downs_open, !self.send.is_empty())).filter(|&(r, w)| !done && (r || w));
+        poller.reconcile(self.stream.as_raw_fd(), token, &mut self.registered, want);
+    }
+
+    /// A hang-up sets both hints, so the next read or write observes the
+    /// failure directly.
+    fn ready(&mut self, ev: &PollEvent) {
+        self.read_ready |= ev.readable || ev.hangup;
+        self.write_ready |= ev.writable || ev.hangup;
     }
 }
 
@@ -886,9 +382,8 @@ struct CoordConn {
     up_done: bool,
     /// Our write half is shut (clean close handshake or teardown).
     write_shut: bool,
-    registered: bool,
-    reg_read: bool,
-    reg_write: bool,
+    /// The `(read, write)` interest registered in the reactor's poller.
+    registered: Option<(bool, bool)>,
     dead: bool,
 }
 
@@ -915,9 +410,7 @@ impl CoordConn {
             tx,
             up_done: false,
             write_shut: false,
-            registered: false,
-            reg_read: false,
-            reg_write: false,
+            registered: None,
             dead: false,
         };
         (conn, down)
@@ -1058,7 +551,6 @@ fn coord_reactor<U: FrameCodec>(
     ups: Vec<UpLink<U>>,
     mut wake_rx: WakeRx,
 ) -> Result<(), RuntimeError> {
-    use std::os::fd::AsRawFd;
     let poller = Poller::new().map_err(|e| io_runtime_err("creating coordinator epoll", &e))?;
     poller
         .register(wake_rx.raw_fd(), WAKE_TOKEN, true, false)
@@ -1067,9 +559,7 @@ fn coord_reactor<U: FrameCodec>(
         poller
             .register(c.stream.as_raw_fd(), i as u64, true, false)
             .map_err(|e| io_runtime_err("registering site connection", &e))?;
-        c.registered = true;
-        c.reg_read = true;
-        c.reg_write = false;
+        c.registered = Some((true, false));
     }
     let mut live = conns.len();
     let mut events: Vec<PollEvent> = Vec::new();
@@ -1123,40 +613,16 @@ fn coord_reactor<U: FrameCodec>(
             if !c.write_shut && c.tx.down_work() {
                 flush_conn_downs(c);
             }
+            let fd = c.stream.as_raw_fd();
             if c.up_done && c.write_shut {
-                if c.registered {
-                    let _ = poller.deregister(c.stream.as_raw_fd());
-                }
-                c.registered = false;
+                poller.reconcile(fd, i as u64, &mut c.registered, None);
                 c.dead = true;
                 live -= 1;
                 continue;
             }
-            let want_r = !c.up_done;
             let want_w = !c.write_shut && c.tx.pending_hint.load(Ordering::Acquire) > 0;
-            if c.registered && (want_r, want_w) == (c.reg_read, c.reg_write) {
-                continue;
-            }
-            if !want_r && !want_w {
-                if c.registered && poller.deregister(c.stream.as_raw_fd()).is_ok() {
-                    c.registered = false;
-                }
-                continue;
-            }
-            let ok = if c.registered {
-                poller
-                    .modify(c.stream.as_raw_fd(), i as u64, want_r, want_w)
-                    .is_ok()
-            } else {
-                poller
-                    .register(c.stream.as_raw_fd(), i as u64, want_r, want_w)
-                    .is_ok()
-            };
-            if ok {
-                c.registered = true;
-                c.reg_read = want_r;
-                c.reg_write = want_w;
-            }
+            let want = Some((!c.up_done, want_w)).filter(|&(r, w)| r || w);
+            poller.reconcile(fd, i as u64, &mut c.registered, want);
         }
     }
     Ok(())
@@ -1264,20 +730,66 @@ fn wire_sites(
 
 // -------------------------------------------------------------- engine
 
+/// Binds a loopback listener for `what`.
+fn bind(what: &str) -> Result<(TcpListener, SocketAddr), RuntimeError> {
+    let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0))
+        .map_err(|e| io_runtime_err(&format!("bind {what} listener"), &e))?;
+    let addr = listener
+        .local_addr()
+        .map_err(|e| RuntimeError::Transport(e.to_string()))?;
+    Ok((listener, addr))
+}
+
+/// Connects `groups × k` site sockets and wraps each accepted end as a
+/// reactor connection reporting as member `global % k` into `UpLink`
+/// `global / k`. Returns the pool's site links (in global order), each
+/// coordinator's down senders, the connections, and the reactor's wake
+/// receiver.
+#[allow(clippy::type_complexity)]
+fn wire_links<D: FrameCodec + Send + 'static>(
+    groups: usize,
+    k: usize,
+) -> Result<
+    (
+        Vec<SockLink>,
+        Vec<Vec<Box<dyn DownSender<D>>>>,
+        Vec<CoordConn>,
+        WakeRx,
+    ),
+    RuntimeError,
+> {
+    let (listener, addr) = bind("site")?;
+    let (site_streams, coord_streams) = wire_sites(&listener, addr, groups * k)?;
+    let (waker, wake_rx) = wake_pair().map_err(|e| io_runtime_err("creating reactor waker", &e))?;
+    let mut conns = Vec::with_capacity(groups * k);
+    let mut downs: Vec<Vec<Box<dyn DownSender<D>>>> =
+        (0..groups).map(|_| Vec::with_capacity(k)).collect();
+    for (global, stream) in coord_streams.into_iter().enumerate() {
+        let (conn, down) = CoordConn::new(stream, global % k, global / k, &waker);
+        conns.push(conn);
+        downs[global / k].push(down);
+    }
+    let links = site_streams
+        .into_iter()
+        .enumerate()
+        .map(|(global, stream)| SockLink::new(global, stream))
+        .collect();
+    Ok((links, downs, conns, wake_rx))
+}
+
 /// Runs a full flat deployment on the event-driven engine: `k` site
-/// connections over loopback TCP, multiplexed onto `EPOLL_WORKERS`
-/// site event loops plus one coordinator reactor — thread count is O(1)
+/// connections over loopback TCP, their sites run as tasks on the site
+/// pool's workers, plus one coordinator reactor — thread count is O(1)
 /// in `k`, so k in the thousands runs on one box.
 ///
-/// Protocol behavior and [`Metrics`] accounting are identical to
+/// Protocol behavior and [`dwrs_sim::Metrics`] accounting are identical to
 /// [`crate::engine::run_threads`], and so is the meaning of
-/// `cfg.queue_capacity`: it bounds the batches between the sites and the
-/// coordinator, here counted as credits from encode to coordinator.
-/// `feeds[i]` is site `i`'s partition of the stream as a nonblocking
-/// [`ItemFeed`].
+/// `cfg.queue_capacity`: credits for the batches between the sites and
+/// the coordinator. `feeds[i]` is site `i`'s partition of the stream as a
+/// nonblocking [`ItemFeed`].
 pub fn run_epoll<S, C>(
     sites: Vec<S>,
-    mut coordinator: C,
+    coordinator: C,
     feeds: Vec<Box<dyn ItemFeed>>,
     cfg: &RuntimeConfig,
 ) -> Result<RunOutput<S, C>, RuntimeError>
@@ -1291,83 +803,26 @@ where
     assert!(k >= 1, "need at least one site");
     assert_eq!(feeds.len(), k, "one feed per site");
     let _ = raise_nofile_limit();
-
-    let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0))
-        .map_err(|e| io_runtime_err("bind loopback listener", &e))?;
-    let addr = listener
-        .local_addr()
-        .map_err(|e| RuntimeError::Transport(e.to_string()))?;
-    let (site_streams, coord_streams) = wire_sites(&listener, addr, k)?;
-
-    let (site_wakers, site_wake_rxs) = site_wakers(k)?;
-    let (up, up_rx) = UpLink::new(CreditPool::new(cfg.queue_capacity, site_wakers));
-    let (waker, wake_rx) = wake_pair().map_err(|e| io_runtime_err("creating reactor waker", &e))?;
-    let mut conns = Vec::with_capacity(k);
-    let mut downs = Vec::with_capacity(k);
-    for (site, stream) in coord_streams.into_iter().enumerate() {
-        let (conn, down) = CoordConn::new::<S::Down>(stream, site, 0, &waker);
-        conns.push(conn);
-        downs.push(down);
-    }
+    let (links, mut downs, conns, wake_rx) = wire_links::<S::Down>(1, k)?;
+    let pool = Pool::new(k)?;
+    let (up, up_rx) = UpLink::new(pool.credits(cfg.queue_capacity));
+    let downs = downs.pop().expect("one group");
     let coord_ep = CoordEndpoint { up: up_rx, downs };
-    let tasks: Vec<SiteTask<S>> = sites
-        .into_iter()
-        .zip(site_streams)
-        .zip(feeds)
-        .enumerate()
-        .map(|(i, ((site, stream), feed))| {
-            let core = SiteCore::new(site, cfg);
-            SiteTask::new(i, core, feed, stream, Arc::clone(&up.credits))
-        })
-        .collect();
-
-    let (reactor_res, coord_res, site_res) = thread::scope(|scope| {
-        let reactor = scope.spawn(move || coord_reactor::<S::Up>(conns, vec![up], wake_rx));
-        let coord = scope.spawn(|| {
-            let metrics = coordinator_loop(&mut coordinator, coord_ep)?;
-            Ok::<_, RuntimeError>(metrics)
-        });
-        let site_res = run_site_pool(tasks, site_wake_rxs);
-        (reactor.join(), coord.join(), site_res)
-    });
-
-    // Deterministic error priority, matching run_threads: panicking site
-    // by index, then the coordinator, then reactor/site transport errors.
-    let mut slots: Vec<Option<Result<(S, Metrics), RuntimeError>>> = (0..k).map(|_| None).collect();
-    for (global, res) in site_res {
-        slots[global] = Some(res);
-    }
-    for (i, slot) in slots.iter().enumerate() {
-        if matches!(slot, None | Some(Err(RuntimeError::SitePanicked(_)))) {
-            return Err(RuntimeError::SitePanicked(i));
-        }
-    }
-    let coord_metrics = coord_res.map_err(|_| RuntimeError::CoordinatorPanicked)??;
-    reactor_res.map_err(|_| RuntimeError::Transport("coordinator reactor panicked".into()))??;
-    let mut metrics = coord_metrics;
-    let mut final_sites = Vec::with_capacity(k);
-    for slot in slots {
-        let (site, site_metrics) = slot.expect("checked above")?;
-        metrics.merge(&site_metrics);
-        final_sites.push(site);
-    }
-    Ok(RunOutput {
-        sites: final_sites,
-        coordinator,
-        metrics,
-    })
+    let tasks = pool.tasks(0, sites, links, feeds, &up.credits, cfg);
+    let reactor = move || coord_reactor::<S::Up>(conns, vec![up], wake_rx);
+    run_flat(pool, tasks, coordinator, coord_ep, Some(reactor))
 }
 
 /// Runs a two-level fan-in tree on the event-driven engine: all `g·k`
 /// site connections share one listener and one coordinator-side reactor
-/// (HELLO ids are global, `gi·k + i`), the site protocol steps run on the
-/// `EPOLL_WORKERS` loop pool, and each group's aggregator takes frames
-/// off its own handoff while the group's sites draw on its own credit
-/// pool (`queue_capacity` batches), so the reactor never waits on a slow
-/// aggregator. The aggregator→root hop stays
-/// on the blocking socket halves of [`crate::tcp`] (one reader thread per
-/// link), since `g` links is a fan-in a thread per link handles fine; its
-/// [`SyncMsg`] frames cross real sockets like every site frame.
+/// (HELLO ids are global, `gi·k + i`), the sites run as tasks on the
+/// site pool, and each group's aggregator takes frames off its own
+/// handoff while the group's sites draw on its own credit pool
+/// (`queue_capacity` batches), so the reactor never waits on a slow
+/// aggregator. The aggregator→root hop stays on the blocking socket
+/// halves of [`crate::tcp`] (one reader thread per link), since `g` links
+/// is a fan-in a thread per link handles fine; its [`SyncMsg`] frames
+/// cross real sockets like every site frame.
 ///
 /// Semantics (shutdown ordering, sync cadence, metrics accounting, error
 /// priority) match [`crate::tree::run_tree_nodes`] on the threads
@@ -1386,52 +841,15 @@ where
     S: SiteNode + Send,
     S::Up: FrameCodec + Send + 'static,
     S::Down: FrameCodec + Send + 'static,
-    A: CoordinatorNode<Up = S::Up, Down = S::Down> + SampleSource + Send,
+    A: CoordinatorNode<Up = S::Up, Down = S::Down> + crate::tree::SampleSource + Send,
 {
     let (g, k) = (topo.groups, topo.k_per_group);
     assert!(g >= 1 && k >= 1, "need at least one site per group");
     assert_eq!(feeds.len(), g, "one feed block per group");
     check_sync_fits_frame(s)?;
     let _ = raise_nofile_limit();
-
-    let bind = |what: &str| -> Result<(TcpListener, SocketAddr), RuntimeError> {
-        let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0))
-            .map_err(|e| io_runtime_err(&format!("bind {what} listener"), &e))?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| RuntimeError::Transport(e.to_string()))?;
-        Ok((listener, addr))
-    };
-    let (site_listener, site_addr) = bind("site")?;
-    let (site_streams, coord_streams) = wire_sites(&site_listener, site_addr, g * k)?;
-
-    // One credit pool and handoff per aggregator, matching the threads
-    // tree's per-group channel bound; one reactor (and one waker)
-    // multiplexing every group's connections.
-    let (site_wakers, site_wake_rxs) = site_wakers(g * k)?;
-    let (waker, wake_rx) = wake_pair().map_err(|e| io_runtime_err("creating reactor waker", &e))?;
-    let mut ups: Vec<UpLink<S::Up>> = Vec::with_capacity(g);
-    let mut up_rxs = Vec::with_capacity(g);
-    for _ in 0..g {
-        let credits = CreditPool::new(cfg.queue_capacity, Arc::clone(&site_wakers));
-        let (up, rx) = UpLink::new(credits);
-        ups.push(up);
-        up_rxs.push(rx);
-    }
-    let mut conns = Vec::with_capacity(g * k);
-    let mut group_downs: Vec<Vec<Box<dyn DownSender<S::Down>>>> =
-        (0..g).map(|_| Vec::with_capacity(k)).collect();
-    for (global, stream) in coord_streams.into_iter().enumerate() {
-        let (gi, i) = (global / k, global % k);
-        let (conn, down) = CoordConn::new(stream, i, gi, &waker);
-        conns.push(conn);
-        group_downs[gi].push(down);
-    }
-    let agg_eps: Vec<CoordEndpoint<S::Up, S::Down>> = up_rxs
-        .into_iter()
-        .zip(group_downs)
-        .map(|(up, downs)| CoordEndpoint { up, downs })
-        .collect();
+    let (links, downs, conns, wake_rx) = wire_links::<S::Down>(g, k)?;
+    let pool = Pool::new(g * k)?;
 
     let (root_listener, root_addr) = bind("root")?;
     let mut root_links = Vec::with_capacity(g);
@@ -1442,84 +860,42 @@ where
     }
     let root_ep = accept_sites::<SyncMsg, NoDown>(&root_listener, g, cfg.queue_capacity)?;
 
+    // One credit pool and handoff per aggregator, matching the threads
+    // tree's per-group bound; one reactor (and one waker) multiplexing
+    // every group's connections.
+    let mut ups = Vec::with_capacity(g);
+    let mut groups = Vec::with_capacity(g);
     let mut tasks = Vec::with_capacity(g * k);
-    let mut site_iter = site_streams.into_iter();
-    for (gi, group_feeds) in feeds.into_iter().enumerate() {
+    let mut links = links.into_iter();
+    let wiring = feeds.into_iter().zip(downs).zip(root_links);
+    for (gi, ((group_feeds, downs), root_link)) in wiring.enumerate() {
         assert_eq!(group_feeds.len(), k, "one feed per site");
-        for (i, feed) in group_feeds.into_iter().enumerate() {
-            let stream = site_iter.next().expect("wire_sites returned g*k streams");
-            let (global, credits) = (gi * k + i, Arc::clone(&ups[gi].credits));
-            let core = SiteCore::new(mk_site(gi, i), cfg);
-            tasks.push(SiteTask::new(global, core, feed, stream, credits));
-        }
+        let (up, up_rx) = UpLink::new(pool.credits(cfg.queue_capacity));
+        let sites = (0..k).map(|i| mk_site(gi, i));
+        let group_links = links.by_ref().take(k);
+        tasks.extend(pool.tasks(gi * k, sites, group_links, group_feeds, &up.credits, cfg));
+        let agg_ep = CoordEndpoint { up: up_rx, downs };
+        groups.push((mk_aggregator(gi), agg_ep, root_link));
+        ups.push(up);
     }
-
-    type AggRes = Result<(Metrics, GroupStats), RuntimeError>;
-    let (reactor_res, agg_res, root_res, site_res) = thread::scope(|scope| {
-        let reactor = scope.spawn(move || coord_reactor::<S::Up>(conns, ups, wake_rx));
-        let mut agg_handles: Vec<thread::ScopedJoinHandle<'_, AggRes>> = Vec::with_capacity(g);
-        for (gi, (coord_ep, root_link)) in agg_eps.into_iter().zip(root_links).enumerate() {
-            let mut aggregator = mk_aggregator(gi);
-            let sync_every = topo.sync_every;
-            agg_handles.push(scope.spawn(move || {
-                aggregator_loop(&mut aggregator, coord_ep, root_link, gi, sync_every)
-            }));
-        }
-        let root = scope.spawn(move || root_loop(root_ep));
-        let site_res = run_site_pool(tasks, site_wake_rxs);
-        let agg_res: Vec<_> = agg_handles.into_iter().map(|h| h.join()).collect();
-        (reactor.join(), agg_res, root.join(), site_res)
-    });
-
-    // Deterministic error priority, matching the threads tree: panicking sites
-    // by global index, then aggregators, then the root; then the reactor
-    // (an FdExhausted there is the root cause of any downstream faults),
-    // then transport errors tier by tier.
-    let mut slots: Vec<Option<Result<(S, Metrics), RuntimeError>>> =
-        (0..g * k).map(|_| None).collect();
-    for (global, res) in site_res {
-        slots[global] = Some(res);
-    }
-    for (i, slot) in slots.iter().enumerate() {
-        if matches!(slot, None | Some(Err(RuntimeError::SitePanicked(_)))) {
-            return Err(RuntimeError::SitePanicked(i));
-        }
-    }
-    for (gi, res) in agg_res.iter().enumerate() {
-        if res.is_err() {
-            return Err(RuntimeError::AggregatorPanicked(gi));
-        }
-    }
-    let root_out = root_res.map_err(|_| RuntimeError::RootPanicked)?;
-    reactor_res.map_err(|_| RuntimeError::Transport("tree reactor panicked".into()))??;
-
-    let mut metrics = Metrics::new();
-    for slot in slots {
-        let (_site, site_metrics) = slot.expect("checked above")?;
-        metrics.merge(&site_metrics);
-    }
-    let mut group_stats = Vec::with_capacity(g);
-    for res in agg_res {
-        let (agg_metrics, stats) = res.expect("panics handled above")?;
-        metrics.merge(&agg_metrics);
-        group_stats.push(stats);
-    }
-    let (group_samples, sync_log) = root_out?;
-    let parts: Vec<&[Keyed]> = group_samples.iter().map(Vec::as_slice).collect();
-    let root_sample = merge_samples(&parts, s);
-    Ok(TreeOutput {
-        root_sample,
-        group_samples,
-        metrics,
-        group_stats,
-        sync_log,
-    })
+    let reactor = move || coord_reactor::<S::Up>(conns, ups, wake_rx);
+    run_tree_pool(
+        s,
+        topo.sync_every,
+        pool,
+        tasks,
+        groups,
+        root_ep,
+        Some(reactor),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Feed, VecFeed};
     use dwrs_core::swor::wire::WireError;
+    use dwrs_core::Item;
     use dwrs_sim::{Meter, Outbox};
     use std::time::Instant;
 
@@ -1772,15 +1148,23 @@ mod tests {
     #[test]
     fn feed_pending_is_not_end_of_stream() {
         // A feed that interleaves Pending between frames must stall the
-        // task, not terminate it: every item still arrives, in order.
+        // task, not terminate it: every item still arrives, in order. A
+        // worker parks with no timeout, so the feed keeps the waker it is
+        // handed and wakes it once its next frame is ready — here at
+        // once, from the poll that returns Pending.
         struct Stutter {
             frames: Vec<Vec<Item>>,
             gap: bool,
+            waker: Option<std::task::Waker>,
         }
         impl ItemFeed for Stutter {
             fn poll(&mut self) -> Feed {
                 if self.gap {
                     self.gap = false;
+                    self.waker
+                        .as_ref()
+                        .expect("set before polling")
+                        .wake_by_ref();
                     return Feed::Pending;
                 }
                 match self.frames.pop() {
@@ -1791,12 +1175,20 @@ mod tests {
                     None => Feed::Done,
                 }
             }
+            fn set_waker(&mut self, waker: &std::task::Waker) {
+                self.waker = Some(waker.clone());
+            }
         }
         let frames = (0..10u64)
             .rev()
             .map(|f| (0..10).map(|i| Item::unit(f * 10 + i)).collect())
             .collect();
-        let feeds = vec![Box::new(Stutter { frames, gap: false }) as Box<dyn ItemFeed>];
+        let stutter = Stutter {
+            frames,
+            gap: false,
+            waker: None,
+        };
+        let feeds = vec![Box::new(stutter) as Box<dyn ItemFeed>];
         let out = run_epoll(
             echo_sites(1),
             EchoCoord { received: 0 },
@@ -1878,7 +1270,7 @@ mod tests {
         let conn = |site| CoordConn::new::<Down>(listener.accept().unwrap().0, site, 0, &waker);
         let ((mut a, _down_a), (mut b, _down_b)) = (conn(0), conn(1));
         let pool = CreditPool::new(4, Vec::new().into());
-        let in_flight = || pool.in_flight.load(Ordering::Acquire);
+        let in_flight = || pool.in_flight();
         let (up, rx) = UpLink::new(Arc::clone(&pool));
         let ups = [up];
 
@@ -1908,10 +1300,7 @@ mod tests {
         );
         assert!(matches!(rx.try_recv(), Some((1, UpFrame::Fault(_)))));
         assert_eq!(in_flight(), 1);
-        assert!(
-            !pool.open.load(Ordering::Acquire),
-            "a fault closes the pool"
-        );
+        assert!(!pool.is_open(), "a fault closes the pool");
 
         // A coordinator that stops taking frames stops its pool gating.
         let pool = CreditPool::new(1, Vec::new().into());
@@ -1953,7 +1342,7 @@ mod tests {
         pool.put();
         pool.put();
         assert!(!woken(), "one wake per fall to half the bound");
-        assert_eq!(pool.in_flight.load(Ordering::Acquire), 0, "saturates at 0");
+        assert_eq!(pool.in_flight(), 0, "saturates at 0");
 
         for _ in 0..4 {
             pool.take();

@@ -1,12 +1,15 @@
 //! # dwrs-runtime
 //!
 //! A concurrent execution substrate for the PODS'19 site/coordinator
-//! protocols: `k` sites and one coordinator run concurrently, either as
-//! OS threads connected by in-process bounded channels ([`run_threads`])
-//! or over loopback TCP with every connection multiplexed onto a few
-//! event loops ([`run_epoll`]), the frames encoded by the data-plane
-//! codec in [`tcp`] over the `swor::wire` payloads. Multi-process
-//! deployments attach their sites to a long-lived [`daemon`].
+//! protocols: `k` sites and one coordinator run concurrently. Both
+//! engines run the sites as tasks on one fixed pool of worker threads
+//! (the site scheduler in [`engine`]), whatever `k` is, and the
+//! coordinator on a thread of its own; they differ only in the sites'
+//! link to it: in-process channels ([`run_threads`]) or loopback TCP
+//! served by one reactor thread ([`run_epoll`]), the frames encoded by
+//! the data-plane codec in [`tcp`] over the `swor::wire` payloads.
+//! Multi-process deployments attach their sites to a long-lived
+//! [`daemon`].
 //!
 //! Any [`dwrs_sim::SiteNode`] / [`dwrs_sim::CoordinatorNode`] pair runs
 //! unmodified; the lockstep simulator remains the specification substrate,
@@ -15,16 +18,17 @@
 //! * **per-site upstream batching** with a configurable flush threshold
 //!   ([`RuntimeConfig::batch_max`]);
 //! * **bounded backpressure** on the up path
-//!   ([`RuntimeConfig::queue_capacity`] batches: the channel bound on
-//!   threads, credits from encode to coordinator on epoll) with an
-//!   unbounded, eagerly drained down path — the combination that makes
-//!   the bounded up path deadlock-free (see [`engine`]);
+//!   ([`RuntimeConfig::queue_capacity`] batches, counted as credits from
+//!   a site's send until the coordinator takes the batch, on both
+//!   engines) with an unbounded, eagerly drained down path — the
+//!   combination that makes the bounded up path deadlock-free without a
+//!   worker ever blocking on one site (see [`engine`]);
 //! * **deterministic graceful shutdown**: flush → `Eof` → coordinator
-//!   drain → down-link close → final sample extraction, with per-thread
+//!   drain → down-link close → final sample extraction, with per-site
 //!   [`dwrs_sim::Metrics`] merged into totals that follow the paper's
 //!   accounting exactly as the lockstep runner's do;
-//! * **panic-safe joins**: a crashing site or coordinator thread surfaces
-//!   as a [`RuntimeError`] instead of a hang.
+//! * **panic-safe joins**: a crashing site (caught per task step) or
+//!   coordinator thread surfaces as a [`RuntimeError`] instead of a hang.
 //!
 //! The concurrent engines are *not* round-synchronous: sites apply
 //! coordinator broadcasts whenever they arrive, i.e. they run in the
@@ -99,8 +103,8 @@ pub use daemon::{AttachClient, CtrlClient, Daemon, DaemonConfig, RetryPolicy};
 pub use driver::{
     run_scenario, DispatcherStats, EngineKind, RunReport, Scenario, ShardSource, Topology, Workload,
 };
-pub use engine::{run_threads, RunOutput, RuntimeError};
-pub use epoll::{run_epoll, run_tree_epoll, Feed, ItemFeed, VecFeed};
+pub use engine::{run_threads, Feed, ItemFeed, RunOutput, RuntimeError, VecFeed};
+pub use epoll::{run_epoll, run_tree_epoll};
 pub use query::{Query, QueryAnswer};
 pub use reactor::raise_nofile_limit;
 pub use transport::{

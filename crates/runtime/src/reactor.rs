@@ -1,6 +1,7 @@
-//! Readiness-driven I/O primitives for the event-driven engine.
+//! Readiness-driven I/O primitives for the site pool and the epoll engine.
 //!
-//! This module is the bottom layer of the `epoll` engine ([`crate::epoll`]):
+//! This module is the bottom layer of the site scheduler
+//! ([`crate::engine`]) and of the `epoll` engine ([`crate::epoll`]):
 //! a thin wrapper over the kernel's `epoll` facility plus the two buffer
 //! types every registered connection carries. Nothing here knows about the
 //! sampling protocols — it only moves bytes and frames:
@@ -11,7 +12,7 @@
 //!   runtime). The epoll descriptor is an [`OwnedFd`], so it closes on drop.
 //! * `Waker` — cross-thread wakeup for a blocked `epoll_wait`, built on a
 //!   [`UnixStream`] pair instead of `eventfd` to keep the FFI surface
-//!   minimal.
+//!   minimal; also a [`std::task::Waker`], the form item feeds are handed.
 //! * `RecvBuf` — partial-frame reassembly with `FramedReader` semantics:
 //!   the same `[u32 len][payload]` framing, the same `MAX_FRAME_LEN` guard
 //!   *before* buffering a payload, and mid-frame EOF detectable by the
@@ -186,6 +187,30 @@ impl Poller {
         Ok(())
     }
 
+    /// Brings `fd`'s registration from `registered` to `want`, a
+    /// `(readable, writable)` interest set or `None` for none at all.
+    /// `registered` records what the poller holds, so a failed call is
+    /// retried the next time.
+    pub fn reconcile(
+        &self,
+        fd: RawFd,
+        token: u64,
+        registered: &mut Option<(bool, bool)>,
+        want: Option<(bool, bool)>,
+    ) {
+        if *registered == want {
+            return;
+        }
+        let done = match want {
+            None => self.deregister(fd),
+            Some((r, w)) if registered.is_some() => self.modify(fd, token, r, w),
+            Some((r, w)) => self.register(fd, token, r, w),
+        };
+        if done.is_ok() {
+            *registered = want;
+        }
+    }
+
     /// Blocks up to `timeout_ms` (`-1` = indefinitely) and appends ready
     /// events to `out`. Returns how many fired. `EINTR` reads as zero
     /// events rather than an error, so callers need no retry loop.
@@ -266,6 +291,18 @@ impl Waker {
         }
         // A full pipe already guarantees a pending wakeup; ignore errors.
         let _ = (&self.tx).write(&[1u8]);
+    }
+}
+
+/// The same wake as a [`std::task::Waker`], the form an
+/// [`crate::ItemFeed`] is handed.
+impl std::task::Wake for Waker {
+    fn wake(self: Arc<Self>) {
+        Waker::wake(&self);
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        Waker::wake(self);
     }
 }
 

@@ -1,22 +1,27 @@
 //! The pluggable transport abstraction.
 //!
-//! A deployment is `k` site endpoints plus one coordinator endpoint. Only
-//! the *sending* halves differ between transports (an in-process channel
-//! sender, a framed socket writer, or a reactor connection's send
-//! buffer), so those are trait objects; the receiving halves are always
-//! `std::sync::mpsc` receivers — the socket transports bridge sockets
-//! onto channels, through the epoll engine's reactor or the blocking
-//! reader threads of [`crate::tcp`].
+//! A deployment is `k` site links plus one coordinator endpoint. The
+//! coordinator's receiving half is always a `std::sync::mpsc` receiver
+//! (the epoll engine's reactor bridges its sockets onto one); its down
+//! senders are trait objects ([`DownSender`]: an in-process channel, a
+//! reactor connection's send buffer, or a framed socket writer). Site
+//! tasks reach their coordinator through the site scheduler's
+//! `SiteLink`: `channel_links` wires the threads engine's, the epoll
+//! engine wires sockets. The blocking [`SiteEndpoint`] halves remain for
+//! the tree's aggregator→root hop and the daemon's attach client.
 //!
 //! Queue discipline (the deadlock-freedom invariant, see `crate::engine`):
-//! the site→coordinator path is **bounded** (blocking `send` = backpressure,
-//! or on epoll credits that the coordinator returns as it takes each
-//! batch) while the coordinator→site path is **unbounded** and eagerly
-//! drained.
+//! the site→coordinator path is **bounded** by credits that the
+//! coordinator returns as it takes each batch (the root hop: a bounded
+//! channel whose `send` blocks), while the coordinator→site path is
+//! **unbounded** and eagerly drained.
 
 use std::sync::{mpsc, Arc};
 
-use crate::epoll::CreditPool;
+use dwrs_sim::SiteNode;
+
+use crate::engine::{CreditPool, Pool, RuntimeError, SiteLink};
+use crate::reactor::Waker;
 
 /// One site→coordinator transport frame.
 #[derive(Clone, Debug, PartialEq)]
@@ -65,10 +70,12 @@ impl From<std::io::Error> for TransportError {
     }
 }
 
-/// Site-side sending half of the up path. `send` blocks when the bounded
-/// queue is full — that is the backpressure mechanism.
+/// Site-side sending half of the up path. On a blocking link (the tree's
+/// root hop, the daemon's attach client) `send` blocks while the bounded
+/// queue or the socket is full — that is the backpressure; a pooled
+/// site's link never blocks, and credits bound it instead.
 pub trait BatchSender<U>: Send {
-    /// Ships one frame; blocks under backpressure.
+    /// Ships one frame; a blocking link blocks under backpressure.
     fn send(&mut self, frame: UpFrame<U>) -> Result<(), TransportError>;
 
     /// Ships the accumulated batch, draining `batch` in place.
@@ -163,9 +170,10 @@ impl<U, D> std::fmt::Debug for CoordEndpoint<U, D> {
     }
 }
 
-/// The coordinator's end of the up path. On epoll the queue is unbounded
-/// and the sites' credit pool is the bound, so taking a BATCH frame off
-/// it is what returns the frame's credit; every other wiring has no pool.
+/// The coordinator's end of the up path. Under the site pool the queue
+/// is unbounded and the sites' credit pool is the bound, so taking a
+/// BATCH frame off it is what returns the frame's credit; the blocking
+/// wirings (the tree's root hop) have no pool.
 pub(crate) struct UpRx<U> {
     rx: mpsc::Receiver<(usize, UpFrame<U>)>,
     credits: Option<Arc<CreditPool>>,
@@ -231,37 +239,140 @@ impl<U: Send> BatchSender<U> for ChannelBatchSender<U> {
     }
 }
 
-impl<U> std::fmt::Debug for ChannelBatchSender<U> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ChannelBatchSender(site {})", self.site)
-    }
-}
-
 /// Down sender over a per-site unbounded channel.
 struct ChannelDownSender<D> {
     tx: Option<mpsc::Sender<D>>,
+    /// The worker a pooled site runs on, woken by every send and by the
+    /// close; none on the tree's root links, whose aggregators block on
+    /// their receivers.
+    waker: Option<Arc<Waker>>,
+}
+
+impl<D> ChannelDownSender<D> {
+    fn wake(&self) {
+        if let Some(w) = &self.waker {
+            w.wake();
+        }
+    }
 }
 
 impl<D: Clone + Send> DownSender<D> for ChannelDownSender<D> {
     fn send(&mut self, msg: &D) -> Result<(), TransportError> {
-        match &self.tx {
+        let sent = match &self.tx {
             Some(tx) => tx.send(msg.clone()).map_err(|_| TransportError::Closed),
             None => Err(TransportError::Closed),
-        }
+        };
+        self.wake();
+        sent
     }
     fn close(&mut self) {
         self.tx = None;
+        self.wake();
     }
 }
 
-impl<D> std::fmt::Debug for ChannelDownSender<D> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ChannelDownSender")
+/// A close is an event a draining site waits on, so dropping the sender
+/// closes and wakes too: a coordinator may die without calling `close`
+/// (a panic unwinding its loop).
+impl<D> Drop for ChannelDownSender<D> {
+    fn drop(&mut self) {
+        self.tx = None;
+        self.wake();
     }
 }
 
-/// Builds a fully in-process deployment: one bounded up channel shared by
-/// all sites, one unbounded down channel per site.
+/// A pooled site's in-process link to its coordinator: an unbounded up
+/// channel, bounded by the site's credits, and an unbounded down channel
+/// whose sender wakes the site's worker.
+pub(crate) struct ChanLink<U, D> {
+    /// Site id within its coordinator's deployment.
+    site: usize,
+    up: Option<mpsc::Sender<(usize, UpFrame<U>)>>,
+    down: mpsc::Receiver<D>,
+    downs_open: bool,
+}
+
+impl<U: Send, D: Send> BatchSender<U> for ChanLink<U, D> {
+    fn send(&mut self, frame: UpFrame<U>) -> Result<(), TransportError> {
+        match &self.up {
+            Some(tx) => tx
+                .send((self.site, frame))
+                .map_err(|_| TransportError::Closed),
+            None => Err(TransportError::Closed),
+        }
+    }
+
+    fn abort(&mut self) {
+        self.up = None;
+    }
+}
+
+impl<S> SiteLink<S> for ChanLink<S::Up, S::Down>
+where
+    S: SiteNode,
+    S::Up: Send,
+    S::Down: Send,
+{
+    fn drain_downs(&mut self, site: &mut S, _force: bool) -> Result<bool, RuntimeError> {
+        let mut progress = false;
+        while self.downs_open {
+            match self.down.try_recv() {
+                Ok(msg) => site.receive(&msg),
+                Err(mpsc::TryRecvError::Empty) => break,
+                Err(mpsc::TryRecvError::Disconnected) => self.downs_open = false,
+            }
+            progress = true;
+        }
+        Ok(progress)
+    }
+
+    fn downs_open(&self) -> bool {
+        self.downs_open
+    }
+
+    fn close_up(&mut self) -> bool {
+        self.up = None;
+        true
+    }
+}
+
+/// Wires sites `first..first + k` of `pool` to one coordinator over
+/// in-process channels: each BATCH frame takes a credit from `credits`,
+/// returned as the coordinator takes the frame, and each down send or
+/// close wakes the receiving site's worker.
+pub(crate) fn channel_links<U, D>(
+    pool: &Pool,
+    first: usize,
+    k: usize,
+    credits: &Arc<CreditPool>,
+) -> (Vec<ChanLink<U, D>>, CoordEndpoint<U, D>)
+where
+    U: Send + 'static,
+    D: Clone + Send + 'static,
+{
+    let (up_tx, up_rx) = mpsc::channel();
+    let mut links = Vec::with_capacity(k);
+    let mut downs: Vec<Box<dyn DownSender<D>>> = Vec::with_capacity(k);
+    for site in 0..k {
+        let (down_tx, down_rx) = mpsc::channel();
+        links.push(ChanLink {
+            site,
+            up: Some(up_tx.clone()),
+            down: down_rx,
+            downs_open: true,
+        });
+        downs.push(Box::new(ChannelDownSender {
+            tx: Some(down_tx),
+            waker: Some(Arc::clone(pool.waker(first + site))),
+        }));
+    }
+    let up = UpRx::with_credits(up_rx, Arc::clone(credits));
+    (links, CoordEndpoint { up, downs })
+}
+
+/// Builds a fully in-process blocking deployment: one bounded up channel
+/// shared by all senders, one unbounded down channel per sender. The
+/// threads tree's aggregator→root hop runs on it.
 pub fn channel_wiring<U, D>(
     k: usize,
     queue_capacity: usize,
@@ -284,7 +395,10 @@ where
             }),
             down_rx,
         ));
-        downs.push(Box::new(ChannelDownSender { tx: Some(down_tx) }));
+        downs.push(Box::new(ChannelDownSender {
+            tx: Some(down_tx),
+            waker: None,
+        }));
     }
     drop(up_tx);
     (sites, CoordEndpoint::new(up_rx, downs))

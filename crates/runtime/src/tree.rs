@@ -19,31 +19,37 @@
 //! threads or the epoll substrate:
 //!
 //! ```text
-//!   group 0: site threads ──►┐
-//!                            ├─► aggregator 0 ──┐  SyncMsg every
-//!   group 1: site threads ──►┤                  │  `sync_every` items
-//!                            ├─► aggregator 1 ──┼─► root merger
-//!        ...                 │       ...        │   (merge_samples)
-//!   group g-1: sites ...   ──┴─► aggregator g-1─┘
+//!   group 0: site tasks ──►┐
+//!                          ├─► aggregator 0 ──┐  SyncMsg every
+//!   group 1: site tasks ──►┤                  │  `sync_every` items
+//!                          ├─► aggregator 1 ──┼─► root merger
+//!        ...               │       ...        │   (merge_samples)
+//!   group g-1: sites ... ──┴─► aggregator g-1─┘
+//!
+//!   every group's sites      one thread per      one thread
+//!   share the site pool      aggregator
 //! ```
 //!
 //! Both hops reuse the existing transport layer, and the aggregator→root
 //! hop is *the same up-path abstraction* as a site link, instantiated at
-//! `U = SyncMsg`. On threads, both hops are bounded in-process
-//! [`crate::transport`] channels. On epoll, site links are reactor
-//! connections, and the `g` root links are the blocking socket halves of
-//! [`crate::tcp`]; the `HELLO` handshake, batch framing, fault frames and
-//! backpressure discipline all carry over unchanged.
+//! `U = SyncMsg`. The sites of every group are tasks on the one site pool
+//! both engines share ([`crate::engine`]), over credit-bound in-process
+//! channels on threads and reactor connections on epoll. The `g` root
+//! links are blocking: bounded in-process [`crate::transport`] channels
+//! on threads, the socket halves of [`crate::tcp`] on epoll; the `HELLO`
+//! handshake, batch framing, fault frames and backpressure discipline
+//! all carry over unchanged.
 //!
 //! # Deadlock freedom across two hops
 //!
-//! The invariant of the flat engine generalizes tier-wise. Site→aggregator
-//! and aggregator→root queues are bounded (blocking sends = backpressure);
-//! every down path is unbounded and eagerly drained. The root never sends,
-//! so it always returns to draining its queue; hence a blocked
-//! aggregator→root send always unblocks, hence the aggregator always
-//! returns to draining its site queue, hence blocked site sends always
-//! unblock. No cycle of blocking sends can form.
+//! The invariant of the flat engine generalizes tier-wise. The
+//! site→aggregator path is bounded by each group's credits (a site task
+//! stops pulling input, never blocks its worker) and the aggregator→root
+//! queue by blocking sends; every down path is unbounded and eagerly
+//! drained. The root never sends, so it always returns to draining its
+//! queue; hence a blocked aggregator→root send always unblocks, hence the
+//! aggregator always returns to taking its sites' frames, hence their
+//! credits always come back. No cycle of waits can form.
 //!
 //! # Shutdown ordering
 //!
@@ -59,14 +65,13 @@
 //! # Bounded staleness
 //!
 //! An aggregator syncs as soon as its item watermark (the per-frame counts
-//! shipped by the engine's site loop) has advanced `sync_every`
-//! items since the previous sync. Watermarks move in frame granularity, so
+//! each site task ships) has advanced `sync_every` items since the
+//! previous sync. Watermarks move in frame granularity, so
 //! the lag at a sync trigger is bounded by `sync_every - 1` plus the item
 //! window of the frame that crossed the threshold — recorded per group in
 //! [`GroupStats`] and asserted by the tree equivalence suite. After
 //! shutdown the root is exact: the final sync covers every item.
 
-use std::sync::mpsc;
 use std::thread;
 
 use dwrs_core::merge::merge_samples;
@@ -76,8 +81,13 @@ use dwrs_sim::{CoordinatorNode, Meter, Metrics, NoDown, Outbox, SiteNode};
 
 use crate::config::RuntimeConfig;
 use crate::driver::EngineKind;
-use crate::engine::{route, site_loop, RuntimeError};
-use crate::transport::{channel_wiring, CoordEndpoint, SiteEndpoint, TransportError, UpFrame};
+use crate::engine::{
+    first_site_panic, join_serve, serve_sites, vec_feeds, ItemFeed, Pool, RuntimeError, SiteLink,
+    SiteTask,
+};
+use crate::transport::{
+    channel_links, channel_wiring, CoordEndpoint, SiteEndpoint, TransportError, UpFrame,
+};
 
 /// Shape of a two-level fan-in deployment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -257,10 +267,11 @@ fn sync_to_root<C: SampleSource>(
     })
 }
 
-/// Drives one group's aggregator: the flat coordinator loop (receive site
-/// batches, route broadcasts) plus the root-sync cadence and the
-/// final-sync/`Eof` shutdown handshake. Returns the aggregator's metrics
-/// (downstream routing + sync tier) and its [`GroupStats`].
+/// Drives one group's aggregator: the coordinators' loop
+/// ([`serve_sites`]: receive site batches, route broadcasts) plus the
+/// root-sync cadence and the final-sync/`Eof` shutdown handshake. Returns
+/// the aggregator's metrics (downstream routing + sync tier) and its
+/// [`GroupStats`].
 pub(crate) fn aggregator_loop<C>(
     node: &mut C,
     endpoint: CoordEndpoint<C::Up, C::Down>,
@@ -271,55 +282,25 @@ pub(crate) fn aggregator_loop<C>(
 where
     C: CoordinatorNode + SampleSource,
 {
-    let CoordEndpoint { up, mut downs } = endpoint;
-    let k = downs.len();
     let mut metrics = Metrics::new();
-    let mut outbox = Outbox::new();
     let mut stats = GroupStats::default();
     let mut pending = 0u64;
-    let mut done = 0usize;
-    let mut fault: Option<String> = None;
-    while done < k {
-        match up.recv() {
-            Ok((site, UpFrame::Batch { msgs, items })) => {
-                for msg in msgs {
-                    node.receive(site, msg, &mut outbox);
-                    route(&mut outbox, &mut downs, &mut metrics);
-                }
-                pending += items;
-                stats.items += items;
-                stats.max_frame_items = stats.max_frame_items.max(items);
-                if pending >= sync_every {
-                    stats.max_unsynced = stats.max_unsynced.max(pending);
-                    let window = std::mem::take(&mut pending);
-                    sync_to_root(
-                        node,
-                        &mut *root.up,
-                        group,
-                        stats.items,
-                        window,
-                        &mut metrics,
-                    )?;
-                    stats.syncs += 1;
-                }
-            }
-            Ok((_, UpFrame::Eof)) => done += 1,
-            Ok((site, UpFrame::Fault(e))) => {
-                fault.get_or_insert(format!("group {group}, site {site}: {e}"));
-                done += 1;
-            }
-            // All site senders dropped before k Eofs: a site died without
-            // its Eof; the engine's joins surface the precise cause.
-            Err(mpsc::RecvError) => break,
+    let fault = serve_sites(node, endpoint, &mut metrics, |node, items, metrics| {
+        pending += items;
+        stats.items += items;
+        stats.max_frame_items = stats.max_frame_items.max(items);
+        if pending >= sync_every {
+            stats.max_unsynced = stats.max_unsynced.max(pending);
+            let window = std::mem::take(&mut pending);
+            sync_to_root(node, &mut *root.up, group, stats.items, window, metrics)?;
+            stats.syncs += 1;
         }
-    }
-    for d in &mut downs {
-        d.close();
-    }
-    drop(downs);
-    if let Some(e) = fault {
+        Ok(())
+    })?;
+    if let Some((site, e)) = fault {
         // Propagate the failure up so the root terminates with a
         // diagnostic instead of waiting for a sync that never comes.
+        let e = format!("group {group}, site {site}: {e}");
         let _ = root.up.send(UpFrame::Fault(e.clone()));
         root.up.close();
         return Err(RuntimeError::Transport(e));
@@ -350,118 +331,113 @@ where
 /// `(group, items_covered)` watermark log in arrival order.
 type RootResult = Result<(Vec<Vec<Keyed>>, Vec<(usize, u64)>), RuntimeError>;
 
-/// Drives the root merger: collects each group's latest sync until every
-/// group reports `Eof`, recording the coverage watermark log. Syncs are
-/// sender-metered (by the aggregators), so the root contributes no
-/// metrics of its own.
-pub(crate) fn root_loop(endpoint: CoordEndpoint<SyncMsg, NoDown>) -> RootResult {
-    let CoordEndpoint { up, mut downs } = endpoint;
-    let g = downs.len();
-    let mut samples: Vec<Vec<Keyed>> = vec![Vec::new(); g];
-    let mut log: Vec<(usize, u64)> = Vec::new();
-    let mut done = 0usize;
-    let mut fault: Option<String> = None;
-    while done < g {
-        match up.recv() {
-            Ok((from, UpFrame::Batch { msgs, .. })) => {
-                for msg in msgs {
-                    let gi = msg.group as usize;
-                    if gi != from || gi >= g {
-                        fault.get_or_insert(format!(
-                            "sync for group {gi} arrived on group {from}'s link"
-                        ));
-                        continue;
-                    }
-                    log.push((gi, msg.items));
-                    samples[gi] = msg.sample;
-                }
-            }
-            Ok((_, UpFrame::Eof)) => done += 1,
-            Ok((from, UpFrame::Fault(e))) => {
-                fault.get_or_insert(format!("group {from}: {e}"));
-                done += 1;
-            }
-            Err(mpsc::RecvError) => break,
+/// The root merger, a coordinator whose sites are the group aggregators:
+/// it keeps each group's latest sync and logs its coverage watermark.
+struct RootMerger {
+    samples: Vec<Vec<Keyed>>,
+    log: Vec<(usize, u64)>,
+    /// The first sync that arrived on another group's link.
+    misrouted: Option<String>,
+}
+
+impl CoordinatorNode for RootMerger {
+    type Up = SyncMsg;
+    type Down = NoDown;
+    fn receive(&mut self, from: usize, msg: SyncMsg, _out: &mut Outbox<NoDown>) {
+        let gi = msg.group as usize;
+        if gi != from || gi >= self.samples.len() {
+            let e = format!("sync for group {gi} arrived on group {from}'s link");
+            self.misrouted.get_or_insert(e);
+            return;
         }
-    }
-    for d in &mut downs {
-        d.close();
-    }
-    drop(downs);
-    match fault {
-        Some(e) => Err(RuntimeError::Transport(e)),
-        None => Ok((samples, log)),
+        self.log.push((gi, msg.items));
+        self.samples[gi] = msg.sample;
     }
 }
 
-/// Runs a full fan-in tree on OS threads over bounded in-process
-/// channels: one site/aggregator wiring per group plus the
-/// aggregator→root wiring. Generic over the protocol —
-/// `mk_site(group, site)` and `mk_aggregator(group)` build the group
-/// deployments (any [`SiteNode`]/[`CoordinatorNode`]+[`SampleSource`]
-/// pair). The threads arm of [`run_tree_nodes`].
-fn run_tree_threads<S, A, I>(
+/// Drives the root merger through the coordinators' loop
+/// ([`serve_sites`]) until every group reports `Eof`. Syncs are
+/// sender-metered (by the aggregators), so the root contributes no
+/// metrics of its own.
+pub(crate) fn root_loop(endpoint: CoordEndpoint<SyncMsg, NoDown>) -> RootResult {
+    let mut root = RootMerger {
+        samples: vec![Vec::new(); endpoint.num_sites()],
+        log: Vec::new(),
+        misrouted: None,
+    };
+    let fault = serve_sites(&mut root, endpoint, &mut Metrics::new(), |_, _, _| Ok(()))?;
+    match fault
+        .map(|(from, e)| format!("group {from}: {e}"))
+        .or(root.misrouted)
+    {
+        Some(e) => Err(RuntimeError::Transport(e)),
+        None => Ok((root.samples, root.log)),
+    }
+}
+
+/// One group of a concurrent tree before it starts: its aggregator, the
+/// aggregator's end of its sites' links, and its link to the root.
+pub(crate) type Group<A> = (
+    A,
+    CoordEndpoint<<A as CoordinatorNode>::Up, <A as CoordinatorNode>::Down>,
+    SiteEndpoint<SyncMsg, NoDown>,
+);
+
+/// Runs a concurrent fan-in tree: the sites as `tasks` on `pool`, each
+/// group's aggregator and the root merger on threads of their own, and
+/// `serve` (the epoll engine's reactor) on another. Then joins them in
+/// the one error priority both engines share — panicked sites by global
+/// index, then aggregators, then the root, then `serve`, then transport
+/// errors tier by tier — and merges every tier's metrics.
+pub(crate) fn run_tree_pool<S, A, L, F>(
     s: usize,
-    topo: &TreeTopology,
-    mut mk_site: impl FnMut(usize, usize) -> S,
-    mut mk_aggregator: impl FnMut(usize) -> A,
-    streams: Vec<Vec<I>>,
-    cfg: &RuntimeConfig,
+    sync_every: u64,
+    pool: Pool,
+    tasks: Vec<SiteTask<S, L>>,
+    groups: Vec<Group<A>>,
+    root_ep: CoordEndpoint<SyncMsg, NoDown>,
+    serve: Option<F>,
 ) -> Result<TreeOutput, RuntimeError>
 where
     S: SiteNode + Send,
-    S::Up: Send + 'static,
-    S::Down: Clone + Send + 'static,
+    S::Up: Send,
     A: CoordinatorNode<Up = S::Up, Down = S::Down> + SampleSource + Send,
-    I: IntoIterator<Item = Item> + Send,
+    L: SiteLink<S> + Send,
+    F: FnOnce() -> Result<(), RuntimeError> + Send,
 {
-    let (g, k) = (topo.groups, topo.k_per_group);
-    let (root_links, root_ep) = channel_wiring::<SyncMsg, NoDown>(g, cfg.queue_capacity);
-
-    type SiteRes = Result<Metrics, RuntimeError>;
     type AggRes = Result<(Metrics, GroupStats), RuntimeError>;
-    let (root_res, agg_res, site_res) = thread::scope(|scope| {
-        let mut site_handles: Vec<thread::ScopedJoinHandle<'_, SiteRes>> =
-            Vec::with_capacity(g * k);
-        let mut agg_handles: Vec<thread::ScopedJoinHandle<'_, AggRes>> = Vec::with_capacity(g);
-        for (gi, (root_link, group_streams)) in root_links.into_iter().zip(streams).enumerate() {
-            assert_eq!(group_streams.len(), k, "one stream partition per site");
-            let (site_eps, coord_ep) = channel_wiring(k, cfg.queue_capacity);
-            for ((i, ep), items) in site_eps.into_iter().enumerate().zip(group_streams) {
-                let site = mk_site(gi, i);
-                site_handles.push(scope.spawn(move || Ok(site_loop(site, ep, items, cfg)?.1)));
-            }
-            let mut aggregator = mk_aggregator(gi);
-            let sync_every = topo.sync_every;
-            agg_handles.push(scope.spawn(move || {
-                aggregator_loop(&mut aggregator, coord_ep, root_link, gi, sync_every)
-            }));
-        }
-        let root_handle = scope.spawn(move || root_loop(root_ep));
-        let site_res: Vec<_> = site_handles.into_iter().map(|h| h.join()).collect();
+    let (serve_res, agg_res, root_res, slots) = thread::scope(|scope| {
+        let serve = serve.map(|f| scope.spawn(f));
+        let agg_handles: Vec<thread::ScopedJoinHandle<'_, AggRes>> = groups
+            .into_iter()
+            .enumerate()
+            .map(|(gi, (mut aggregator, agg_ep, root_link))| {
+                scope.spawn(move || {
+                    aggregator_loop(&mut aggregator, agg_ep, root_link, gi, sync_every)
+                })
+            })
+            .collect();
+        let root = scope.spawn(move || root_loop(root_ep));
+        let slots = pool.run(tasks);
         let agg_res: Vec<_> = agg_handles.into_iter().map(|h| h.join()).collect();
-        (root_handle.join(), agg_res, site_res)
+        (serve.map(|h| h.join()), agg_res, root.join(), slots)
     });
 
-    // Surface panics deterministically: sites (by global index), then
-    // aggregators, then the root, then transport errors in the same order.
-    for (i, res) in site_res.iter().enumerate() {
-        if res.is_err() {
-            return Err(RuntimeError::SitePanicked(i));
-        }
-    }
-    for (gi, res) in agg_res.iter().enumerate() {
-        if res.is_err() {
-            return Err(RuntimeError::AggregatorPanicked(gi));
-        }
+    first_site_panic(&slots)?;
+    if let Some(gi) = agg_res.iter().position(Result::is_err) {
+        return Err(RuntimeError::AggregatorPanicked(gi));
     }
     let root_out = root_res.map_err(|_| RuntimeError::RootPanicked)?;
+    // A reactor failure (an FdExhausted, say) is the root cause of any
+    // fault the tiers then saw.
+    join_serve(serve_res)?;
 
     let mut metrics = Metrics::new();
-    for res in site_res {
-        metrics.merge(&res.expect("panics handled above")?);
+    for slot in slots {
+        let (_site, site_metrics) = slot.expect("checked above")?;
+        metrics.merge(&site_metrics);
     }
-    let mut group_stats = Vec::with_capacity(g);
+    let mut group_stats = Vec::with_capacity(agg_res.len());
     for res in agg_res {
         let (agg_metrics, stats) = res.expect("panics handled above")?;
         metrics.merge(&agg_metrics);
@@ -477,6 +453,45 @@ where
         group_stats,
         sync_log,
     })
+}
+
+/// Runs a full fan-in tree on the site pool over in-process channels:
+/// one credit-bound site wiring per group, plus the aggregator→root
+/// wiring, a bounded blocking channel. Generic over the protocol —
+/// `mk_site(group, site)` and `mk_aggregator(group)` build the group
+/// deployments (any [`SiteNode`]/[`CoordinatorNode`]+[`SampleSource`]
+/// pair); `feeds[gi][i]` is site `i` of group `gi`'s input. The threads
+/// arm of [`run_tree_nodes`] and of the scenario driver.
+pub(crate) fn run_tree_threads<S, A>(
+    s: usize,
+    topo: &TreeTopology,
+    mut mk_site: impl FnMut(usize, usize) -> S,
+    mut mk_aggregator: impl FnMut(usize) -> A,
+    feeds: Vec<Vec<Box<dyn ItemFeed>>>,
+    cfg: &RuntimeConfig,
+) -> Result<TreeOutput, RuntimeError>
+where
+    S: SiteNode + Send,
+    S::Up: Send + 'static,
+    S::Down: Clone + Send + 'static,
+    A: CoordinatorNode<Up = S::Up, Down = S::Down> + SampleSource + Send,
+{
+    let (g, k) = (topo.groups, topo.k_per_group);
+    assert_eq!(feeds.len(), g, "one feed block per group");
+    let pool = Pool::new(g * k)?;
+    let (root_links, root_ep) = channel_wiring::<SyncMsg, NoDown>(g, cfg.queue_capacity);
+    let mut tasks = Vec::with_capacity(g * k);
+    let mut groups = Vec::with_capacity(g);
+    for (gi, (group_feeds, root_link)) in feeds.into_iter().zip(root_links).enumerate() {
+        assert_eq!(group_feeds.len(), k, "one stream partition per site");
+        let credits = pool.credits(cfg.queue_capacity);
+        let (links, agg_ep) = channel_links(&pool, gi * k, k, &credits);
+        let sites = (0..k).map(|i| mk_site(gi, i));
+        tasks.extend(pool.tasks(gi * k, sites, links, group_feeds, &credits, cfg));
+        groups.push((mk_aggregator(gi), agg_ep, root_link));
+    }
+    let no_reactor = None::<fn() -> Result<(), RuntimeError>>;
+    run_tree_pool(s, topo.sync_every, pool, tasks, groups, root_ep, no_reactor)
 }
 
 /// Single-threaded fan-in tree over arbitrary protocol nodes: one lockstep
@@ -626,31 +641,15 @@ where
     I: IntoIterator<Item = Item> + Send,
 {
     assert_eq!(streams.len(), topo.groups, "one stream block per group");
+    let feeds = streams.into_iter().map(vec_feeds).collect();
     match engine {
         EngineKind::Lockstep => Err(RuntimeError::InvalidScenario(
             "run_tree_nodes drives the concurrent substrates; lockstep trees run through \
              the scenario driver"
                 .into(),
         )),
-        EngineKind::Threads => run_tree_threads(s, topo, mk_site, mk_aggregator, streams, cfg),
+        EngineKind::Threads => run_tree_threads(s, topo, mk_site, mk_aggregator, feeds, cfg),
         EngineKind::Epoll => {
-            // This vec-based entry point materializes each partition into
-            // a [`crate::epoll::VecFeed`]; streaming deployments (the
-            // scenario driver) hand their bounded shard queues to
-            // [`crate::epoll::run_tree_epoll`] directly as nonblocking
-            // feeds, at O(batch × queue) memory.
-            let feeds: Vec<Vec<Box<dyn crate::epoll::ItemFeed>>> = streams
-                .into_iter()
-                .map(|group| {
-                    group
-                        .into_iter()
-                        .map(|items| {
-                            Box::new(crate::epoll::VecFeed::new(items.into_iter().collect()))
-                                as Box<dyn crate::epoll::ItemFeed>
-                        })
-                        .collect()
-                })
-                .collect();
             crate::epoll::run_tree_epoll(s, topo, mk_site, mk_aggregator, feeds, cfg)
         }
     }
@@ -663,6 +662,7 @@ mod tests {
     use dwrs_core::swor::wire::sync_len;
     use dwrs_core::swor::{SworConfig, SworSite};
     use dwrs_sim::{build_swor, swor_coordinator, swor_site, tree_group_seed};
+    use std::sync::mpsc;
 
     /// A lockstep SWOR tree of `groups × k` sites, seeded like the scenario
     /// driver's.

@@ -45,7 +45,7 @@ impl<T: Iterator<Item = Item> + Send> ItemSource for T {}
 ///
 /// The draws consume the seeded [`Rng`], so they must be made in stream
 /// order; the map reads nothing but its draw, so it may run anywhere, in
-/// any order — the `dwrs-runtime` driver runs it on the site threads.
+/// any order — the `dwrs-runtime` driver runs it on the site workers.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum WeightMap {
     /// The draw is the weight (unit, CSV, in-memory and materialized

@@ -29,8 +29,9 @@
 //! use dwrs::runtime::RuntimeConfig;
 //! use dwrs::{run_scenario, EngineKind, Scenario, Workload};
 //!
-//! // 4 site threads, continuous weighted sample (without replacement)
-//! // of size 8 over a streamed 10k-item weighted stream. The tight
+//! // 4 sites (tasks on the site pool's worker threads), continuous
+//! // weighted sample (without replacement) of size 8 over a streamed
+//! // 10k-item weighted stream. The tight
 //! // batch/queue keeps the feedback window small on this short stream
 //! // (message counts grow with pipeline depth; see the README).
 //! let scenario = Scenario::new(EngineKind::Threads, 4, 8)

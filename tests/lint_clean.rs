@@ -41,15 +41,18 @@ fn lint_config_declares_the_core_invariants() {
         "daemon lock order streams -> drained must stay declared"
     );
     let hot: Vec<&str> = cfg.hot_functions.iter().map(|h| h.func.as_str()).collect();
-    for f in [
-        "site_worker",
-        "coord_reactor",
-        "site_loop",
-        "observe",
-        "receive_early",
-        "insert",
-    ] {
+    for f in ["coord_reactor", "observe", "receive_early", "insert"] {
         assert!(hot.contains(&f), "hot path {f} missing from lint.toml");
+    }
+    // The one site scheduler: both engines' sites run through the pool's
+    // worker loop and a task's turn over its items.
+    for f in ["site_worker", "step"] {
+        assert!(
+            cfg.hot_functions
+                .iter()
+                .any(|h| h.file.ends_with("runtime/src/engine.rs") && h.func == f),
+            "engine.rs::{f} missing from lint.toml's hot paths"
+        );
     }
     assert!(
         cfg.tag_namespaces.len() >= 4,
