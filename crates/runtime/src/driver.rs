@@ -779,10 +779,11 @@ impl Dispatcher {
         self.stats.frames += 1;
     }
 
-    /// Drains the draws into the shard queues until EOF or until every
-    /// receiver is gone. Runs on its own thread, concurrent with the
-    /// engine. The partitioner never reads a weight, so it assigns draws
-    /// exactly as it would the finished items.
+    /// Drains the draws into the shard queues until EOF or until a
+    /// receiver is gone (its site failed, so the run fails; closing the
+    /// queues then ends the other sites). Runs on its own thread,
+    /// concurrent with the engine. The partitioner never reads a weight,
+    /// so it assigns draws exactly as it would the finished items.
     fn run(mut self, draws: Box<dyn ItemSource>, mut partitioner: Partitioner) -> DispatcherStats {
         for draw in draws {
             let shard = partitioner.next_site();
@@ -816,48 +817,38 @@ impl Drop for Dispatcher {
     }
 }
 
-/// A running dispatcher thread plus the weight sums its shard sources
-/// publish.
-struct Dispatch {
-    feeder: thread::JoinHandle<DispatcherStats>,
-    weights: Vec<Arc<AtomicU64>>,
-}
-
-impl Dispatch {
-    /// Starts feeding the scenario's staged input into `k` shard queues,
-    /// returning the consuming ends as feeds, in global site order.
-    fn start(sc: &Scenario, input: StagedSource) -> (Dispatch, Vec<Box<dyn ItemFeed>>) {
-        let (dispatcher, shards, weights) = Dispatcher::new(sc.k, input.map);
-        let partitioner = sc.partitioner();
-        let feeder = thread::spawn(move || dispatcher.run(input.draws, partitioner));
-        let feeds = shards
-            .into_iter()
-            .map(|shard| Box::new(shard) as Box<dyn ItemFeed>)
-            .collect();
-        (Dispatch { feeder, weights }, feeds)
-    }
-
-    /// Joins the dispatcher once the engine has returned, converting a
-    /// panicking source (e.g. a malformed CSV record) into a run error
-    /// instead of a silently truncated stream, and totals the shard
-    /// weight sums in shard order.
-    fn join(self) -> Result<DispatcherStats, RuntimeError> {
-        let mut stats = self
-            .feeder
-            .join()
-            .map_err(|e| match e.downcast_ref::<String>() {
-                Some(msg) => RuntimeError::Transport(format!("workload dispatcher failed: {msg}")),
-                None => RuntimeError::Transport("workload dispatcher thread panicked".into()),
-            })?;
-        stats.weight = self
-            .weights
-            .iter()
-            // ordering: Relaxed — the engine joined every consumer thread
-            // before returning, which ordered their stores before this.
-            .map(|w| f64::from_bits(w.load(Ordering::Relaxed)))
-            .fold(0.0, |total, w| total + w);
-        Ok(stats)
-    }
+/// Runs `engine` on the scenario's staged input, fed through `k` shard
+/// queues (handed to it as feeds, in global site order) by a dispatcher
+/// thread. Once the engine has returned, joins the dispatcher, converting
+/// a panicking source (e.g. a malformed CSV record) into a run error
+/// instead of a silently truncated stream, and totals the shard weight
+/// sums in shard order.
+fn dispatched<Out>(
+    sc: &Scenario,
+    input: StagedSource,
+    engine: impl FnOnce(Vec<Box<dyn ItemFeed>>) -> Result<Out, RuntimeError>,
+) -> DriveResult<Out> {
+    let (dispatcher, shards, weights) = Dispatcher::new(sc.k, input.map);
+    let partitioner = sc.partitioner();
+    let feeder = thread::spawn(move || dispatcher.run(input.draws, partitioner));
+    let feeds = shards
+        .into_iter()
+        .map(|shard| Box::new(shard) as Box<dyn ItemFeed>)
+        .collect();
+    let result = engine(feeds);
+    let mut stats = feeder
+        .join()
+        .map_err(|e| match e.downcast_ref::<String>() {
+            Some(msg) => RuntimeError::Transport(format!("workload dispatcher failed: {msg}")),
+            None => RuntimeError::Transport("workload dispatcher thread panicked".into()),
+        })?;
+    stats.weight = weights
+        .iter()
+        // ordering: Relaxed — the engine joined every consumer thread
+        // before returning, which ordered their stores before this.
+        .map(|w| f64::from_bits(w.load(Ordering::Relaxed)))
+        .fold(0.0, |total, w| total + w);
+    Ok((stats.items, stats.weight, result?, Some(stats)))
 }
 
 // ------------------------------------------------------------- report
@@ -1245,16 +1236,10 @@ where
             };
             Ok((items, weight, out, None))
         }
-        engine => {
-            let (dispatch, feeds) = Dispatch::start(sc, input);
-            let result = match engine {
-                EngineKind::Threads => run_threads_fed(sites, coordinator, feeds, &sc.runtime),
-                _ => run_epoll(sites, coordinator, feeds, &sc.runtime),
-            };
-            let dstats = dispatch.join()?;
-            let out = result?;
-            Ok((dstats.items, dstats.weight, out, Some(dstats)))
-        }
+        engine => dispatched(sc, input, |feeds| match engine {
+            EngineKind::Threads => run_threads_fed(sites, coordinator, feeds, &sc.runtime),
+            _ => run_epoll(sites, coordinator, feeds, &sc.runtime),
+        }),
     }
 }
 
@@ -1301,8 +1286,7 @@ where
             }
             Ok((items, weight, tree.finish(), None))
         }
-        engine => {
-            let (dispatch, feeds) = Dispatch::start(sc, input);
+        engine => dispatched(sc, input, |feeds| {
             // Regroup the flat feed list into per-group blocks (shard
             // order is global site order, which is group-major).
             let mut it = feeds.into_iter();
@@ -1310,16 +1294,13 @@ where
                 .map(|_| it.by_ref().take(k_per_group).collect())
                 .collect();
             let (rt, topo) = (&sc.runtime, &topo);
-            let result = match engine {
+            match engine {
                 EngineKind::Threads => {
                     run_tree_threads(s_eff, topo, mk_site, mk_aggregator, grouped, rt)
                 }
                 _ => run_tree_epoll(s_eff, topo, mk_site, mk_aggregator, grouped, rt),
-            };
-            let dstats = dispatch.join()?;
-            let out = result?;
-            Ok((dstats.items, dstats.weight, out, Some(dstats)))
-        }
+            }
+        }),
     }
 }
 
@@ -1584,9 +1565,16 @@ mod tests {
         // pareto:0.01 maps u to u^-100, which is infinite for u < 8e-4
         // (about 30 of these 40k items). On threads and epoll the shard
         // source finishing such a frame fails its site; the run must
-        // return an error, flat and tree, and not hang.
+        // return an error, flat and tree, and not hang. Round-robin fails
+        // every site of four; with every item on site 0 of eight, the
+        // other seven finish only once the feeder, stopped on site 0's
+        // full queue, gives up and closes their queues.
         let overflowing = Workload::parse("pareto:0.01").unwrap();
         assert!(overflowing.validate().is_ok());
+        let shapes = [
+            (4, Partition::RoundRobin, 40_000),
+            (8, Partition::SingleSite(0), 100_000),
+        ];
         for engine in [EngineKind::Threads, EngineKind::Epoll] {
             for topology in [
                 Topology::Flat,
@@ -1595,20 +1583,24 @@ mod tests {
                     sync_every: 1_000,
                 },
             ] {
-                let sc = Scenario::new(engine, 4, 8)
-                    .with_n(40_000)
-                    .with_workload(overflowing.clone())
-                    .with_topology(topology);
-                let (tx, rx) = mpsc::channel();
-                thread::spawn(move || tx.send(run_scenario(&sc).map(|r| r.items)));
-                let result = rx
-                    .recv_timeout(Duration::from_secs(60))
-                    .unwrap_or_else(|_| panic!("{engine} {topology:?}: run hung"));
-                let err = result.expect_err("an overflowing weight must fail the run");
-                assert!(
-                    matches!(err, RuntimeError::SitePanicked(_)),
-                    "{engine} {topology:?}: {err}"
-                );
+                for (k, partition, n) in shapes {
+                    let sc = Scenario::new(engine, k, 8)
+                        .with_n(n)
+                        .with_workload(overflowing.clone())
+                        .with_partition(partition)
+                        .with_topology(topology);
+                    let (tx, rx) = mpsc::channel();
+                    thread::spawn(move || tx.send(run_scenario(&sc).map(|r| r.items)));
+                    let shape = format!("{engine} {topology:?} k = {k} {partition:?}");
+                    let result = rx
+                        .recv_timeout(Duration::from_secs(60))
+                        .unwrap_or_else(|_| panic!("{shape}: run hung"));
+                    let err = result.expect_err("an overflowing weight must fail the run");
+                    assert!(
+                        matches!(err, RuntimeError::SitePanicked(_)),
+                        "{shape}: {err}"
+                    );
+                }
             }
         }
     }

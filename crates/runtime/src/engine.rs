@@ -1,10 +1,10 @@
 //! The site scheduler, and the threads engine built on it.
 //!
-//! Both concurrent engines run their `k` sites as *tasks* on one fixed
-//! pool of `SITE_WORKERS` worker threads, whatever `k` is: a `SiteTask`
-//! is a resumable state machine around the site's `SiteCore`, advanced
-//! in `FEED_CHUNK` turns by one worker loop (`site_worker`) that is
-//! generic over the site's link to its coordinator (`SiteLink`):
+//! Both concurrent engines run their `k` sites as *tasks* on one pool of
+//! worker threads sized by the host, not by `k` (`site_workers`): a
+//! `SiteTask` is a resumable state machine around the site's `SiteCore`,
+//! advanced in `FEED_CHUNK` turns by one worker loop (`site_worker`) that
+//! is generic over the site's link to its coordinator (`SiteLink`):
 //! in-process channels on the threads engine, a nonblocking loopback
 //! socket on the epoll engine ([`crate::epoll`]). The coordinator runs on
 //! a thread of its own, through the loop the tree's aggregators share
@@ -291,10 +291,20 @@ impl<S: SiteNode> SiteCore<S> {
 
 // ---------------------------------------------------------------- feeds
 
-/// Worker threads in the site pool, on both engines. Site count is a
-/// memory problem, not a thread-count problem: k = 1,000 sites run on
-/// this many workers, beside one coordinator thread.
-pub(crate) const SITE_WORKERS: usize = 4;
+/// The fewest workers a site pool gets when it has the sites for them.
+/// On a host with fewer cores the workers share them with the coordinator
+/// and the feeder; at k = 8 on 2 cores, four workers ran 8–16% faster
+/// than two in each of 4 paired runs.
+const MIN_SITE_WORKERS: usize = 4;
+
+/// Worker threads in the site pool of a run over `sites` sites, on both
+/// engines: one per core this process may run on, at least
+/// `MIN_SITE_WORKERS`, never more than the sites. The count follows the
+/// host, not `k`: k = 1,000 sites run on as many workers as k = 64.
+pub(crate) fn site_workers(sites: usize) -> usize {
+    let cores = thread::available_parallelism().map_or(1, usize::from);
+    cores.max(MIN_SITE_WORKERS).min(sites).max(1)
+}
 
 /// Items a site task pulls per scheduling turn, and the chunk size
 /// [`VecFeed`] hands out. Bounds how long one task can monopolize its
@@ -552,7 +562,10 @@ pub(crate) struct SiteTask<S: SiteNode, L> {
     /// Global site index (flat: site id; tree: `group * k + member`).
     global: usize,
     core: SiteCore<S>,
-    feed: Box<dyn ItemFeed>,
+    /// The input, dropped as the task fails: the driver's feeder may be
+    /// blocked on this site's full queue, and only the receiver's drop
+    /// releases it to close the other sites' queues.
+    feed: Option<Box<dyn ItemFeed>>,
     cur: std::vec::IntoIter<Item>,
     link: L,
     credits: Arc<CreditPool>,
@@ -582,7 +595,7 @@ impl<S: SiteNode, L: SiteLink<S>> SiteTask<S, L> {
                     }
                     let item = match self.cur.next() {
                         Some(item) => item,
-                        None => match self.feed.poll() {
+                        None => match self.feed.as_mut().map_or(Feed::Done, |f| f.poll()) {
                             Feed::Frame(chunk) => {
                                 self.cur = chunk.into_iter();
                                 progress = true;
@@ -643,19 +656,26 @@ impl<S: SiteNode, L: SiteLink<S>> SiteTask<S, L> {
         Ok(())
     }
 
-    /// One step with the site's panics caught and pinned to its index;
-    /// any failure tears the link down, so the coordinator side ends the
-    /// site's link instead of waiting on it.
+    /// One step with the site's panics caught and pinned to its index.
     fn run(&mut self) -> bool {
         let failure = match catch_unwind(AssertUnwindSafe(|| self.step())) {
             Ok(Ok(progress)) => return progress,
             Ok(Err(e)) => e,
             Err(_) => RuntimeError::SitePanicked(self.global),
         };
+        self.fail(failure);
+        true
+    }
+
+    /// Ends the task with `failure`. Tears the link down, so the
+    /// coordinator side ends the site's link instead of waiting on it, and
+    /// drops the feed, so a feeder blocked on the site's queue errors out
+    /// instead of waiting on a consumer that is gone.
+    fn fail(&mut self, failure: RuntimeError) {
         self.link.abort();
+        self.feed = None;
         self.result = Some(Err(failure));
         self.phase = Phase::Done;
-        true
     }
 
     fn into_result(self) -> (usize, SiteResult<S>) {
@@ -680,12 +700,12 @@ pub(crate) struct Pool {
 }
 
 impl Pool {
-    /// `SITE_WORKERS` workers, fewer when there are fewer sites.
+    /// [`site_workers`]`(sites)` workers.
     pub(crate) fn new(sites: usize) -> Result<Pool, RuntimeError> {
         let err = |e: io::Error| io_runtime_err("creating a site worker", &e);
         let mut wakers = Vec::new();
         let mut loops = Vec::new();
-        for _ in 0..SITE_WORKERS.min(sites).max(1) {
+        for _ in 0..site_workers(sites) {
             let (waker, rx) = wake_pair().map_err(err)?;
             let poller = Poller::new().map_err(err)?;
             poller
@@ -730,7 +750,7 @@ impl Pool {
                 SiteTask {
                     global,
                     core: SiteCore::new(site, cfg),
-                    feed,
+                    feed: Some(feed),
                     cur: Vec::new().into_iter(),
                     link,
                     credits: Arc::clone(credits),
@@ -811,9 +831,7 @@ where
             // No readiness facts, now or later: fail what is left rather
             // than spin.
             for t in tasks.iter_mut().filter(|t| t.phase != Phase::Done) {
-                t.link.abort();
-                t.result = Some(Err(io_runtime_err("site worker epoll_wait", &e)));
-                t.phase = Phase::Done;
+                t.fail(io_runtime_err("site worker epoll_wait", &e));
             }
         }
         for ev in &events {
@@ -893,19 +911,6 @@ pub(crate) fn serve_sites<C: CoordinatorNode>(
     Ok(fault)
 }
 
-/// Drives a flat deployment's coordinator (see [`serve_sites`]) and
-/// returns its downstream metrics.
-pub(crate) fn coordinator_loop<C: CoordinatorNode>(
-    node: &mut C,
-    endpoint: CoordEndpoint<C::Up, C::Down>,
-) -> Result<Metrics, RuntimeError> {
-    let mut metrics = Metrics::new();
-    match serve_sites(node, endpoint, &mut metrics, |_, _, _| Ok(()))? {
-        Some((site, e)) => Err(RuntimeError::Transport(format!("site {site}: {e}"))),
-        None => Ok(metrics),
-    }
-}
-
 /// Routes one round's coordinator responses, with the paper's accounting:
 /// a unicast costs 1 message, a broadcast costs `k`. Shared with the
 /// hierarchical aggregator loop in [`crate::tree`].
@@ -955,7 +960,13 @@ where
 {
     let (serve_res, coord_res, slots) = thread::scope(|scope| {
         let serve = serve.map(|f| scope.spawn(f));
-        let coord = scope.spawn(|| coordinator_loop(&mut coordinator, coord_ep));
+        let coord = scope.spawn(|| {
+            let mut metrics = Metrics::new();
+            match serve_sites(&mut coordinator, coord_ep, &mut metrics, |_, _, _| Ok(()))? {
+                Some((site, e)) => Err(RuntimeError::Transport(format!("site {site}: {e}"))),
+                None => Ok(metrics),
+            }
+        });
         let slots = pool.run(tasks);
         (serve.map(|h| h.join()), coord.join(), slots)
     });
@@ -1269,7 +1280,8 @@ mod tests {
     #[test]
     fn thread_count_stays_flat_in_k() {
         // 64 sites, flat and as a tree of 2 groups of 32: every site runs
-        // on one of the pool's workers, none on a thread of its own.
+        // on one of the pool's workers, none on a thread of its own. (On
+        // a host with 64 cores or more the pool has a worker per site.)
         let seen = Arc::new(std::sync::Mutex::new(std::collections::HashSet::new()));
         let site = |_| ThreadIdSite {
             seen: Arc::clone(&seen),
@@ -1285,7 +1297,7 @@ mod tests {
         assert_eq!(out.coordinator.received, 6_400);
         let flat_ids = seen.lock().unwrap().len();
         assert!(
-            (1..=SITE_WORKERS).contains(&flat_ids),
+            (1..=site_workers(64)).contains(&flat_ids),
             "64 flat sites ran on {flat_ids} threads"
         );
 
@@ -1309,7 +1321,7 @@ mod tests {
         assert_eq!(items, 6_400);
         let tree_ids = seen.lock().unwrap().len();
         assert!(
-            (1..=SITE_WORKERS).contains(&tree_ids),
+            (1..=site_workers(64)).contains(&tree_ids),
             "64 tree sites ran on {tree_ids} threads"
         );
     }

@@ -17,7 +17,7 @@
 //!   readiness hints, registered in its worker's poller.
 //! * **Coordinator side** — one reactor thread owns every site connection:
 //!   it reassembles up-frames and hands each one to the unmodified
-//!   `coordinator_loop` (or a tree's `aggregator_loop`) over an unbounded
+//!   coordinator loop (`engine::serve_sites`) over an unbounded
 //!   `mpsc` channel, and flushes down-messages from per-connection
 //!   `SendBuf`s on write readiness.
 //!
@@ -68,7 +68,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::Duration;
 
@@ -312,6 +312,21 @@ impl ConnTx {
     fn down_work(&self) -> bool {
         self.pending_hint.load(Ordering::Acquire) > 0 || self.closing_hint.load(Ordering::Acquire)
     }
+
+    /// Requests the half-close once the buffer drains (or, with `discard`,
+    /// drops what is buffered first) and wakes the reactor. Never panics:
+    /// a dropped sender may call it while unwinding, and a poisoned lock
+    /// still closes the link.
+    fn close(&self, discard: bool) {
+        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        if discard {
+            st.send.clear();
+        }
+        st.closing = true;
+        self.publish(&st);
+        drop(st);
+        self.waker.wake();
+    }
 }
 
 /// [`DownSender`] feeding the reactor: never blocks, never fails while
@@ -338,31 +353,18 @@ impl<D: FrameCodec + Send> DownSender<D> for EpollDownSender<D> {
     }
 
     fn close(&mut self) {
-        let mut st = self.tx.state.lock().expect("down state poisoned");
-        st.closing = true;
-        self.tx.publish(&st);
-        drop(st);
-        self.tx.waker.wake();
+        self.tx.close(false);
     }
 }
 
 /// Dropping the sender closes the link, mirroring the channel transport's
 /// disconnect-on-drop. Without this, a coordinator that dies without
-/// calling `close()` (a panic unwinding `coordinator_loop`) would leave
-/// every cleanly-finished connection waiting for a down-side half-close
-/// that never comes — and the reactor parked in `epoll_wait` forever.
+/// calling `close()` (a panic unwinding its loop) would leave every
+/// cleanly-finished connection waiting for a down-side half-close that
+/// never comes — and the reactor parked in `epoll_wait` forever.
 impl<D> Drop for EpollDownSender<D> {
     fn drop(&mut self) {
-        // Never panic in drop (we may already be unwinding): a poisoned
-        // lock still closes the link.
-        let mut st = match self.tx.state.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        st.closing = true;
-        self.tx.publish(&st);
-        drop(st);
-        self.tx.waker.wake();
+        self.tx.close(false);
     }
 }
 
@@ -415,6 +417,14 @@ impl CoordConn {
         };
         (conn, down)
     }
+
+    /// Tears the connection down both ways, dropping whatever downs are
+    /// still buffered, so a peer still streaming fails fast.
+    fn teardown(&mut self) {
+        self.tx.close(true);
+        let _ = self.stream.shutdown(Shutdown::Both);
+        self.write_shut = true;
+    }
 }
 
 /// One coordinator's up path as the reactor sees it: the handoff into
@@ -460,13 +470,7 @@ fn deliver<U>(c: &mut CoordConn, ups: &[UpLink<U>], frame: UpFrame<U>) {
     }
     if broken || orphaned {
         up.credits.close();
-        let mut st = c.tx.state.lock().expect("down state poisoned");
-        st.send.clear();
-        st.closing = true;
-        c.tx.publish(&st);
-        drop(st);
-        let _ = c.stream.shutdown(Shutdown::Both);
-        c.write_shut = true;
+        c.teardown();
     }
 }
 
@@ -523,12 +527,8 @@ fn flush_conn_downs(c: &mut CoordConn) {
         return;
     }
     if !st.send.is_empty() && st.send.flush_to(&mut (&c.stream)).is_err() {
-        st.send.clear();
-        st.closing = true;
-        c.tx.publish(&st);
         drop(st);
-        let _ = c.stream.shutdown(Shutdown::Both);
-        c.write_shut = true;
+        c.teardown();
         return;
     }
     c.tx.publish(&st);
@@ -540,8 +540,8 @@ fn flush_conn_downs(c: &mut CoordConn) {
 }
 
 /// The coordinator-side event loop: one thread multiplexing every site
-/// connection. Decoded up-frames are handed to [`coordinator_loop`] (or
-/// the aggregators) over the unbounded channels of `ups`; down-frames
+/// connection. Decoded up-frames are handed to the coordinators' loops
+/// (`engine::serve_sites`) over the unbounded channels of `ups`; down-frames
 /// queued by [`EpollDownSender`]s flush on write readiness. Exits once
 /// every connection has completed both directions; dropping the
 /// connections closes the sockets, and dropping `ups` closes the credit
@@ -590,13 +590,7 @@ fn coord_reactor<U: FrameCodec>(
             if ev.hangup && c.up_done && !c.write_shut {
                 // Peer fully gone while we only held the write half: the
                 // read path can no longer observe it, so tear down here.
-                let mut st = c.tx.state.lock().expect("down state poisoned");
-                st.send.clear();
-                st.closing = true;
-                c.tx.publish(&st);
-                drop(st);
-                let _ = c.stream.shutdown(Shutdown::Both);
-                c.write_shut = true;
+                c.teardown();
             }
         }
         if woke {
@@ -682,20 +676,7 @@ fn wire_sites(
         let r = stream
             .set_nodelay(true)
             .map_err(|e| io_runtime_err("configuring site connection", &e))
-            .and_then(|()| read_hello(&stream))
-            .and_then(|site| {
-                if site >= k {
-                    Err(RuntimeError::Transport(format!(
-                        "HELLO for site {site} but k = {k}"
-                    )))
-                } else if accepted[site].is_some() {
-                    Err(RuntimeError::Transport(format!(
-                        "duplicate HELLO for site {site}"
-                    )))
-                } else {
-                    Ok(site)
-                }
-            })
+            .and_then(|()| read_hello(&stream, k, |site| accepted[site].is_some()))
             .and_then(|site| {
                 stream
                     .set_nonblocking(true)

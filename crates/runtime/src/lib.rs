@@ -2,8 +2,9 @@
 //!
 //! A concurrent execution substrate for the PODS'19 site/coordinator
 //! protocols: `k` sites and one coordinator run concurrently. Both
-//! engines run the sites as tasks on one fixed pool of worker threads
-//! (the site scheduler in [`engine`]), whatever `k` is, and the
+//! engines run the sites as tasks on one pool of worker threads (the
+//! site scheduler in [`engine`]), a worker per core but at least four,
+//! whatever `k` is, and the
 //! coordinator on a thread of its own; they differ only in the sites'
 //! link to it: in-process channels ([`run_threads`]) or loopback TCP
 //! served by one reactor thread ([`run_epoll`]), the frames encoded by

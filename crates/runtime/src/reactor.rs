@@ -167,24 +167,10 @@ impl Poller {
         self.ctl(sys::EPOLL_CTL_ADD, fd, token, readable, writable)
     }
 
-    /// Replaces `fd`'s interest set.
-    pub fn modify(&self, fd: RawFd, token: u64, readable: bool, writable: bool) -> io::Result<()> {
-        self.ctl(sys::EPOLL_CTL_MOD, fd, token, readable, writable)
-    }
-
-    /// Removes `fd` from the interest list.
+    /// Removes `fd` from the interest list. (`ctl` passes an event even
+    /// here: pre-2.6.9 kernels required a non-null pointer for DEL.)
     pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
-        let mut ev = sys::EpollEvent {
-            events: 0,
-            token: 0,
-        };
-        // SAFETY: as in `ctl` — `ev` outlives the call. Pre-2.6.9 kernels
-        // required a non-null event pointer even for DEL, so one is passed.
-        let rc = unsafe { sys::epoll_ctl(self.epfd.as_raw_fd(), sys::EPOLL_CTL_DEL, fd, &mut ev) };
-        if rc < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        Ok(())
+        self.ctl(sys::EPOLL_CTL_DEL, fd, 0, false, false)
     }
 
     /// Brings `fd`'s registration from `registered` to `want`, a
@@ -203,7 +189,7 @@ impl Poller {
         }
         let done = match want {
             None => self.deregister(fd),
-            Some((r, w)) if registered.is_some() => self.modify(fd, token, r, w),
+            Some((r, w)) if registered.is_some() => self.ctl(sys::EPOLL_CTL_MOD, fd, token, r, w),
             Some((r, w)) => self.register(fd, token, r, w),
         };
         if done.is_ok() {

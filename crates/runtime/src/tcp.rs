@@ -68,9 +68,14 @@ pub(crate) fn write_hello(stream: &TcpStream, site: usize) -> io::Result<()> {
 }
 
 /// Reads and validates the `HELLO` frame that opens every site connection
-/// (the epoll engine's accept loop calls it while the socket is still in
-/// blocking mode).
-pub(crate) fn read_hello(stream: &TcpStream) -> Result<usize, RuntimeError> {
+/// of a `k`-site deployment (the epoll engine's accept loop calls it while
+/// the socket is still in blocking mode): the declared id must be below
+/// `k` and not `taken` by an earlier connection.
+pub(crate) fn read_hello(
+    stream: &TcpStream,
+    k: usize,
+    taken: impl Fn(usize) -> bool,
+) -> Result<usize, RuntimeError> {
     let mut len_bytes = [0u8; 4];
     let mut take = stream;
     take.read_exact(&mut len_bytes)
@@ -90,7 +95,18 @@ pub(crate) fn read_hello(stream: &TcpStream) -> Result<usize, RuntimeError> {
             payload[0]
         )));
     }
-    Ok(u32::from_le_bytes(payload[1..5].try_into().expect("4 bytes")) as usize)
+    let site = u32::from_le_bytes(payload[1..5].try_into().expect("4 bytes")) as usize;
+    if site >= k {
+        return Err(RuntimeError::Transport(format!(
+            "HELLO for site {site} but k = {k}"
+        )));
+    }
+    if taken(site) {
+        return Err(RuntimeError::Transport(format!(
+            "duplicate HELLO for site {site}"
+        )));
+    }
+    Ok(site)
 }
 
 /// Appends a `BATCH` payload: the flush window's item count, then the
@@ -364,17 +380,7 @@ where
     for _ in 0..k {
         let (stream, _peer) = listener.accept().map_err(TransportError::Io)?;
         stream.set_nodelay(true).map_err(TransportError::Io)?;
-        let site = read_hello(&stream)?;
-        if site >= k {
-            return Err(RuntimeError::Transport(format!(
-                "HELLO for site {site} but k = {k}"
-            )));
-        }
-        if downs[site].is_some() {
-            return Err(RuntimeError::Transport(format!(
-                "duplicate HELLO for site {site}"
-            )));
-        }
+        let site = read_hello(&stream, k, |site| downs[site].is_some())?;
         downs[site] = Some(tcp_down_sender(
             stream.try_clone().map_err(TransportError::Io)?,
         ));
