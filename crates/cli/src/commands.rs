@@ -971,6 +971,12 @@ fn print_snapshot<W: Write>(out: &mut W, stream: &str, snap: &LiveSnapshot, form
         snap.up_msgs, snap.up_bytes, snap.down_msgs, snap.down_bytes, snap.broadcast_events
     )
     .ok();
+    writeln!(
+        out,
+        "  stale: {} regular, {} early",
+        snap.stale_regular, snap.stale_early
+    )
+    .ok();
     writeln!(out, "  sample size: {}", snap.sample.len()).ok();
     for kd in snap.sample.iter().take(5) {
         writeln!(

@@ -173,9 +173,8 @@ pub enum CtrlMsg {
     /// Drains every stream and stops the daemon.
     Shutdown,
     /// Scrapes the daemon's telemetry: its registry samples plus one
-    /// [`StreamMetrics`] per live stream, each captured through the
-    /// stream's own command queue (the same consistent cut live queries
-    /// get).
+    /// [`StreamMetrics`] per live stream, each read between two of the
+    /// stream's commands (the same consistent cut live queries get).
     Metrics {
         /// Most-recent trace events to include per ring (0 = counters and
         /// gauges only, no event history).
@@ -222,7 +221,7 @@ pub enum CtrlResp {
     },
     /// A live answer ([`CtrlMsg::Query`] or [`CtrlMsg::Drain`]).
     Answer {
-        /// The snapshot at the instant the stream processor answered.
+        /// The stream's state between two of its processor's commands.
         snapshot: LiveSnapshot,
     },
     /// A telemetry scrape ([`CtrlMsg::Metrics`]).
@@ -272,6 +271,13 @@ pub struct LiveSnapshot {
     pub down_bytes: u64,
     /// Broadcast events (each costing `k` messages).
     pub broadcast_events: u64,
+    /// Regular messages whose key was at or below the threshold the
+    /// coordinator had already broadcast (`CoordStats::stale_regular`).
+    pub stale_regular: u64,
+    /// Early messages for a level the coordinator had already saturated,
+    /// whose key was at or below that threshold too
+    /// (`CoordStats::stale_early`).
+    pub stale_early: u64,
     /// The kind-specific entry set: the current sample, the heavy-hitter
     /// candidates (heaviest first), or the window survivors; empty for
     /// `stats`.
@@ -294,7 +300,7 @@ impl LiveSnapshot {
                 "\"sites_attached\":{},\"sites_eof\":{},",
                 "\"up_messages\":{},\"down_messages\":{},",
                 "\"up_bytes\":{},\"down_bytes\":{},\"broadcast_events\":{},",
-                "\"sample_size\":{}}}"
+                "\"stale_regular\":{},\"stale_early\":{},\"sample_size\":{}}}"
             ),
             json_escape(stream),
             self.kind.name(),
@@ -310,6 +316,8 @@ impl LiveSnapshot {
             self.up_bytes,
             self.down_bytes,
             self.broadcast_events,
+            self.stale_regular,
+            self.stale_early,
             self.sample.len(),
         )
     }
@@ -414,8 +422,9 @@ pub struct TraceEvent {
 /// + two `u64` payload words.
 pub const TRACE_EVENT_BYTES: usize = 8 + 8 + 1 + 8 + 8;
 
-/// Per-stream telemetry captured through the stream's command queue, so
-/// every number reflects one consistent instant of that stream.
+/// Per-stream telemetry read under the stream's lock, between two of its
+/// processor's commands, so every number reflects one consistent instant
+/// of that stream.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StreamMetrics {
     /// Stream name.
@@ -434,8 +443,15 @@ pub struct StreamMetrics {
     pub queue_capacity: u32,
     /// Live queries answered so far (drains are not counted).
     pub queries: u64,
-    /// Per-query service latency percentiles in nanoseconds, measured
-    /// from dequeue to answer inside the stream processor.
+    /// Stale regular messages the stream's coordinator has counted
+    /// (`CoordStats::stale_regular`).
+    pub stale_regular: u64,
+    /// Stale early messages the stream's coordinator has counted
+    /// (`CoordStats::stale_early`).
+    pub stale_early: u64,
+    /// Per-query service latency percentiles in nanoseconds, measured on
+    /// the connection thread from taking the stream's lock to the built
+    /// answer.
     pub latency: Option<HistSummary>,
     /// Most recent trace-ring events for this stream, oldest first.
     pub events: Vec<TraceEvent>,
@@ -622,10 +638,10 @@ impl FrameCodec for CtrlMsg {
 // CtrlResp codec.
 
 /// Fixed bytes of an encoded snapshot before the variable parts: tag-free
-/// header of kind, items, epoch flag, u, estimate, ell, attached, eof and
-/// the five accounting counters, then the `u32` entry count. The optional
-/// 8-byte epoch value and the entries follow.
-const SNAPSHOT_HEADER_BYTES: usize = 1 + 8 + 1 + 8 + 8 + 8 + 4 + 4 + 5 * 8 + 4;
+/// header of kind, items, epoch flag, u, estimate, ell, attached, eof, the
+/// five accounting counters and the two stale counts, then the `u32` entry
+/// count. The optional 8-byte epoch value and the entries follow.
+const SNAPSHOT_HEADER_BYTES: usize = 1 + 8 + 1 + 8 + 8 + 8 + 4 + 4 + 7 * 8 + 4;
 
 fn encode_snapshot(snap: &LiveSnapshot, buf: &mut Vec<u8>) {
     buf.push(snap.kind.as_u8());
@@ -647,6 +663,8 @@ fn encode_snapshot(snap: &LiveSnapshot, buf: &mut Vec<u8>) {
     put_u64(buf, snap.up_bytes);
     put_u64(buf, snap.down_bytes);
     put_u64(buf, snap.broadcast_events);
+    put_u64(buf, snap.stale_regular);
+    put_u64(buf, snap.stale_early);
     debug_assert!(snap.sample.len() <= u32::MAX as usize);
     put_u32(buf, snap.sample.len() as u32);
     for kd in &snap.sample {
@@ -676,8 +694,10 @@ fn decode_snapshot(buf: &[u8], at: usize) -> Result<(LiveSnapshot, usize), WireE
     let up_bytes = get_u64(buf, off + 48)?;
     let down_bytes = get_u64(buf, off + 56)?;
     let broadcast_events = get_u64(buf, off + 64)?;
-    let count = get_u32(buf, off + 72)? as usize;
-    off += 76;
+    let stale_regular = get_u64(buf, off + 72)?;
+    let stale_early = get_u64(buf, off + 80)?;
+    let count = get_u32(buf, off + 88)? as usize;
+    off += 92;
     if !u.is_finite() || u < 0.0 || !estimate.is_finite() || ell == 0 {
         return Err(WireError::BadField);
     }
@@ -710,6 +730,8 @@ fn decode_snapshot(buf: &[u8], at: usize) -> Result<(LiveSnapshot, usize), WireE
             up_bytes,
             down_bytes,
             broadcast_events,
+            stale_regular,
+            stale_early,
             sample,
         },
         off,
@@ -730,7 +752,7 @@ const SAMPLE_MIN_BYTES: usize = 2 + 1 + 8 + 1;
 
 /// Smallest possible encoded [`StreamMetrics`]: two empty strings, the
 /// fixed counters, absent-latency flag, empty event list.
-const STREAM_MIN_BYTES: usize = 2 + 2 + 8 + 4 + 4 + 4 + 4 + 8 + 1 + 4;
+const STREAM_MIN_BYTES: usize = 2 + 2 + 8 + 4 + 4 + 4 + 4 + 3 * 8 + 1 + 4;
 
 fn check_finite(x: f64) -> Result<f64, WireError> {
     if x.is_finite() {
@@ -842,6 +864,8 @@ fn encode_report(report: &MetricsReport, buf: &mut Vec<u8>) {
         put_u32(buf, st.queue_depth);
         put_u32(buf, st.queue_capacity);
         put_u64(buf, st.queries);
+        put_u64(buf, st.stale_regular);
+        put_u64(buf, st.stale_early);
         encode_hist(&st.latency, buf);
         encode_events(&st.events, buf);
     }
@@ -891,7 +915,9 @@ fn decode_report(buf: &[u8], at: usize) -> Result<(MetricsReport, usize), WireEr
         let queue_depth = get_u32(buf, next + 16)?;
         let queue_capacity = get_u32(buf, next + 20)?;
         let queries = get_u64(buf, next + 24)?;
-        let (latency, next) = decode_hist(buf, next + 32)?;
+        let stale_regular = get_u64(buf, next + 32)?;
+        let stale_early = get_u64(buf, next + 40)?;
+        let (latency, next) = decode_hist(buf, next + 48)?;
         let (stream_events, next) = decode_events(buf, next)?;
         if stream.is_empty() {
             return Err(WireError::BadField);
@@ -905,6 +931,8 @@ fn decode_report(buf: &[u8], at: usize) -> Result<(MetricsReport, usize), WireEr
             queue_depth,
             queue_capacity,
             queries,
+            stale_regular,
+            stale_early,
             latency,
             events: stream_events,
         });
@@ -1015,6 +1043,8 @@ mod tests {
             up_bytes: 10_240,
             down_bytes: 576,
             broadcast_events: 8,
+            stale_regular: 5,
+            stale_early: 2,
             sample: vec![
                 Keyed::new(Item::new(7, 2.0), 40.0),
                 Keyed::new(Item::new(9, 1.0), 11.25),
@@ -1257,6 +1287,8 @@ mod tests {
                 queue_depth: 2,
                 queue_capacity: 64,
                 queries: 9,
+                stale_regular: 12,
+                stale_early: 3,
                 latency: Some(HistSummary {
                     count: 9,
                     p50: 900.0,
@@ -1384,7 +1416,7 @@ mod tests {
         assert!(js.starts_with("{\"stream\":\"clicks\",\"kind\":\"l1-now\","));
         assert!(js.contains("\"items\":123456"));
         assert!(js.contains("\"epoch\":-3"));
-        assert!(js.contains("\"sample_size\":2"));
+        assert!(js.contains("\"stale_regular\":5,\"stale_early\":2,\"sample_size\":2"));
         let mut none = snap;
         none.epoch = None;
         assert!(none.to_json("a\"b").contains("\"stream\":\"a\\\"b\""));

@@ -86,6 +86,8 @@ proptest! {
             up_bytes: 0,
             down_bytes: 0,
             broadcast_events: 0,
+            stale_regular: 0,
+            stale_early: 0,
             sample: Vec::new(),
         };
         let mut buf = Vec::new();
@@ -163,6 +165,8 @@ proptest! {
             up_bytes: items.saturating_mul(17),
             down_bytes: items.saturating_mul(9),
             broadcast_events: items % 1024,
+            stale_regular: items / 3,
+            stale_early: u64::from(site),
             sample,
         };
         let mut w = FramedWriter::new(Vec::new());

@@ -21,10 +21,11 @@
 //!   (saturated levels, the epoch threshold) so a reconnecting site
 //!   filters exactly as a continuously-connected one would.
 //! * **Live queries while streams run** ([`CtrlMsg::Query`]): the
-//!   per-stream processor serializes query commands into the same queue
-//!   as data frames, so every [`LiveSnapshot`] is taken at a well-defined
-//!   instant of the stream — Theorem 3's "valid SWOR at every step" made
-//!   observable.
+//!   connection that asks is answered on its own thread, under the
+//!   stream's lock, which the processor holds for one command at a time,
+//!   so every [`LiveSnapshot`] is taken between two commands, a
+//!   well-defined instant of the stream — Theorem 3's "valid SWOR at every
+//!   step" made observable.
 //! * **Graceful shutdown**: [`Daemon::shutdown`] (or a
 //!   [`CtrlMsg::Shutdown`] control frame) drains every stream with the
 //!   same flush → `Eof` → drain discipline as the engines, returning each
@@ -40,8 +41,9 @@
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -130,9 +132,10 @@ enum SlotState {
     Finished,
 }
 
-/// Commands serialized into a stream processor's queue. Data frames and
-/// queries share the queue, so a query's answer reflects exactly the
-/// frames that preceded it.
+/// Commands serialized into a stream processor's queue: every change to
+/// a stream's state. The processor applies each under the stream's lock,
+/// and live reads take that lock too, so a query's answer or a scrape's
+/// section reflects exactly the commands that preceded it.
 enum StreamCmd {
     /// Phase 1 of attach: validate and claim the slot. The connection
     /// handler writes the `Attached` response on the socket *before*
@@ -158,24 +161,9 @@ enum StreamCmd {
     Eof { site: usize },
     /// The connection went away without `Eof`; the slot may reattach.
     Detach { site: usize },
-    /// A live query against the current state.
-    Query {
-        kind: LiveQueryKind,
-        arg: u64,
-        reply: mpsc::SyncSender<Result<LiveSnapshot, String>>,
-    },
     /// Finish once no slot is attached; reply with the final snapshot.
     Drain {
         reply: mpsc::SyncSender<LiveSnapshot>,
-    },
-    /// A telemetry scrape section for this stream, answered from the
-    /// processor loop — the same command-queue consistency as live
-    /// queries, so the scraped counters reflect exactly the frames that
-    /// preceded the scrape.
-    Metrics {
-        /// How many trailing trace events to include.
-        events: u32,
-        reply: mpsc::SyncSender<StreamMetrics>,
     },
 }
 
@@ -205,6 +193,105 @@ impl CmdSender {
     }
 }
 
+/// A lock that one writer holds for one command at a time and hands to
+/// waiting readers between commands.
+///
+/// A plain `Mutex` is not fair: a writer that applies commands back to
+/// back takes it again before a woken reader runs, so a saturated stream
+/// could starve its live reads. Here a reader counts itself in `queued`
+/// before it locks, and the writer, before each command, waits until as
+/// many readers have had the lock as had queued by then. A lone reader
+/// so waits out at most the command in progress when it queued; readers
+/// may overtake one another, but each that does is one more read served
+/// before the writer goes on. The writer waits for no more reads than
+/// had queued before its command, so readers cannot starve it either.
+struct Handoff<T> {
+    cut: Mutex<Turns<T>>,
+    /// Signalled by the reader that brings `served` up to `due`.
+    readers_served: Condvar,
+    /// Readers queued so far.
+    queued: AtomicU64,
+}
+
+/// The guarded value and the reader count the writer waits on. Derefs to
+/// the value.
+struct Turns<T> {
+    value: T,
+    /// Readers that have had the lock so far.
+    served: u64,
+    /// The `served` count the writer needs before its next command.
+    due: u64,
+}
+
+impl<T> Deref for Turns<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.value
+    }
+}
+
+impl<T> DerefMut for Turns<T> {
+    fn deref_mut(&mut self) -> &mut T {
+        &mut self.value
+    }
+}
+
+impl<T> Handoff<T> {
+    fn new(value: T) -> Self {
+        Handoff {
+            cut: Mutex::new(Turns {
+                value,
+                served: 0,
+                due: 0,
+            }),
+            readers_served: Condvar::new(),
+            queued: AtomicU64::new(0),
+        }
+    }
+
+    /// The writer's lock for one command, granted once as many readers
+    /// have had the lock as had queued before the call. `None` if a holder
+    /// panicked.
+    fn write(&self) -> Option<MutexGuard<'_, Turns<T>>> {
+        // ordering: SeqCst — pairs with the SeqCst increment in `queue`: a
+        // reader that queued before this load, in the single total order
+        // of SeqCst operations, is counted in `due`.
+        let due = self.queued.load(Ordering::SeqCst);
+        let mut turns = self.cut.lock().ok()?;
+        turns.due = due;
+        self.readers_served
+            .wait_while(turns, |t| t.served < t.due)
+            .ok()
+    }
+
+    /// A reader's lock: queue, then lock. `None` if a holder panicked.
+    fn read(&self) -> Option<MutexGuard<'_, Turns<T>>> {
+        self.queue();
+        self.lock_queued()
+    }
+
+    // The two halves of `read`, apart so a test can act between them.
+    fn queue(&self) {
+        // ordering: SeqCst — pairs with the SeqCst load in `write`.
+        self.queued.fetch_add(1, Ordering::SeqCst);
+    }
+
+    fn lock_queued(&self) -> Option<MutexGuard<'_, Turns<T>>> {
+        // A queued reader is counted as served even when the lock is
+        // poisoned, so a writer waiting for it is not left waiting; the
+        // counters stay valid whatever the panicked holder left undone.
+        let (mut turns, poisoned) = match self.cut.lock() {
+            Ok(turns) => (turns, false),
+            Err(e) => (e.into_inner(), true),
+        };
+        turns.served += 1;
+        if turns.served == turns.due {
+            self.readers_served.notify_one();
+        }
+        (!poisoned).then_some(turns)
+    }
+}
+
 /// The registry counters that mirror a stream's `Metrics` totals and its
 /// coordinator's stale-message counts, in [`StreamCtrs::fold`]'s order.
 const METERED: [&str; 6] = [
@@ -216,8 +303,9 @@ const METERED: [&str; 6] = [
     METRIC_STALE_EARLY_TOTAL,
 ];
 
-/// The daemon-registry handles a stream processor updates, resolved once
-/// at stream creation so the hot loop never touches the registry lock.
+/// The daemon-registry handles a stream's processor and its live reads
+/// update, resolved once at stream creation so neither touches the
+/// registry lock.
 struct StreamCtrs {
     /// The owning daemon's telemetry (its trace ring records drains).
     telemetry: Arc<Telemetry>,
@@ -268,7 +356,9 @@ impl StreamCtrs {
     }
 }
 
-/// One named stream's processor-side state.
+/// One named stream's state: written by its processor one command at a
+/// time, read by the connections that query or scrape it, all under the
+/// stream's [`Handoff`] lock.
 struct StreamState {
     name: String,
     query: Query,
@@ -370,9 +460,56 @@ impl StreamState {
             up_bytes: self.metrics.up_bytes,
             down_bytes: self.metrics.down_bytes,
             broadcast_events: self.metrics.broadcast_events,
+            stale_regular: self.coordinator.stats.stale_regular,
+            stale_early: self.coordinator.stats.stale_early,
             sample,
         })
     }
+
+    /// This stream's section of a telemetry scrape, with its `events`
+    /// newest trace events.
+    fn metrics_section(&mut self, events: u32) -> StreamMetrics {
+        StreamMetrics {
+            stream: self.name.clone(),
+            query: self.query.name().to_string(),
+            items: self.slot_items.iter().sum(),
+            sites_attached: count_state(&self.slots, SlotState::Attached),
+            sites_eof: count_state(&self.slots, SlotState::Finished),
+            // A sender counts itself before it blocks on a full queue, so
+            // the counter can pass the capacity the queue itself never
+            // exceeds.
+            // ordering: Relaxed — instantaneous gauge snapshot for a
+            // metrics report; no ordering relationship is needed.
+            queue_depth: (self.depth.load(Ordering::Relaxed) as u32).min(self.queue_capacity),
+            queue_capacity: self.queue_capacity,
+            queries: self.latency.count(),
+            stale_regular: self.coordinator.stats.stale_regular,
+            stale_early: self.coordinator.stats.stale_early,
+            latency: summarize(&mut self.latency),
+            events: self.trace.snapshot(events as usize),
+        }
+    }
+}
+
+/// Answers a live query on the asking connection's thread, under the
+/// stream's lock; `None` if the stream's state is lost to a panic.
+fn live_query(
+    cut: &Handoff<StreamState>,
+    kind: LiveQueryKind,
+    arg: u64,
+) -> Option<Result<LiveSnapshot, String>> {
+    let mut st = cut.read()?;
+    let t0 = Instant::now();
+    let answer = st.live_snapshot(kind, arg);
+    let nanos = t0.elapsed().as_nanos() as f64;
+    st.latency.observe(nanos);
+    st.ctrs.live_queries.inc();
+    let latency = Arc::clone(&st.ctrs.latency);
+    drop(st);
+    // The registry histogram takes a lock of its own; observing it after
+    // the guard drops keeps the stream lock a leaf.
+    latency.observe(nanos);
+    Some(answer)
 }
 
 fn weight_sum(sample: &[Keyed]) -> f64 {
@@ -419,16 +556,19 @@ fn route_live(
     }
 }
 
-/// The per-stream processor loop: owns the coordinator, consumes the
-/// serialized command queue, exits after a completed drain (or when the
-/// daemon is torn down and every command sender is gone).
-fn stream_processor(mut st: StreamState, rx: mpsc::Receiver<StreamCmd>) {
+/// The per-stream processor loop: consumes the serialized command queue,
+/// applying each command under the stream's lock, and exits after a
+/// completed drain (or when the daemon is torn down and every command
+/// sender is gone). It never holds the lock while it waits for a command,
+/// so live reads see the state between two commands.
+fn stream_processor(cut: Arc<Handoff<StreamState>>, rx: mpsc::Receiver<StreamCmd>) {
     let mut outbox = Outbox::new();
     let mut drain_reply: Option<mpsc::SyncSender<LiveSnapshot>> = None;
-    loop {
-        let Ok(cmd) = rx.recv() else {
-            break;
+    while let Ok(cmd) = rx.recv() {
+        let Some(mut guard) = cut.write() else {
+            return;
         };
+        let st: &mut StreamState = &mut guard;
         // ordering: Relaxed — metrics-only occupancy gauge; the `recv`
         // above already synchronized with the matching send.
         st.depth.fetch_sub(1, Ordering::Relaxed);
@@ -519,35 +659,8 @@ fn stream_processor(mut st: StreamState, rx: mpsc::Receiver<StreamCmd>) {
                 }
                 st.close_down(site);
             }
-            StreamCmd::Query { kind, arg, reply } => {
-                let t0 = Instant::now();
-                let _ = reply.send(st.live_snapshot(kind, arg));
-                let nanos = t0.elapsed().as_nanos() as f64;
-                st.latency.observe(nanos);
-                st.ctrs.latency.observe(nanos);
-                st.ctrs.live_queries.inc();
-            }
             StreamCmd::Drain { reply } => {
                 drain_reply = Some(reply);
-            }
-            StreamCmd::Metrics { events, reply } => {
-                let _ = reply.send(StreamMetrics {
-                    stream: st.name.clone(),
-                    query: st.query.name().to_string(),
-                    items: st.slot_items.iter().sum(),
-                    sites_attached: count_state(&st.slots, SlotState::Attached),
-                    sites_eof: count_state(&st.slots, SlotState::Finished),
-                    // A sender counts itself before it blocks on a full
-                    // queue, so the counter can pass the capacity the
-                    // queue itself never exceeds.
-                    // ordering: Relaxed — instantaneous gauge snapshot for
-                    // a metrics report; no ordering relationship is needed.
-                    queue_depth: (st.depth.load(Ordering::Relaxed) as u32).min(st.queue_capacity),
-                    queue_capacity: st.queue_capacity,
-                    queries: st.latency.count(),
-                    latency: summarize(&mut st.latency),
-                    events: st.trace.snapshot(events as usize),
-                });
             }
         }
         // Registry totals are command-granular: whatever this command
@@ -575,14 +688,18 @@ fn stream_processor(mut st: StreamState, rx: mpsc::Receiver<StreamCmd>) {
     }
     // Every command sender is gone without a drain (daemon teardown
     // mid-stream): the stream is no longer live.
-    st.ctrs.streams_active.add(-1);
+    if let Some(st) = cut.write() {
+        st.ctrs.streams_active.add(-1);
+    }
 }
 
 // ------------------------------------------------------------- daemon side
 
-/// A handle to one stream's processor.
+/// A handle to one stream: the command queue its processor serves, and
+/// the lock its state is read under.
 struct StreamHandle {
     cmd: CmdSender,
+    cut: Arc<Handoff<StreamState>>,
     join: JoinHandle<()>,
 }
 
@@ -863,25 +980,25 @@ fn create_stream(
         ctrs,
     };
     let (tx, rx) = mpsc::sync_channel(queue_capacity);
-    let join = thread::spawn(move || stream_processor(st, rx));
+    let cut = Arc::new(Handoff::new(st));
+    let join = thread::spawn({
+        let cut = Arc::clone(&cut);
+        move || stream_processor(cut, rx)
+    });
     streams.insert(
         name.to_string(),
         StreamHandle {
             cmd: CmdSender { tx, depth },
+            cut,
             join,
         },
     );
     Ok("created")
 }
 
-/// Looks up a stream's command sender.
-fn stream_cmd(shared: &Shared, name: &str) -> Option<CmdSender> {
-    shared
-        .streams
-        .lock()
-        .unwrap()
-        .get(name)
-        .map(|h| h.cmd.clone())
+/// Looks up a stream and takes what the caller needs of its handle.
+fn lookup<R>(shared: &Shared, name: &str, pick: impl FnOnce(&StreamHandle) -> R) -> Option<R> {
+    shared.streams.lock().unwrap().get(name).map(pick)
 }
 
 /// Counts one refused control request and drops a breadcrumb in the
@@ -895,30 +1012,24 @@ fn note_ctrl_error(shared: &Shared, tag: u8) {
 }
 
 /// Assembles one [`MetricsReport`]: the daemon's registry snapshot and
-/// daemon-level trace tail, plus one per-stream section answered through
-/// each stream's own command queue — the same serialization as live
-/// queries, so every section is consistent with the frames that preceded
-/// it. Streams mid-drain are skipped (their processor no longer serves
-/// the queue).
+/// daemon-level trace tail, plus one per-stream section read under each
+/// stream's lock, as live queries are, so every section is consistent
+/// with the commands that preceded it. Streams mid-drain are skipped
+/// (they have left the stream map).
 fn scrape(shared: &Shared, events: u32) -> MetricsReport {
     let t = &shared.telemetry;
     t.registry.counter(METRIC_SCRAPES_TOTAL).inc();
-    let senders: Vec<CmdSender> = shared
+    let cuts: Vec<Arc<Handoff<StreamState>>> = shared
         .streams
         .lock()
         .unwrap()
         .values()
-        .map(|h| h.cmd.clone())
+        .map(|h| Arc::clone(&h.cut))
         .collect();
-    let mut streams = Vec::with_capacity(senders.len());
-    for cmd in senders {
-        let (rtx, rrx) = mpsc::sync_channel(1);
-        if cmd.send(StreamCmd::Metrics { events, reply: rtx }).is_ok() {
-            if let Ok(section) = rrx.recv() {
-                streams.push(section);
-            }
-        }
-    }
+    let mut streams: Vec<StreamMetrics> = cuts
+        .iter()
+        .filter_map(|cut| Some(cut.read()?.metrics_section(events)))
+        .collect();
     streams.sort_by(|a, b| a.stream.cmp(&b.stream));
     // The telemetry epoch is the daemon's bind time, so the report clock
     // is its uptime.
@@ -977,7 +1088,7 @@ fn handle_connection(shared: Arc<Shared>, addr: SocketAddr, stream: TcpStream) {
             CtrlMsg::Attach { stream: name, site } => {
                 let site = site as usize;
                 let draining = || format!("stream {name:?} is draining");
-                let reserved = stream_cmd(&shared, &name)
+                let reserved = lookup(&shared, &name, |h| h.cmd.clone())
                     .ok_or_else(|| format!("no such stream {name:?}"))
                     .and_then(|cmd| {
                         let (rtx, rrx) = mpsc::sync_channel(1);
@@ -1015,27 +1126,17 @@ fn handle_connection(shared: Arc<Shared>, addr: SocketAddr, stream: TcpStream) {
                 stream: name,
                 kind,
                 arg,
-            } => match stream_cmd(&shared, &name) {
+            } => match lookup(&shared, &name, |h| Arc::clone(&h.cut)) {
                 None => CtrlResp::Err {
                     msg: format!("no such stream {name:?}"),
                 },
-                Some(cmd) => {
-                    let (rtx, rrx) = mpsc::sync_channel(1);
-                    let sent = cmd
-                        .send(StreamCmd::Query {
-                            kind,
-                            arg,
-                            reply: rtx,
-                        })
-                        .is_ok();
-                    match (sent, sent.then(|| rrx.recv())) {
-                        (true, Some(Ok(Ok(snapshot)))) => CtrlResp::Answer { snapshot },
-                        (true, Some(Ok(Err(msg)))) => CtrlResp::Err { msg },
-                        _ => CtrlResp::Err {
-                            msg: format!("stream {name:?} is draining"),
-                        },
-                    }
-                }
+                Some(cut) => match live_query(&cut, kind, arg) {
+                    Some(Ok(snapshot)) => CtrlResp::Answer { snapshot },
+                    Some(Err(msg)) => CtrlResp::Err { msg },
+                    None => CtrlResp::Err {
+                        msg: format!("stream {name:?} is draining"),
+                    },
+                },
             },
             CtrlMsg::Drain { stream: name } => {
                 // Remove the handle first so no new attach can race the
@@ -1195,8 +1296,8 @@ impl CtrlClient {
 
     /// Scrapes the daemon's telemetry: the metrics-registry snapshot, the
     /// trailing `events` daemon-level trace events, and one per-stream
-    /// section answered with the same command-queue consistency as live
-    /// queries.
+    /// section read between two of the stream's commands, as live queries
+    /// are.
     pub fn metrics(&mut self, events: u32) -> Result<MetricsReport, RuntimeError> {
         let resp = self
             .request(&CtrlMsg::Metrics { events })
@@ -1521,6 +1622,47 @@ mod tests {
 
     fn daemon() -> Daemon {
         Daemon::bind("127.0.0.1:0", DaemonConfig::default()).expect("bind")
+    }
+
+    #[test]
+    fn a_queued_read_waits_out_at_most_two_commands() {
+        // One thread applies "commands" back to back, each bumping the
+        // guarded counter and a lock-free mirror of it. Each read queues,
+        // notes the mirror, and reads the counter once it holds the lock.
+        let cut = Arc::new(Handoff::new(0u64));
+        let applied = Arc::new(AtomicU64::new(0));
+        let stop = Arc::new(AtomicBool::new(false));
+        let writer = thread::spawn({
+            let (cut, applied, stop) = (Arc::clone(&cut), Arc::clone(&applied), Arc::clone(&stop));
+            move || {
+                // ordering: Relaxed — a stop flag only; the writer is joined.
+                while !stop.load(Ordering::Relaxed) {
+                    let mut turns = cut.write().expect("no holder panicked");
+                    **turns += 1;
+                    // ordering: SeqCst — the mirror joins the total order
+                    // of the handoff's SeqCst operations the bound rests on.
+                    applied.store(**turns, Ordering::SeqCst);
+                }
+            }
+        });
+        let mut worst = 0;
+        for _ in 0..1_000 {
+            // Read only once the writer has applied another command, so
+            // every read meets a writer that is busy.
+            // ordering: SeqCst — see the writer's store.
+            let last = applied.load(Ordering::SeqCst);
+            while applied.load(Ordering::SeqCst) == last {
+                thread::yield_now();
+            }
+            cut.queue();
+            let queued_at = applied.load(Ordering::SeqCst);
+            let held = **cut.lock_queued().expect("no holder panicked");
+            worst = worst.max(held - queued_at);
+        }
+        // ordering: Relaxed — see the writer's loop.
+        stop.store(true, Ordering::Relaxed);
+        writer.join().expect("writer");
+        assert!(worst <= 2, "a read waited out {worst} commands");
     }
 
     #[test]

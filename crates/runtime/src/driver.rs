@@ -969,6 +969,8 @@ impl RunReport {
             up_bytes: self.metrics.up_bytes,
             down_bytes: self.metrics.down_bytes,
             broadcast_events: self.metrics.broadcast_events,
+            stale_regular: self.stale_regular,
+            stale_early: self.stale_early,
             sample: self.sample.clone(),
         }
     }

@@ -161,7 +161,8 @@ fn json_stream(st: &StreamMetrics) -> String {
         concat!(
             "{{\"stream\":\"{}\",\"query\":\"{}\",\"items\":{},",
             "\"sites_attached\":{},\"sites_eof\":{},\"queue_depth\":{},",
-            "\"queue_capacity\":{},\"queries\":{},\"latency\":{},",
+            "\"queue_capacity\":{},\"queries\":{},\"stale_regular\":{},",
+            "\"stale_early\":{},\"latency\":{},",
             "\"events\":{}}}"
         ),
         json_escape(&st.stream),
@@ -172,6 +173,8 @@ fn json_stream(st: &StreamMetrics) -> String {
         st.queue_depth,
         st.queue_capacity,
         st.queries,
+        st.stale_regular,
+        st.stale_early,
         json_hist(&st.latency),
         json_events(&st.events)
     )
@@ -257,6 +260,8 @@ mod tests {
                 queue_depth: 1,
                 queue_capacity: 64,
                 queries: 5,
+                stale_regular: 7,
+                stale_early: 1,
                 latency: None,
                 events: vec![],
             }],
@@ -284,6 +289,6 @@ mod tests {
         assert!(js.contains("\"summary\":{\"count\":3,\"p50\":100,"));
         assert!(js.contains("\"event\":\"connection\""));
         assert!(js.contains("\"stream\":\"s1\",\"query\":\"swor\",\"items\":42"));
-        assert!(js.contains("\"latency\":null"));
+        assert!(js.contains("\"stale_regular\":7,\"stale_early\":1,\"latency\":null"));
     }
 }

@@ -6,7 +6,7 @@
 //! nanoseconds since the ring's epoch. The daemon keeps one ring per
 //! stream (attach/detach/sync/drain history) plus one daemon-level ring
 //! (connections, ctrl errors, shutdown); scrapes copy the newest events
-//! out through the stream's command queue.
+//! out under the stream's lock, between two of its commands.
 
 use std::sync::Mutex;
 use std::time::Instant;

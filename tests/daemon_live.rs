@@ -173,7 +173,8 @@ fn metrics_scrapes_are_monotone_and_match_final_totals() {
         TraceKind, METRIC_BROADCAST_EVENTS_TOTAL, METRIC_CONNECTIONS_TOTAL,
         METRIC_DOWN_MESSAGES_TOTAL, METRIC_ITEMS_TOTAL, METRIC_LIVE_QUERIES_TOTAL,
         METRIC_QUERY_LATENCY_NS, METRIC_SCRAPES_TOTAL, METRIC_SITES_ATTACHED,
-        METRIC_STREAMS_ACTIVE, METRIC_UP_MESSAGES_TOTAL, METRIC_WIRE_BYTES_TOTAL,
+        METRIC_STALE_EARLY_TOTAL, METRIC_STALE_REGULAR_TOTAL, METRIC_STREAMS_ACTIVE,
+        METRIC_UP_MESSAGES_TOTAL, METRIC_WIRE_BYTES_TOTAL,
     };
 
     let per_site = 4_000u64;
@@ -303,6 +304,8 @@ fn metrics_scrapes_are_monotone_and_match_final_totals() {
         (METRIC_DOWN_MESSAGES_TOTAL, fin.down_msgs),
         (METRIC_WIRE_BYTES_TOTAL, fin.up_bytes + fin.down_bytes),
         (METRIC_BROADCAST_EVENTS_TOTAL, fin.broadcast_events),
+        (METRIC_STALE_REGULAR_TOTAL, fin.stale_regular),
+        (METRIC_STALE_EARLY_TOTAL, fin.stale_early),
         (METRIC_LIVE_QUERIES_TOTAL, queries_issued),
         (METRIC_QUERY_LATENCY_NS, queries_issued),
         (METRIC_SITES_ATTACHED, 0),

@@ -40,6 +40,18 @@ fn lint_config_declares_the_core_invariants() {
             .any(|c| c.windows(2).any(|w| w[0] == "streams" && w[1] == "drained")),
         "daemon lock order streams -> drained must stay declared"
     );
+    // A stream's state lock, which live reads take on their connection's
+    // thread, is a leaf: it must be a declared lock, and in no chain.
+    assert!(
+        cfg.lock_names.iter().any(|l| l == "cut"),
+        "the daemon's stream-state lock `cut` must stay declared"
+    );
+    assert!(
+        cfg.lock_chains
+            .iter()
+            .all(|c| !c.iter().any(|l| l == "cut")),
+        "the stream-state lock `cut` must not nest with another lock"
+    );
     let hot: Vec<&str> = cfg.hot_functions.iter().map(|h| h.func.as_str()).collect();
     for f in ["coord_reactor", "observe", "receive_early", "insert"] {
         assert!(hot.contains(&f), "hot path {f} missing from lint.toml");
