@@ -32,9 +32,11 @@ pub(crate) const PROMPT_FLUSH_MIN: usize = 8;
 ///   buffers, kernel socket buffers and the reactor's handoff (epoll) all
 ///   count; a site stops pulling input while its coordinator's credits
 ///   are used up, and its worker moves on to other sites instead of
-///   blocking. Trees bound each group's aggregator separately. The down
-///   path is deliberately *unbounded* and eagerly drained, which is what
-///   makes the bounded up path deadlock-free (see `crate::engine`).
+///   blocking. Trees bound each group's aggregator separately, and the
+///   root link to as many sync frames, past which an aggregator's send
+///   blocks. The down path is deliberately *unbounded* and eagerly
+///   drained, which is what makes the bounded up path deadlock-free (see
+///   `crate::engine`).
 ///
 ///   The default is 32 batches: at most 2,048 messages in flight at the
 ///   default batch of 64, a ceiling, since a batch that an early ships

@@ -73,8 +73,7 @@ use std::thread;
 use std::time::Duration;
 
 use dwrs_core::framed::FrameCodec;
-use dwrs_core::swor::SyncMsg;
-use dwrs_sim::{CoordinatorNode, NoDown, SiteNode};
+use dwrs_sim::{CoordinatorNode, SiteNode};
 
 use crate::config::RuntimeConfig;
 use crate::engine::{
@@ -84,11 +83,10 @@ use crate::reactor::{
     raise_nofile_limit, wake_pair, PollEvent, Poller, RecvBuf, SendBuf, WakeRx, Waker, WAKE_TOKEN,
 };
 use crate::tcp::{
-    accept_sites, connect_site, decode_down, decode_up, encode_batch, encode_down, encode_up,
-    read_hello, write_hello,
+    decode_down, decode_up, encode_batch, encode_down, encode_up, read_hello, write_hello,
 };
 use crate::transport::{BatchSender, CoordEndpoint, DownSender, TransportError, UpFrame, UpRx};
-use crate::tree::{check_sync_fits_frame, run_tree_pool, TreeOutput, TreeTopology};
+use crate::tree::{run_tree_pool, TreeOutput, TreeTopology};
 
 /// Soft cap on a site's buffered-but-unflushed up bytes: past this the
 /// task stops pulling input until write readiness drains it (the buffered
@@ -440,7 +438,7 @@ impl<U> UpLink<U> {
     /// are the bound, so a `send` never blocks the reactor.
     fn new(credits: Arc<CreditPool>) -> (UpLink<U>, UpRx<U>) {
         let (tx, rx) = mpsc::channel();
-        let rx = UpRx::with_credits(rx, Arc::clone(&credits));
+        let rx = UpRx::new(rx, Some(Arc::clone(&credits)));
         (UpLink { tx, credits }, rx)
     }
 }
@@ -711,16 +709,6 @@ fn wire_sites(
 
 // -------------------------------------------------------------- engine
 
-/// Binds a loopback listener for `what`.
-fn bind(what: &str) -> Result<(TcpListener, SocketAddr), RuntimeError> {
-    let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0))
-        .map_err(|e| io_runtime_err(&format!("bind {what} listener"), &e))?;
-    let addr = listener
-        .local_addr()
-        .map_err(|e| RuntimeError::Transport(e.to_string()))?;
-    Ok((listener, addr))
-}
-
 /// Connects `groups × k` site sockets and wraps each accepted end as a
 /// reactor connection reporting as member `global % k` into `UpLink`
 /// `global / k`. Returns the pool's site links (in global order), each
@@ -739,7 +727,11 @@ fn wire_links<D: FrameCodec + Send + 'static>(
     ),
     RuntimeError,
 > {
-    let (listener, addr) = bind("site")?;
+    let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0))
+        .map_err(|e| io_runtime_err("bind site listener", &e))?;
+    let addr = listener
+        .local_addr()
+        .map_err(|e| RuntimeError::Transport(e.to_string()))?;
     let (site_streams, coord_streams) = wire_sites(&listener, addr, groups * k)?;
     let (waker, wake_rx) = wake_pair().map_err(|e| io_runtime_err("creating reactor waker", &e))?;
     let mut conns = Vec::with_capacity(groups * k);
@@ -800,16 +792,14 @@ where
 /// site pool, and each group's aggregator takes frames off its own
 /// handoff while the group's sites draw on its own credit pool
 /// (`queue_capacity` batches), so the reactor never waits on a slow
-/// aggregator. The aggregator→root hop stays on the blocking socket
-/// halves of [`crate::tcp`] (one reader thread per link), since `g` links
-/// is a fan-in a thread per link handles fine; its [`SyncMsg`] frames
-/// cross real sockets like every site frame.
+/// aggregator. The aggregator→root hop is the root link both engines
+/// share, one bounded in-process channel ([`crate::tree`]), so only the
+/// sites' links differ between the engines.
 ///
 /// Semantics (shutdown ordering, sync cadence, metrics accounting, error
 /// priority) match [`crate::tree::run_tree_nodes`] on the threads
 /// substrate; `feeds[gi][i]` is the nonblocking input partition for site
 /// `i` of group `gi`.
-#[allow(clippy::type_complexity)]
 pub fn run_tree_epoll<S, A>(
     s: usize,
     topo: &TreeTopology,
@@ -827,19 +817,9 @@ where
     let (g, k) = (topo.groups, topo.k_per_group);
     assert!(g >= 1 && k >= 1, "need at least one site per group");
     assert_eq!(feeds.len(), g, "one feed block per group");
-    check_sync_fits_frame(s)?;
     let _ = raise_nofile_limit();
     let (links, downs, conns, wake_rx) = wire_links::<S::Down>(g, k)?;
     let pool = Pool::new(g * k)?;
-
-    let (root_listener, root_addr) = bind("root")?;
-    let mut root_links = Vec::with_capacity(g);
-    for gi in 0..g {
-        let link = connect_site(root_addr, gi)
-            .map_err(|e| RuntimeError::Transport(format!("connect group {gi} root link: {e}")))?;
-        root_links.push(link);
-    }
-    let root_ep = accept_sites::<SyncMsg, NoDown>(&root_listener, g, cfg.queue_capacity)?;
 
     // One credit pool and handoff per aggregator, matching the threads
     // tree's per-group bound; one reactor (and one waker) multiplexing
@@ -848,27 +828,18 @@ where
     let mut groups = Vec::with_capacity(g);
     let mut tasks = Vec::with_capacity(g * k);
     let mut links = links.into_iter();
-    let wiring = feeds.into_iter().zip(downs).zip(root_links);
-    for (gi, ((group_feeds, downs), root_link)) in wiring.enumerate() {
+    for (gi, (group_feeds, downs)) in feeds.into_iter().zip(downs).enumerate() {
         assert_eq!(group_feeds.len(), k, "one feed per site");
         let (up, up_rx) = UpLink::new(pool.credits(cfg.queue_capacity));
         let sites = (0..k).map(|i| mk_site(gi, i));
         let group_links = links.by_ref().take(k);
         tasks.extend(pool.tasks(gi * k, sites, group_links, group_feeds, &up.credits, cfg));
         let agg_ep = CoordEndpoint { up: up_rx, downs };
-        groups.push((mk_aggregator(gi), agg_ep, root_link));
+        groups.push((mk_aggregator(gi), agg_ep));
         ups.push(up);
     }
     let reactor = move || coord_reactor::<S::Up>(conns, ups, wake_rx);
-    run_tree_pool(
-        s,
-        topo.sync_every,
-        pool,
-        tasks,
-        groups,
-        root_ep,
-        Some(reactor),
-    )
+    run_tree_pool(s, topo, cfg, pool, tasks, groups, Some(reactor))
 }
 
 #[cfg(test)]

@@ -108,7 +108,5 @@ pub use engine::{run_threads, Feed, ItemFeed, RunOutput, RuntimeError, VecFeed};
 pub use epoll::{run_epoll, run_tree_epoll};
 pub use query::{Query, QueryAnswer};
 pub use reactor::raise_nofile_limit;
-pub use transport::{
-    channel_wiring, BatchSender, CoordEndpoint, DownSender, SiteEndpoint, TransportError, UpFrame,
-};
+pub use transport::{BatchSender, DownSender, TransportError, UpFrame};
 pub use tree::{run_tree_nodes, GroupStats, LockstepTree, SampleSource, TreeOutput, TreeTopology};

@@ -1,5 +1,5 @@
-//! The data-plane wire codec, plus the blocking socket halves that still
-//! carry it.
+//! The data-plane wire codec, plus the blocking socket halves that carry
+//! it for the daemon.
 //!
 //! Every data-plane frame is `[u32 len][payload]` (`dwrs_core::framed`)
 //! and every payload starts with one tag byte. Each frame kind has exactly
@@ -25,30 +25,23 @@
 //! after `EOF`; the coordinator half-closes each down link once every site
 //! reported `EOF`, which terminates the sites' drain loops.
 //!
-//! The blocking halves bridge one socket onto the `mpsc` channels the
-//! engine loops consume, with one reader thread per direction.
-//! [`connect_site`] and [`accept_sites`] wire the epoll tree's `g`
-//! aggregator→root links; the daemon's attach client reuses the site-side
-//! sender and down reader, and the daemon its down sender. The up reader
-//! feeds a shared bounded queue, so backpressure carries over: a slow
-//! coordinator fills the queue, the readers block, the kernel socket
-//! buffers fill, and sender writes stall. The down reader drains eagerly,
-//! which keeps the coordinator's down writes from ever blocking (the
-//! deadlock-freedom invariant). Because that reader holds a second handle
-//! to the socket, a site-side up sender dropped without `close` shuts the
-//! socket down both ways, so the peer sees the link end.
+//! The blocking halves bridge one socket onto the `mpsc` channel a
+//! daemon attach client consumes: its up sender writes frames, and a
+//! down-reader thread drains `DOWN` frames eagerly, which keeps the
+//! daemon's down writes (through the coordinator-side down sender) from
+//! ever blocking (the deadlock-freedom invariant). Because that reader
+//! holds a second handle to the socket, a site-side up sender dropped
+//! without `close` shuts the socket down both ways, so the peer sees the
+//! link end.
 
 use std::io::{self, Read};
-use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, TcpStream};
 use std::sync::mpsc;
-use std::thread;
 
 use dwrs_core::framed::{decode_seq, encode_seq, FrameCodec, FramedReader, FramedWriter};
 
 use crate::engine::RuntimeError;
-use crate::transport::{
-    BatchSender, CoordEndpoint, DownSender, SiteEndpoint, TransportError, UpFrame,
-};
+use crate::transport::{BatchSender, DownSender, TransportError, UpFrame};
 
 const TAG_HELLO: u8 = 0x10;
 const TAG_BATCH: u8 = 0x11;
@@ -245,25 +238,6 @@ impl<U: FrameCodec + Send> BatchSender<U> for TcpBatchSender<U> {
     }
 }
 
-/// Connects one site to a coordinator at `addr`: performs the `HELLO`
-/// handshake and spawns the down-reader thread.
-pub fn connect_site<U, D>(
-    addr: impl ToSocketAddrs,
-    site_id: usize,
-) -> io::Result<SiteEndpoint<U, D>>
-where
-    U: FrameCodec + Send + 'static,
-    D: FrameCodec + Send + 'static,
-{
-    let stream = TcpStream::connect(addr)?;
-    stream.set_nodelay(true)?;
-    write_hello(&stream, site_id)?;
-    let up = tcp_batch_sender(stream.try_clone()?);
-    let (down_tx, down_rx) = mpsc::channel::<D>();
-    thread::spawn(move || down_reader(stream, down_tx));
-    Ok(SiteEndpoint::new(site_id, up, down_rx))
-}
-
 /// Site-side reader: decodes `DOWN` frames into the in-process channel
 /// until the coordinator half-closes. Runs on its own thread so the socket
 /// is always drained (downs never back up into the coordinator). On any
@@ -325,143 +299,69 @@ impl<D: FrameCodec + Send> DownSender<D> for TcpDownSender<D> {
     }
 }
 
-/// Coordinator-side reader for one site connection: decodes
-/// `BATCH`/`EOF`/`FAULT` frames into the shared bounded up queue. Any
-/// protocol violation or abrupt disconnect becomes an [`UpFrame::Fault`]
-/// so the run terminates with a diagnostic instead of hanging. On exit the
-/// socket is fully shut down, so a misbehaving peer that keeps streaming
-/// fails fast on its next write instead of blocking forever once the
-/// kernel buffer fills.
-fn up_reader<U: FrameCodec>(
-    stream: TcpStream,
-    site: usize,
-    tx: mpsc::SyncSender<(usize, UpFrame<U>)>,
-) {
-    let shutdown_handle = stream.try_clone().ok();
-    let mut reader = FramedReader::new(stream);
-    loop {
-        let frame = match reader.read_blob() {
-            Ok(Some(payload)) => decode_up::<U>(payload),
-            Ok(None) => UpFrame::Fault("connection closed before EOF frame".into()),
-            Err(e) => UpFrame::Fault(format!("read error: {e}")),
-        };
-        let terminal = !matches!(frame, UpFrame::Batch { .. });
-        // A fault means the session is broken: fully shut the socket so a
-        // peer still streaming into it errors out promptly. A clean `Eof`
-        // must leave the socket open — the coordinator's down link shares
-        // it and still carries broadcasts until shutdown phase 2.
-        let broken = matches!(frame, UpFrame::Fault(_));
-        if tx.send((site, frame)).is_err() || terminal {
-            if broken {
-                if let Some(s) = shutdown_handle.as_ref() {
-                    let _ = s.shutdown(Shutdown::Both);
-                }
-            }
-            return;
-        }
-    }
-}
-
-/// Accepts `k` site connections on `listener`, reads each `HELLO`, and
-/// assembles the coordinator endpoint (spawning one up-reader thread per
-/// connection).
-pub fn accept_sites<U, D>(
-    listener: &TcpListener,
-    k: usize,
-    queue_capacity: usize,
-) -> Result<CoordEndpoint<U, D>, RuntimeError>
-where
-    U: FrameCodec + Send + 'static,
-    D: FrameCodec + Send + 'static,
-{
-    assert!(k >= 1, "need at least one site");
-    let (up_tx, up_rx) = mpsc::sync_channel(queue_capacity.max(1));
-    let mut downs: Vec<Option<Box<dyn DownSender<D>>>> = (0..k).map(|_| None).collect();
-    for _ in 0..k {
-        let (stream, _peer) = listener.accept().map_err(TransportError::Io)?;
-        stream.set_nodelay(true).map_err(TransportError::Io)?;
-        let site = read_hello(&stream, k, |site| downs[site].is_some())?;
-        downs[site] = Some(tcp_down_sender(
-            stream.try_clone().map_err(TransportError::Io)?,
-        ));
-        let tx = up_tx.clone();
-        thread::spawn(move || up_reader::<U>(stream, site, tx));
-    }
-    drop(up_tx);
-    let downs = downs
-        .into_iter()
-        .map(|d| d.expect("all k slots filled above"))
-        .collect();
-    Ok(CoordEndpoint::new(up_rx, downs))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dwrs_core::swor::{DownMsg, UpMsg};
-    use std::io::Write;
+    use dwrs_core::swor::UpMsg;
+    use dwrs_core::Item;
+    use std::net::TcpListener;
 
     #[test]
-    fn hello_rejects_out_of_range_site() {
-        let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0)).unwrap();
-        let addr = listener.local_addr().unwrap();
-        let handle = thread::spawn(move || {
-            let a = connect_site::<UpMsg, DownMsg>(addr, 7);
-            drop(a);
-        });
-        let err = accept_sites::<UpMsg, DownMsg>(&listener, 2, 8).unwrap_err();
-        assert!(
-            matches!(err, RuntimeError::Transport(ref m) if m.contains("site 7")),
-            "got {err:?}"
-        );
-        handle.join().unwrap();
-    }
-
-    #[test]
-    fn site_sent_fault_round_trips_with_message() {
-        // A Fault shipped through the site's BatchSender must arrive as a
-        // Fault with its diagnostic intact — not be silently degraded to a
-        // clean Eof.
-        let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0)).unwrap();
-        let addr = listener.local_addr().unwrap();
-        let handle = thread::spawn(move || {
-            let mut ep = connect_site::<UpMsg, DownMsg>(addr, 0).unwrap();
-            ep.up
-                .send(UpFrame::Fault("site disk on fire".into()))
-                .unwrap();
-        });
-        let ep = accept_sites::<UpMsg, DownMsg>(&listener, 1, 8).unwrap();
-        let (site, frame) = ep.up.recv().unwrap();
-        handle.join().unwrap();
-        assert_eq!(site, 0);
-        assert!(
-            matches!(frame, UpFrame::Fault(ref m) if m == "site disk on fire"),
-            "got {frame:?}"
-        );
-    }
-
-    #[test]
-    fn garbage_connection_surfaces_as_fault() {
-        let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0)).unwrap();
-        let addr = listener.local_addr().unwrap();
-        let handle = thread::spawn(move || {
-            let mut s = TcpStream::connect(addr).unwrap();
-            // Valid HELLO, then a garbage frame.
-            write_hello(&s, 0).unwrap();
-            s.write_all(&3u32.to_le_bytes()).unwrap();
-            s.write_all(&[0xEE, 0xFF, 0x00]).unwrap();
-        });
-        let ep = accept_sites::<UpMsg, DownMsg>(&listener, 1, 8).unwrap();
-        let mut frames = Vec::new();
-        while let Ok(f) = ep.up.recv() {
-            frames.push(f);
+    fn up_frames_round_trip_and_malformed_payloads_decode_to_faults() {
+        let batch = UpFrame::Batch {
+            msgs: vec![
+                UpMsg::Early {
+                    item: Item::new(3, 2.5),
+                },
+                UpMsg::Regular {
+                    item: Item::unit(4),
+                    key: 7.0,
+                },
+            ],
+            items: 9,
+        };
+        // A fault keeps its diagnostic rather than degrading to an Eof.
+        let fault = UpFrame::Fault("site disk on fire".into());
+        for frame in [batch, UpFrame::Eof, fault] {
+            let mut payload = Vec::new();
+            encode_up(&frame, &mut payload);
+            assert_eq!(decode_up::<UpMsg>(&payload), frame);
         }
-        handle.join().unwrap();
-        assert!(
-            frames
-                .iter()
-                .any(|(site, f)| *site == 0 && matches!(f, UpFrame::Fault(_))),
-            "got {frames:?}"
-        );
+        for (payload, says) in [
+            (&[0xEE, 0xFF, 0x00][..], "unexpected frame tag 0xee"),
+            (
+                &[TAG_BATCH, 1, 2, 3][..],
+                "shorter than its item-count header",
+            ),
+            (&[][..], "empty frame"),
+        ] {
+            let frame = decode_up::<UpMsg>(payload);
+            assert!(
+                matches!(frame, UpFrame::Fault(ref m) if m.contains(says)),
+                "{payload:?}: got {frame:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn hello_rejects_out_of_range_and_duplicate_sites() {
+        let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        // Reads the HELLO of `site` as the `k = 2` accept loop would,
+        // with `taken` reporting every site as already connected or none.
+        let hello = |site, taken: bool| {
+            let client = TcpStream::connect(addr).unwrap();
+            write_hello(&client, site).unwrap();
+            let (server, _) = listener.accept().unwrap();
+            read_hello(&server, 2, |_| taken)
+        };
+        assert_eq!(hello(1, false).unwrap(), 1);
+        for (site, taken, says) in [(7, false, "site 7 but k = 2"), (1, true, "duplicate HELLO")] {
+            let err = hello(site, taken).unwrap_err();
+            assert!(
+                matches!(err, RuntimeError::Transport(ref m) if m.contains(says)),
+                "got {err:?}"
+            );
+        }
     }
 }

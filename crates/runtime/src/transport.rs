@@ -4,17 +4,18 @@
 //! coordinator's receiving half is always a `std::sync::mpsc` receiver
 //! (the epoll engine's reactor bridges its sockets onto one); its down
 //! senders are trait objects ([`DownSender`]: an in-process channel, a
-//! reactor connection's send buffer, or a framed socket writer). Site
-//! tasks reach their coordinator through the site scheduler's
-//! `SiteLink`: `channel_links` wires the threads engine's, the epoll
-//! engine wires sockets. The blocking [`SiteEndpoint`] halves remain for
-//! the tree's aggregator→root hop and the daemon's attach client.
+//! reactor connection's send buffer, or the daemon's framed socket
+//! writer). Site tasks reach their coordinator through the site
+//! scheduler's `SiteLink`: `channel_links` wires the threads engine's,
+//! the epoll engine wires sockets. The tree's aggregator→root hop is one
+//! bounded in-process channel on both engines, built by
+//! [`crate::tree`].
 //!
 //! Queue discipline (the deadlock-freedom invariant, see `crate::engine`):
 //! the site→coordinator path is **bounded** by credits that the
-//! coordinator returns as it takes each batch (the root hop: a bounded
-//! channel whose `send` blocks), while the coordinator→site path is
-//! **unbounded** and eagerly drained.
+//! coordinator returns as it takes each batch (the root hop: by its
+//! channel's capacity, a `send` blocking while it is full), while the
+//! coordinator→site path is **unbounded** and eagerly drained.
 
 use std::sync::{mpsc, Arc};
 
@@ -70,10 +71,9 @@ impl From<std::io::Error> for TransportError {
     }
 }
 
-/// Site-side sending half of the up path. On a blocking link (the tree's
-/// root hop, the daemon's attach client) `send` blocks while the bounded
-/// queue or the socket is full — that is the backpressure; a pooled
-/// site's link never blocks, and credits bound it instead.
+/// Site-side sending half of the up path. On the daemon's attach client
+/// `send` blocks while the socket is full — that is the backpressure; a
+/// pooled site's link never blocks, and credits bound it instead.
 pub trait BatchSender<U>: Send {
     /// Ships one frame; a blocking link blocks under backpressure.
     fn send(&mut self, frame: UpFrame<U>) -> Result<(), TransportError>;
@@ -116,80 +116,29 @@ pub trait DownSender<D>: Send {
     fn close(&mut self) {}
 }
 
-/// A site's two half-links.
-pub struct SiteEndpoint<U, D> {
-    /// Site index in `0..k`.
-    pub id: usize,
-    pub(crate) up: Box<dyn BatchSender<U>>,
-    pub(crate) down: mpsc::Receiver<D>,
-}
-
-impl<U, D> SiteEndpoint<U, D> {
-    /// Assembles an endpoint from its halves.
-    pub fn new(id: usize, up: Box<dyn BatchSender<U>>, down: mpsc::Receiver<D>) -> Self {
-        Self { id, up, down }
-    }
-}
-
-impl<U, D> std::fmt::Debug for SiteEndpoint<U, D> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "SiteEndpoint(id {})", self.id)
-    }
-}
-
 /// The coordinator's merged inbound queue plus one down link per site.
-pub struct CoordEndpoint<U, D> {
+pub(crate) struct CoordEndpoint<U, D> {
     pub(crate) up: UpRx<U>,
     pub(crate) downs: Vec<Box<dyn DownSender<D>>>,
 }
 
-impl<U, D> CoordEndpoint<U, D> {
-    /// Assembles an endpoint from its halves.
-    pub fn new(
-        up: mpsc::Receiver<(usize, UpFrame<U>)>,
-        downs: Vec<Box<dyn DownSender<D>>>,
-    ) -> Self {
-        Self {
-            up: UpRx {
-                rx: up,
-                credits: None,
-            },
-            downs,
-        }
-    }
-
-    /// Number of connected sites.
-    pub fn num_sites(&self) -> usize {
-        self.downs.len()
-    }
-}
-
-impl<U, D> std::fmt::Debug for CoordEndpoint<U, D> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "CoordEndpoint({} sites)", self.downs.len())
-    }
-}
-
 /// The coordinator's end of the up path. Under the site pool the queue
 /// is unbounded and the sites' credit pool is the bound, so taking a
-/// BATCH frame off it is what returns the frame's credit; the blocking
-/// wirings (the tree's root hop) have no pool.
+/// BATCH frame off it is what returns the frame's credit; the tree's
+/// root link is bounded by its channel's capacity and has no pool.
 pub(crate) struct UpRx<U> {
     rx: mpsc::Receiver<(usize, UpFrame<U>)>,
     credits: Option<Arc<CreditPool>>,
 }
 
 impl<U> UpRx<U> {
-    /// A queue whose BATCH frames return their credit to `credits` when
-    /// taken.
-    pub(crate) fn with_credits(
+    /// A queue whose BATCH frames, when taken, return their credit to
+    /// `credits`, if there is a pool.
+    pub(crate) fn new(
         rx: mpsc::Receiver<(usize, UpFrame<U>)>,
-        credits: Arc<CreditPool>,
+        credits: Option<Arc<CreditPool>>,
     ) -> UpRx<U> {
-        UpRx {
-            rx,
-            credits: Some(credits),
-        }
+        UpRx { rx, credits }
     }
 
     /// Takes the next frame, blocking; returns a BATCH frame's credit.
@@ -225,35 +174,11 @@ impl<U> Drop for UpRx<U> {
 
 // ------------------------------------------------------- channel transport
 
-/// Up sender over a shared bounded channel.
-struct ChannelBatchSender<U> {
-    site: usize,
-    tx: mpsc::SyncSender<(usize, UpFrame<U>)>,
-}
-
-impl<U: Send> BatchSender<U> for ChannelBatchSender<U> {
-    fn send(&mut self, frame: UpFrame<U>) -> Result<(), TransportError> {
-        self.tx
-            .send((self.site, frame))
-            .map_err(|_| TransportError::Closed)
-    }
-}
-
-/// Down sender over a per-site unbounded channel.
+/// Down sender over a per-site unbounded channel, waking the worker the
+/// site runs on with every send and with the close.
 struct ChannelDownSender<D> {
     tx: Option<mpsc::Sender<D>>,
-    /// The worker a pooled site runs on, woken by every send and by the
-    /// close; none on the tree's root links, whose aggregators block on
-    /// their receivers.
-    waker: Option<Arc<Waker>>,
-}
-
-impl<D> ChannelDownSender<D> {
-    fn wake(&self) {
-        if let Some(w) = &self.waker {
-            w.wake();
-        }
-    }
+    waker: Arc<Waker>,
 }
 
 impl<D: Clone + Send> DownSender<D> for ChannelDownSender<D> {
@@ -262,12 +187,12 @@ impl<D: Clone + Send> DownSender<D> for ChannelDownSender<D> {
             Some(tx) => tx.send(msg.clone()).map_err(|_| TransportError::Closed),
             None => Err(TransportError::Closed),
         };
-        self.wake();
+        self.waker.wake();
         sent
     }
     fn close(&mut self) {
         self.tx = None;
-        self.wake();
+        self.waker.wake();
     }
 }
 
@@ -277,7 +202,7 @@ impl<D: Clone + Send> DownSender<D> for ChannelDownSender<D> {
 impl<D> Drop for ChannelDownSender<D> {
     fn drop(&mut self) {
         self.tx = None;
-        self.wake();
+        self.waker.wake();
     }
 }
 
@@ -363,45 +288,11 @@ where
         });
         downs.push(Box::new(ChannelDownSender {
             tx: Some(down_tx),
-            waker: Some(Arc::clone(pool.waker(first + site))),
+            waker: Arc::clone(pool.waker(first + site)),
         }));
     }
-    let up = UpRx::with_credits(up_rx, Arc::clone(credits));
+    let up = UpRx::new(up_rx, Some(Arc::clone(credits)));
     (links, CoordEndpoint { up, downs })
-}
-
-/// Builds a fully in-process blocking deployment: one bounded up channel
-/// shared by all senders, one unbounded down channel per sender. The
-/// threads tree's aggregator→root hop runs on it.
-pub fn channel_wiring<U, D>(
-    k: usize,
-    queue_capacity: usize,
-) -> (Vec<SiteEndpoint<U, D>>, CoordEndpoint<U, D>)
-where
-    U: Send + 'static,
-    D: Clone + Send + 'static,
-{
-    assert!(k >= 1, "need at least one site");
-    let (up_tx, up_rx) = mpsc::sync_channel(queue_capacity.max(1));
-    let mut sites = Vec::with_capacity(k);
-    let mut downs: Vec<Box<dyn DownSender<D>>> = Vec::with_capacity(k);
-    for id in 0..k {
-        let (down_tx, down_rx) = mpsc::channel();
-        sites.push(SiteEndpoint::new(
-            id,
-            Box::new(ChannelBatchSender {
-                site: id,
-                tx: up_tx.clone(),
-            }),
-            down_rx,
-        ));
-        downs.push(Box::new(ChannelDownSender {
-            tx: Some(down_tx),
-            waker: None,
-        }));
-    }
-    drop(up_tx);
-    (sites, CoordEndpoint::new(up_rx, downs))
 }
 
 #[cfg(test)]
@@ -409,53 +300,36 @@ mod tests {
     use super::*;
 
     #[test]
-    fn channel_wiring_routes_up_and_down() {
-        let (mut sites, mut coord) = channel_wiring::<u32, u32>(2, 4);
-        sites[1]
-            .up
-            .send(UpFrame::Batch {
-                msgs: vec![7, 8],
-                items: 5,
-            })
-            .unwrap();
-        sites[0].up.send(UpFrame::Eof).unwrap();
-        assert_eq!(
-            coord.up.recv().unwrap(),
-            (
-                1,
-                UpFrame::Batch {
-                    msgs: vec![7u32, 8],
-                    items: 5
-                }
-            )
-        );
-        assert_eq!(coord.up.recv().unwrap(), (0, UpFrame::Eof));
+    fn channel_links_route_both_ways_and_report_departed_peers() {
+        let pool = Pool::new(2).unwrap();
+        let credits = pool.credits(4);
+        let (mut links, mut coord) = channel_links::<u32, u32>(&pool, 0, 2, &credits);
+        let batch = UpFrame::Batch {
+            msgs: vec![7, 8],
+            items: 5,
+        };
+        links[1].send(batch.clone()).unwrap();
+        links[0].send(UpFrame::Eof).unwrap();
+        assert_eq!(coord.up.try_recv(), Some((1, batch)));
+        assert_eq!(coord.up.try_recv(), Some((0, UpFrame::Eof)));
         coord.downs[0].send(&42).unwrap();
-        assert_eq!(sites[0].down.recv().unwrap(), 42);
-        // Closing the down link ends the site's drain loop.
-        for d in &mut coord.downs {
-            d.close();
-        }
-        assert!(sites[0].down.recv().is_err());
-        assert!(sites[1].down.recv().is_err());
-    }
-
-    #[test]
-    fn up_send_fails_after_coordinator_gone() {
-        let (mut sites, coord) = channel_wiring::<u32, u32>(1, 4);
-        drop(coord);
+        assert_eq!(links[0].down.try_recv(), Ok(42));
+        // Closing the down link ends the site's drain.
+        coord.downs[0].close();
+        assert_eq!(
+            links[0].down.try_recv(),
+            Err(mpsc::TryRecvError::Disconnected)
+        );
+        // A departed site's down send reports Closed.
+        drop(links.pop());
         assert!(matches!(
-            sites[0].up.send(UpFrame::Eof),
+            coord.downs[1].send(&1),
             Err(TransportError::Closed)
         ));
-    }
-
-    #[test]
-    fn down_send_to_departed_site_reports_closed() {
-        let (sites, mut coord) = channel_wiring::<u32, u32>(1, 4);
-        drop(sites);
+        // So does an up send once the coordinator is gone.
+        drop(coord);
         assert!(matches!(
-            coord.downs[0].send(&1),
+            links[0].send(UpFrame::Eof),
             Err(TransportError::Closed)
         ));
     }

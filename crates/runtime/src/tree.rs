@@ -30,26 +30,32 @@
 //!   share the site pool      aggregator
 //! ```
 //!
-//! Both hops reuse the existing transport layer, and the aggregator→root
-//! hop is *the same up-path abstraction* as a site link, instantiated at
-//! `U = SyncMsg`. The sites of every group are tasks on the one site pool
-//! both engines share ([`crate::engine`]), over credit-bound in-process
-//! channels on threads and reactor connections on epoll. The `g` root
-//! links are blocking: bounded in-process [`crate::transport`] channels
-//! on threads, the socket halves of [`crate::tcp`] on epoll; the `HELLO`
-//! handshake, batch framing, fault frames and backpressure discipline
-//! all carry over unchanged.
+//! Both hops carry the up-path frames of a site link ([`UpFrame`]), the
+//! root's instantiated at `U = SyncMsg`. The sites of every group are
+//! tasks on the one site pool both engines share ([`crate::engine`]),
+//! over credit-bound in-process channels on threads and reactor
+//! connections on epoll; that is all the engines differ in. The root
+//! link is the same on both: one bounded in-process channel of
+//! `queue_capacity` `(group, UpFrame<SyncMsg>)` frames that every
+//! aggregator sends into, which the root drains through the
+//! coordinators' loop (`serve_sites`) like any site link, with the same
+//! batch frames, fault frames and `Eof` handshake. A sync is metered for
+//! what it carries ([`SyncMsg::wire_bytes`]), not for how it travels, and
+//! no sync crosses a socket, so the link neither moves a count nor caps
+//! `s`.
 //!
 //! # Deadlock freedom across two hops
 //!
 //! The invariant of the flat engine generalizes tier-wise. The
 //! site→aggregator path is bounded by each group's credits (a site task
 //! stops pulling input, never blocks its worker) and the aggregator→root
-//! queue by blocking sends; every down path is unbounded and eagerly
-//! drained. The root never sends, so it always returns to draining its
-//! queue; hence a blocked aggregator→root send always unblocks, hence the
-//! aggregator always returns to taking its sites' frames, hence their
-//! credits always come back. No cycle of waits can form.
+//! path by the root link's capacity: an aggregator's send blocks while
+//! `queue_capacity` sync frames wait in the channel. Every down path is
+//! unbounded and eagerly drained. The root never sends, so it always
+//! returns to draining the channel; hence a blocked aggregator→root send
+//! always unblocks, hence the aggregator always returns to taking its
+//! sites' frames, hence their credits always come back. No cycle of
+//! waits can form.
 //!
 //! # Shutdown ordering
 //!
@@ -72,6 +78,7 @@
 //! [`GroupStats`] and asserted by the tree equivalence suite. After
 //! shutdown the root is exact: the final sync covers every item.
 
+use std::sync::mpsc;
 use std::thread;
 
 use dwrs_core::merge::merge_samples;
@@ -85,9 +92,7 @@ use crate::engine::{
     first_site_panic, join_serve, serve_sites, vec_feeds, ItemFeed, Pool, RuntimeError, SiteLink,
     SiteTask,
 };
-use crate::transport::{
-    channel_links, channel_wiring, CoordEndpoint, SiteEndpoint, TransportError, UpFrame,
-};
+use crate::transport::{channel_links, CoordEndpoint, DownSender, TransportError, UpFrame, UpRx};
 
 /// Shape of a two-level fan-in deployment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -186,12 +191,13 @@ impl SampleSource for SworCoordinator {
     }
 }
 
-/// Largest candidate count a window aggregator syncs in one frame: what
-/// fits a `MAX_FRAME_LEN` sync payload (17-byte header + 24 bytes per
-/// entry, with slack for the batch wrapper). ~43k entries — far above the
-/// expected `O(s·log(window/s))` retained-set size for any `s` the epoll
-/// tree admits; only adversarially ordered keys (a near-monotone key
-/// stream, whose undominated set is the whole window) ever reach it.
+/// Largest candidate count a window aggregator syncs: as many 24-byte
+/// entries as a `MAX_FRAME_LEN` payload holds, with slack for the
+/// headers, ~43k. It bounds one sync's size, and so its message cost, on
+/// every substrate, lockstep included. It lies far above the expected
+/// `O(s·log(window/s))` retained-set size; only adversarially ordered
+/// keys (a near-monotone key stream, whose undominated set is the whole
+/// window) ever reach it.
 const MAX_WINDOW_SYNC_ENTRIES: usize = (dwrs_core::framed::MAX_FRAME_LEN as usize - 64) / 24;
 
 impl SampleSource for dwrs_apps::WindowCoordinator {
@@ -200,9 +206,8 @@ impl SampleSource for dwrs_apps::WindowCoordinator {
     /// top-`s` cut could let globally-expired entries displace candidates
     /// the root still needs. The root applies the global window cutoff
     /// and the final top-`s` (`Query::SlidingWindow`'s tree answer).
-    /// Only the frame-cap backstop `MAX_WINDOW_SYNC_ENTRIES` truncates
-    /// (keeping the largest keys), so the sync always fits the framed
-    /// transport.
+    /// Only the backstop `MAX_WINDOW_SYNC_ENTRIES` truncates, keeping
+    /// the largest keys.
     fn keyed_sample(&self) -> Vec<Keyed> {
         let mut entries = self.window_entries();
         if entries.len() > MAX_WINDOW_SYNC_ENTRIES {
@@ -232,39 +237,32 @@ fn metered_sync<C: SampleSource>(
     msg
 }
 
-/// Fails fast, before any thread or socket exists, when a sync of `s`
-/// entries cannot fit one frame: a sync frame carries the whole sample
-/// (9-byte batch header + 17-byte `SyncMsg` header + 24 bytes per entry)
-/// and the framed transport caps payloads at `MAX_FRAME_LEN`. Only the
-/// epoll tree's framed root hop has this limit; the channel engine has
-/// none.
-pub(crate) fn check_sync_fits_frame(s: usize) -> Result<(), RuntimeError> {
-    let max_sync_payload = 9 + 17 + 24 * s;
-    let frame_cap = dwrs_core::framed::MAX_FRAME_LEN as usize;
-    if max_sync_payload > frame_cap {
-        let max_s = (frame_cap - 9 - 17) / 24;
-        return Err(RuntimeError::Transport(format!(
-            "sample size {s} needs {max_sync_payload}-byte sync frames, over the \
-             {frame_cap}-byte framed-transport cap; the epoll tree supports s <= {max_s}"
-        )));
-    }
-    Ok(())
+/// An aggregator's end of the root link: it sends `(group, frame)` into
+/// the root's bounded queue, which every aggregator shares.
+type RootTx = mpsc::SyncSender<(usize, UpFrame<SyncMsg>)>;
+
+/// Sends one frame up the root link for `group`, blocking while the
+/// root's queue is full.
+fn send_root(root: &RootTx, group: usize, frame: UpFrame<SyncMsg>) -> Result<(), TransportError> {
+    root.send((group, frame))
+        .map_err(|_| TransportError::Closed)
 }
 
 /// Ships one metered sync to the root.
 fn sync_to_root<C: SampleSource>(
     node: &C,
-    root: &mut dyn crate::transport::BatchSender<SyncMsg>,
+    root: &RootTx,
     group: usize,
     watermark: u64,
     window: u64,
     metrics: &mut Metrics,
 ) -> Result<(), TransportError> {
     let msg = metered_sync(node, group, watermark, metrics);
-    root.send(UpFrame::Batch {
+    let frame = UpFrame::Batch {
         msgs: vec![msg],
         items: window,
-    })
+    };
+    send_root(root, group, frame)
 }
 
 /// Drives one group's aggregator: the coordinators' loop
@@ -272,10 +270,10 @@ fn sync_to_root<C: SampleSource>(
 /// root-sync cadence and the final-sync/`Eof` shutdown handshake. Returns
 /// the aggregator's metrics (downstream routing + sync tier) and its
 /// [`GroupStats`].
-pub(crate) fn aggregator_loop<C>(
+fn aggregator_loop<C>(
     node: &mut C,
     endpoint: CoordEndpoint<C::Up, C::Down>,
-    mut root: SiteEndpoint<SyncMsg, NoDown>,
+    root: RootTx,
     group: usize,
     sync_every: u64,
 ) -> Result<(Metrics, GroupStats), RuntimeError>
@@ -292,7 +290,7 @@ where
         if pending >= sync_every {
             stats.max_unsynced = stats.max_unsynced.max(pending);
             let window = std::mem::take(&mut pending);
-            sync_to_root(node, &mut *root.up, group, stats.items, window, metrics)?;
+            sync_to_root(node, &root, group, stats.items, window, metrics)?;
             stats.syncs += 1;
         }
         Ok(())
@@ -301,28 +299,15 @@ where
         // Propagate the failure up so the root terminates with a
         // diagnostic instead of waiting for a sync that never comes.
         let e = format!("group {group}, site {site}: {e}");
-        let _ = root.up.send(UpFrame::Fault(e.clone()));
-        root.up.close();
+        let _ = send_root(&root, group, UpFrame::Fault(e.clone()));
         return Err(RuntimeError::Transport(e));
     }
     // Final sync (shutdown phase 2): makes the root's view of this group
-    // exact, then half-close the root link.
+    // exact, then ends the group's part of the root link.
     stats.max_unsynced = stats.max_unsynced.max(pending);
-    sync_to_root(
-        node,
-        &mut *root.up,
-        group,
-        stats.items,
-        pending,
-        &mut metrics,
-    )?;
+    sync_to_root(node, &root, group, stats.items, pending, &mut metrics)?;
     stats.syncs += 1;
-    root.up.send(UpFrame::Eof)?;
-    root.up.close();
-    drop(root.up);
-    // Drain the (empty) root→aggregator path until the root closes it, so
-    // shutdown stays ordered even if a future root gains a down path.
-    while root.down.recv().is_ok() {}
+    send_root(&root, group, UpFrame::Eof)?;
     (stats.stale_regular, stats.stale_early) = node.stale_counts();
     Ok((metrics, stats))
 }
@@ -355,16 +340,32 @@ impl CoordinatorNode for RootMerger {
     }
 }
 
+/// The root's stand-in down link to one aggregator. The root never
+/// sends, so it refuses every send; [`serve_sites`] counts the links it
+/// serves by their down links.
+struct NoRootDown;
+
+impl DownSender<NoDown> for NoRootDown {
+    fn send(&mut self, _msg: &NoDown) -> Result<(), TransportError> {
+        Err(TransportError::Closed)
+    }
+}
+
 /// Drives the root merger through the coordinators' loop
-/// ([`serve_sites`]) until every group reports `Eof`. Syncs are
+/// ([`serve_sites`]) over the root link until each of the `groups`
+/// aggregators reports `Eof` (or every sender is gone). Syncs are
 /// sender-metered (by the aggregators), so the root contributes no
 /// metrics of its own.
-pub(crate) fn root_loop(endpoint: CoordEndpoint<SyncMsg, NoDown>) -> RootResult {
+fn root_loop(up: UpRx<SyncMsg>, groups: usize) -> RootResult {
     let mut root = RootMerger {
-        samples: vec![Vec::new(); endpoint.num_sites()],
+        samples: vec![Vec::new(); groups],
         log: Vec::new(),
         misrouted: None,
     };
+    let downs = (0..groups)
+        .map(|_| Box::new(NoRootDown) as Box<dyn DownSender<NoDown>>)
+        .collect();
+    let endpoint = CoordEndpoint { up, downs };
     let fault = serve_sites(&mut root, endpoint, &mut Metrics::new(), |_, _, _| Ok(()))?;
     match fault
         .map(|(from, e)| format!("group {from}: {e}"))
@@ -375,27 +376,29 @@ pub(crate) fn root_loop(endpoint: CoordEndpoint<SyncMsg, NoDown>) -> RootResult 
     }
 }
 
-/// One group of a concurrent tree before it starts: its aggregator, the
-/// aggregator's end of its sites' links, and its link to the root.
+/// One group of a concurrent tree before it starts: its aggregator and
+/// the aggregator's end of its sites' links.
 pub(crate) type Group<A> = (
     A,
     CoordEndpoint<<A as CoordinatorNode>::Up, <A as CoordinatorNode>::Down>,
-    SiteEndpoint<SyncMsg, NoDown>,
 );
 
 /// Runs a concurrent fan-in tree: the sites as `tasks` on `pool`, each
 /// group's aggregator and the root merger on threads of their own, and
-/// `serve` (the epoll engine's reactor) on another. Then joins them in
-/// the one error priority both engines share — panicked sites by global
-/// index, then aggregators, then the root, then `serve`, then transport
-/// errors tier by tier — and merges every tier's metrics.
+/// `serve` (the epoll engine's reactor) on another. The root link is
+/// built here, once for both engines: one channel of `cfg.queue_capacity`
+/// sync frames that every aggregator sends into, blocking while it is
+/// full. Then joins them in the one error priority both engines share —
+/// panicked sites by global index, then aggregators, then the root, then
+/// `serve`, then transport errors tier by tier — and merges every tier's
+/// metrics.
 pub(crate) fn run_tree_pool<S, A, L, F>(
     s: usize,
-    sync_every: u64,
+    topo: &TreeTopology,
+    cfg: &RuntimeConfig,
     pool: Pool,
     tasks: Vec<SiteTask<S, L>>,
     groups: Vec<Group<A>>,
-    root_ep: CoordEndpoint<SyncMsg, NoDown>,
     serve: Option<F>,
 ) -> Result<TreeOutput, RuntimeError>
 where
@@ -406,18 +409,22 @@ where
     F: FnOnce() -> Result<(), RuntimeError> + Send,
 {
     type AggRes = Result<(Metrics, GroupStats), RuntimeError>;
+    let (g, sync_every) = (groups.len(), topo.sync_every);
+    let (root_tx, root_rx) = mpsc::sync_channel(cfg.queue_capacity.max(1));
     let (serve_res, agg_res, root_res, slots) = thread::scope(|scope| {
         let serve = serve.map(|f| scope.spawn(f));
         let agg_handles: Vec<thread::ScopedJoinHandle<'_, AggRes>> = groups
             .into_iter()
             .enumerate()
-            .map(|(gi, (mut aggregator, agg_ep, root_link))| {
-                scope.spawn(move || {
-                    aggregator_loop(&mut aggregator, agg_ep, root_link, gi, sync_every)
-                })
+            .map(|(gi, (mut aggregator, agg_ep))| {
+                let root = root_tx.clone();
+                scope.spawn(move || aggregator_loop(&mut aggregator, agg_ep, root, gi, sync_every))
             })
             .collect();
-        let root = scope.spawn(move || root_loop(root_ep));
+        // The aggregators hold the only senders, so the root hears the
+        // link end once every aggregator has returned or unwound.
+        drop(root_tx);
+        let root = scope.spawn(move || root_loop(UpRx::new(root_rx, None), g));
         let slots = pool.run(tasks);
         let agg_res: Vec<_> = agg_handles.into_iter().map(|h| h.join()).collect();
         (serve.map(|h| h.join()), agg_res, root.join(), slots)
@@ -455,9 +462,9 @@ where
     })
 }
 
-/// Runs a full fan-in tree on the site pool over in-process channels:
-/// one credit-bound site wiring per group, plus the aggregator→root
-/// wiring, a bounded blocking channel. Generic over the protocol —
+/// Runs a full fan-in tree on the site pool over in-process channels,
+/// one credit-bound site wiring per group, with the root link of
+/// [`run_tree_pool`]. Generic over the protocol —
 /// `mk_site(group, site)` and `mk_aggregator(group)` build the group
 /// deployments (any [`SiteNode`]/[`CoordinatorNode`]+[`SampleSource`]
 /// pair); `feeds[gi][i]` is site `i` of group `gi`'s input. The threads
@@ -479,19 +486,18 @@ where
     let (g, k) = (topo.groups, topo.k_per_group);
     assert_eq!(feeds.len(), g, "one feed block per group");
     let pool = Pool::new(g * k)?;
-    let (root_links, root_ep) = channel_wiring::<SyncMsg, NoDown>(g, cfg.queue_capacity);
     let mut tasks = Vec::with_capacity(g * k);
     let mut groups = Vec::with_capacity(g);
-    for (gi, (group_feeds, root_link)) in feeds.into_iter().zip(root_links).enumerate() {
+    for (gi, group_feeds) in feeds.into_iter().enumerate() {
         assert_eq!(group_feeds.len(), k, "one stream partition per site");
         let credits = pool.credits(cfg.queue_capacity);
         let (links, agg_ep) = channel_links(&pool, gi * k, k, &credits);
         let sites = (0..k).map(|i| mk_site(gi, i));
         tasks.extend(pool.tasks(gi * k, sites, links, group_feeds, &credits, cfg));
-        groups.push((mk_aggregator(gi), agg_ep, root_link));
+        groups.push((mk_aggregator(gi), agg_ep));
     }
     let no_reactor = None::<fn() -> Result<(), RuntimeError>>;
-    run_tree_pool(s, topo.sync_every, pool, tasks, groups, root_ep, no_reactor)
+    run_tree_pool(s, topo, cfg, pool, tasks, groups, no_reactor)
 }
 
 /// Single-threaded fan-in tree over arbitrary protocol nodes: one lockstep
@@ -821,67 +827,65 @@ mod tests {
     }
 
     #[test]
-    fn threads_tree_end_to_end() {
+    fn tree_end_to_end() {
         let topo = TreeTopology::new(3, 2, 500);
         let n = 30_000u64;
-        let out = run_swor_tree(
-            EngineKind::Threads,
-            8,
-            &topo,
-            42,
-            tree_streams(&topo, n),
-            &RuntimeConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(out.root_sample.len(), 8);
-        assert_eq!(out.group_samples.len(), 3);
-        // Every group's final sync covered its whole substream.
-        let items: u64 = out.group_stats.iter().map(|st| st.items).sum();
-        assert_eq!(items, n);
-        for (gi, st) in out.group_stats.iter().enumerate() {
-            assert!(st.syncs >= 1, "group {gi} never synced");
-            // Bounded staleness: lag at any sync trigger is under the
-            // period plus one frame's item window.
+        for engine in [EngineKind::Threads, EngineKind::Epoll] {
+            let streams = tree_streams(&topo, n);
+            let cfg = RuntimeConfig::default();
+            let out = run_swor_tree(engine, 8, &topo, 42, streams, &cfg).unwrap();
+            assert_eq!(out.root_sample.len(), 8, "{engine:?}");
+            assert_eq!(out.group_samples.len(), 3, "{engine:?}");
+            // Every group's final sync covered its whole substream.
+            let items: u64 = out.group_stats.iter().map(|st| st.items).sum();
+            assert_eq!(items, n, "{engine:?}");
+            for (gi, st) in out.group_stats.iter().enumerate() {
+                assert!(st.syncs >= 1, "{engine:?}: group {gi} never synced");
+                // Bounded staleness: lag at any sync trigger is under the
+                // period plus one frame's item window.
+                assert!(
+                    st.max_unsynced < topo.sync_every + st.max_frame_items,
+                    "{engine:?}: group {gi}: max_unsynced {} vs bound {}",
+                    st.max_unsynced,
+                    topo.sync_every + st.max_frame_items
+                );
+                // The last sync in the log is the exact watermark.
+                let last = out
+                    .sync_log
+                    .iter()
+                    .rev()
+                    .find(|&&(g, _)| g == gi)
+                    .expect("every group appears in the sync log");
+                assert_eq!(
+                    last.1, st.items,
+                    "{engine:?}: group {gi} final sync not exact"
+                );
+            }
+            // Sync traffic is metered into the merged totals.
+            assert!(out.metrics.kind("sync") > 0, "{engine:?}");
             assert!(
-                st.max_unsynced < topo.sync_every + st.max_frame_items,
-                "group {gi}: max_unsynced {} vs bound {}",
-                st.max_unsynced,
-                topo.sync_every + st.max_frame_items
+                out.metrics.kind("regular") + out.metrics.kind("early") > 0,
+                "{engine:?}"
             );
-            // The last sync in the log is the exact watermark.
-            let last = out
-                .sync_log
-                .iter()
-                .rev()
-                .find(|&&(g, _)| g == gi)
-                .expect("every group appears in the sync log");
-            assert_eq!(last.1, st.items, "group {gi} final sync not exact");
         }
-        // Sync traffic is metered into the merged totals.
-        assert!(out.metrics.kind("sync") > 0);
-        assert!(out.metrics.kind("regular") + out.metrics.kind("early") > 0);
     }
 
     #[test]
     fn tiny_queue_and_batch_tree_still_completes() {
         // Two-hop backpressure on every message: the deadlock-freedom
-        // invariant must hold tier-wise.
+        // invariant must hold tier-wise, with an aggregator blocked on a
+        // full one-frame root queue on both engines.
         let topo = TreeTopology::new(2, 2, 7);
         let cfg = RuntimeConfig::new()
             .with_batch_max(1)
             .with_queue_capacity(1);
-        let out = run_swor_tree(
-            EngineKind::Threads,
-            4,
-            &topo,
-            3,
-            tree_streams(&topo, 4_000),
-            &cfg,
-        )
-        .unwrap();
-        assert_eq!(out.root_sample.len(), 4);
-        let items: u64 = out.group_stats.iter().map(|st| st.items).sum();
-        assert_eq!(items, 4_000);
+        for engine in [EngineKind::Threads, EngineKind::Epoll] {
+            let streams = tree_streams(&topo, 4_000);
+            let out = run_swor_tree(engine, 4, &topo, 3, streams, &cfg).unwrap();
+            assert_eq!(out.root_sample.len(), 4, "{engine:?}");
+            let items: u64 = out.group_stats.iter().map(|st| st.items).sum();
+            assert_eq!(items, 4_000, "{engine:?}");
+        }
     }
 
     /// A SWOR aggregator that panics on its 20th message in group 1.
@@ -909,10 +913,9 @@ mod tests {
 
     #[test]
     fn aggregator_panic_reported_not_hung() {
-        // The unwinding aggregator drops its root link. On epoll that link
-        // is a socket whose down reader holds a second handle, so the root
-        // heard the link end only once a dropped up sender shut the socket
-        // down itself; before that, the run hung.
+        // The unwinding aggregator drops its sender on the root link, and
+        // its sites' links with it; the root hears the link end once the
+        // other aggregator has returned too.
         let topo = TreeTopology::new(2, 2, 1_000);
         let group_cfg = SworConfig::new(8, topo.k_per_group);
         let cfg = RuntimeConfig::new().with_batch_max(1);
@@ -947,25 +950,21 @@ mod tests {
     }
 
     #[test]
-    fn tcp_tree_rejects_sample_size_over_frame_cap() {
-        // A sync frame must fit MAX_FRAME_LEN; the framed epoll tree fails
-        // fast with a diagnostic instead of erroring mid-run (the channel
-        // engine has no framing and accepts the same size).
-        let topo = TreeTopology::new(1, 1, 1_000);
-        let err = run_swor_tree(
-            EngineKind::Epoll,
-            50_000,
-            &topo,
-            1,
-            vec![vec![Vec::new()]],
-            &RuntimeConfig::default(),
-        )
-        .unwrap_err();
-        assert!(
-            matches!(err, RuntimeError::Transport(ref m)
-                if m.contains("sample size 50000") && m.contains("epoll tree")),
-            "got {err:?}"
-        );
+    fn epoll_tree_syncs_samples_larger_than_a_frame() {
+        // A sync of 50,000 entries is 1.2 MB, over the 1 MiB cap of a
+        // framed socket payload. The root link is an in-process channel
+        // on both engines, so the epoll tree takes any `s` the threads
+        // tree takes, and each group syncs its full sample.
+        let s = 50_000;
+        let topo = TreeTopology::new(2, 1, 1_000_000);
+        let streams = tree_streams(&topo, 120_000);
+        let cfg = RuntimeConfig::default();
+        let out = run_swor_tree(EngineKind::Epoll, s, &topo, 1, streams, &cfg).unwrap();
+        for (gi, sample) in out.group_samples.iter().enumerate() {
+            assert_eq!(sample.len(), s, "group {gi}");
+        }
+        assert_eq!(out.metrics.kind("sync"), 2 * s as u64);
+        assert_eq!(out.root_sample.len(), s);
     }
 
     #[test]
