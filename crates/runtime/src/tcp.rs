@@ -304,31 +304,89 @@ mod tests {
     use super::*;
     use dwrs_core::swor::UpMsg;
     use dwrs_core::Item;
+    use std::io::Write;
     use std::net::TcpListener;
 
+    /// A connected loopback pair: the site's end and the coordinator's.
+    fn loopback() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let site = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (coord, _) = listener.accept().unwrap();
+        (site, coord)
+    }
+
     #[test]
-    fn up_frames_round_trip_and_malformed_payloads_decode_to_faults() {
-        let batch = UpFrame::Batch {
-            msgs: vec![
-                UpMsg::Early {
-                    item: Item::new(3, 2.5),
-                },
-                UpMsg::Regular {
-                    item: Item::unit(4),
-                    key: 7.0,
-                },
-            ],
-            items: 9,
+    fn hello_rejects_out_of_range_and_duplicate_sites() {
+        // Reads the HELLO of `site` as the `k = 2` accept loop would,
+        // with `taken` reporting every site as already connected or none.
+        let hello = |site, taken: bool| {
+            let (client, server) = loopback();
+            write_hello(&client, site).unwrap();
+            read_hello(&server, 2, |_| taken)
         };
-        // A fault keeps its diagnostic rather than degrading to an Eof.
-        let fault = UpFrame::Fault("site disk on fire".into());
-        for frame in [batch, UpFrame::Eof, fault] {
-            let mut payload = Vec::new();
-            encode_up(&frame, &mut payload);
-            assert_eq!(decode_up::<UpMsg>(&payload), frame);
+        assert_eq!(hello(1, false).unwrap(), 1);
+        for (site, taken, says) in [(7, false, "site 7 but k = 2"), (1, true, "duplicate HELLO")] {
+            let err = hello(site, taken).unwrap_err();
+            assert!(
+                matches!(err, RuntimeError::Transport(ref m) if m.contains(says)),
+                "got {err:?}"
+            );
         }
+    }
+
+    #[test]
+    fn site_sent_fault_round_trips_with_message() {
+        // A Fault shipped through the site's BatchSender must arrive as a
+        // Fault with its diagnostic intact — not be silently degraded to a
+        // clean Eof — and the batch before it must arrive whole.
+        let (site, coord) = loopback();
+        write_hello(&site, 0).unwrap();
+        let mut up = tcp_batch_sender::<UpMsg>(site);
+        let msgs = vec![
+            UpMsg::Early {
+                item: Item::new(3, 2.5),
+            },
+            UpMsg::Regular {
+                item: Item::unit(4),
+                key: 7.0,
+            },
+        ];
+        up.send_batch(&mut msgs.clone(), 9).unwrap();
+        up.send(UpFrame::Fault("site disk on fire".into())).unwrap();
+        up.close();
+        assert_eq!(read_hello(&coord, 1, |_| false).unwrap(), 0);
+        let mut reader = FramedReader::new(coord);
+        let mut frames = Vec::new();
+        while let Some(payload) = reader.read_blob().unwrap() {
+            frames.push(decode_up::<UpMsg>(payload));
+        }
+        assert_eq!(
+            frames,
+            [
+                UpFrame::Batch { msgs, items: 9 },
+                UpFrame::Fault("site disk on fire".into())
+            ]
+        );
+    }
+
+    #[test]
+    fn garbage_connection_surfaces_as_fault() {
+        // Valid HELLO, then a frame with an unknown tag.
+        let (mut site, coord) = loopback();
+        write_hello(&site, 0).unwrap();
+        site.write_all(&3u32.to_le_bytes()).unwrap();
+        site.write_all(&[0xEE, 0xFF, 0x00]).unwrap();
+        drop(site);
+        assert_eq!(read_hello(&coord, 1, |_| false).unwrap(), 0);
+        let mut reader = FramedReader::new(coord);
+        let payload = reader.read_blob().unwrap().expect("one frame");
+        let frame = decode_up::<UpMsg>(payload);
+        assert!(
+            matches!(frame, UpFrame::Fault(ref m) if m.contains("unexpected frame tag 0xee")),
+            "got {frame:?}"
+        );
+        // The other malformed payloads decode to faults too.
         for (payload, says) in [
-            (&[0xEE, 0xFF, 0x00][..], "unexpected frame tag 0xee"),
             (
                 &[TAG_BATCH, 1, 2, 3][..],
                 "shorter than its item-count header",
@@ -339,28 +397,6 @@ mod tests {
             assert!(
                 matches!(frame, UpFrame::Fault(ref m) if m.contains(says)),
                 "{payload:?}: got {frame:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn hello_rejects_out_of_range_and_duplicate_sites() {
-        let listener = TcpListener::bind((std::net::Ipv4Addr::LOCALHOST, 0)).unwrap();
-        let addr = listener.local_addr().unwrap();
-        // Reads the HELLO of `site` as the `k = 2` accept loop would,
-        // with `taken` reporting every site as already connected or none.
-        let hello = |site, taken: bool| {
-            let client = TcpStream::connect(addr).unwrap();
-            write_hello(&client, site).unwrap();
-            let (server, _) = listener.accept().unwrap();
-            read_hello(&server, 2, |_| taken)
-        };
-        assert_eq!(hello(1, false).unwrap(), 1);
-        for (site, taken, says) in [(7, false, "site 7 but k = 2"), (1, true, "duplicate HELLO")] {
-            let err = hello(site, taken).unwrap_err();
-            assert!(
-                matches!(err, RuntimeError::Transport(ref m) if m.contains(says)),
-                "got {err:?}"
             );
         }
     }

@@ -300,7 +300,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn channel_links_route_both_ways_and_report_departed_peers() {
+    fn channel_wiring_routes_up_and_down() {
         let pool = Pool::new(2).unwrap();
         let credits = pool.credits(4);
         let (mut links, mut coord) = channel_links::<u32, u32>(&pool, 0, 2, &credits);
@@ -314,22 +314,35 @@ mod tests {
         assert_eq!(coord.up.try_recv(), Some((0, UpFrame::Eof)));
         coord.downs[0].send(&42).unwrap();
         assert_eq!(links[0].down.try_recv(), Ok(42));
-        // Closing the down link ends the site's drain.
-        coord.downs[0].close();
-        assert_eq!(
-            links[0].down.try_recv(),
-            Err(mpsc::TryRecvError::Disconnected)
-        );
-        // A departed site's down send reports Closed.
-        drop(links.pop());
-        assert!(matches!(
-            coord.downs[1].send(&1),
-            Err(TransportError::Closed)
-        ));
-        // So does an up send once the coordinator is gone.
+        // Closing the down links ends the sites' drains.
+        for d in &mut coord.downs {
+            d.close();
+        }
+        for link in &links {
+            assert_eq!(link.down.try_recv(), Err(mpsc::TryRecvError::Disconnected));
+        }
+    }
+
+    #[test]
+    fn up_send_fails_after_coordinator_gone() {
+        let pool = Pool::new(1).unwrap();
+        let credits = pool.credits(4);
+        let (mut links, coord) = channel_links::<u32, u32>(&pool, 0, 1, &credits);
         drop(coord);
         assert!(matches!(
             links[0].send(UpFrame::Eof),
+            Err(TransportError::Closed)
+        ));
+    }
+
+    #[test]
+    fn down_send_to_departed_site_reports_closed() {
+        let pool = Pool::new(1).unwrap();
+        let credits = pool.credits(4);
+        let (links, mut coord) = channel_links::<u32, u32>(&pool, 0, 1, &credits);
+        drop(links);
+        assert!(matches!(
+            coord.downs[0].send(&1),
             Err(TransportError::Closed)
         ));
     }
